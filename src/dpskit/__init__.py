@@ -50,15 +50,14 @@ from .certify import (
 )
 from .extensions import (
     BudgetExceeded,
+    ConeOptimum,
     ExtensionQuery,
     MembershipResult,
     build_bse_sdp,
-    build_tripartite_sdp,
     check_membership,
     compressed_maps,
     optimize_over_cone,
     reduce_extension,
-    tripartite_membership,
     verify_witness,
 )
 from .operators import (

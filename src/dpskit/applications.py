@@ -3,7 +3,8 @@
 Three applications share one engine: maximum average fidelity of pure-state
 estimation (normalization Lambda_A = I), maximal channel output purity and
 geometric entanglement of tripartite pure states (both over unit-trace cone
-members).  Upper bounds come from :func:`dpskit.extensions.optimize_over_cone`;
+members).  Upper bounds are the ``value`` of the ConeOptimum that
+:func:`dpskit.extensions.optimize_over_cone` returns, with its solver status;
 the lower bounds are the affine images of the upper bounds under the
 disentangling maps, using d = dim H_B of the optimization bipartition.
 
@@ -22,7 +23,7 @@ from math import cos, pi, sin
 import numpy as np
 
 from .bounds import g_N
-from .extensions import ExtensionQuery, optimize_over_cone_full
+from .extensions import ExtensionQuery, optimize_over_cone
 from .operators import (
     HermitianOperator,
     depolarize,
@@ -112,7 +113,7 @@ def fidelity_bounds(
         objective=rho,
         reduced_constraint="identity_marginal",
     )
-    opt = optimize_over_cone_full(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol)
     lower = _lower_bound(opt.value, N, d, ppt, tail=1.0)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
@@ -183,7 +184,7 @@ def output_purity_bounds(
         objective=choi,
         reduced_constraint="unit_trace",
     )
-    opt = optimize_over_cone_full(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol)
     lower = _lower_bound(opt.value, N, d_b, ppt, tail=1.0)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
@@ -221,6 +222,6 @@ def geometric_entanglement_bounds(
         objective=rho_ab,
         reduced_constraint="unit_trace",
     )
-    opt = optimize_over_cone_full(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol)
     lower = _lower_bound(opt.value, N, d_b, ppt, tail=lam_a)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)

@@ -353,17 +353,29 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
 
 
 def required_N(delta: float, d_B: int, ppt: bool) -> int:
-    """Smallest guaranteed extension size for trace-distance accuracy delta."""
+    """Smallest guaranteed extension size for trace-distance accuracy delta.
+
+    With ``ppt`` this is the smallest N >= 2 with g_N(d_B, N) <= delta.
+    g_N falls strictly in N, so a bisection below the asymptotic estimate
+    ceil(sqrt(2) j / sqrt(delta)), which overshoots, finds it.
+    """
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
     if d_B < 2:
         raise ValueError("d_B must be >= 2")
     if not ppt:
         return int(np.ceil((2.0 - delta) * (d_B - 1) / delta))
-    n = max(int(np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))), 2)
-    while g_N(d_B, n) > delta:
-        n += 1
-    return n
+    hi = max(int(np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))), 2)
+    while g_N(d_B, hi) > delta:
+        hi += 1
+    lo = 1  # invariant: every N <= lo is too small (or below 2), hi is enough
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g_N(d_B, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def complexity_estimate(d_A: int, d_B: int, delta: float):

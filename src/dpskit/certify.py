@@ -22,7 +22,7 @@ from .extensions import (
     check_membership,
     reduce_extension,
 )
-from .operators import HermitianOperator
+from .operators import HermitianOperator, operator_to_json
 from .solver import SolverBreakdown, embed_complex, solve, unembed_real
 from .symmetric import SymmetricBasis, build_basis
 
@@ -201,11 +201,7 @@ class CertifyResult:
             ]
             payload["K"] = self.profile.K
         if self.witness is not None:
-            payload["witness"] = {
-                "dims": list(self.witness.factor_dims),
-                "re": self.witness.entries.real.tolist(),
-                "im": self.witness.entries.imag.tolist(),
-            }
+            payload["witness"] = json.loads(operator_to_json(self.witness))
         return json.dumps(payload)
 
 

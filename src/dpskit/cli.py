@@ -15,13 +15,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 
 from . import applications as apps
 from .bounds import bound_report, complexity_estimate, required_N
 from .certify import certify
-from .extensions import BudgetExceeded, ExtensionQuery, check_membership
-from .operators import HermitianOperator, operator_from_json, pure_state
+from .extensions import BudgetExceeded, ExtensionQuery, budget_dim, check_membership
+from .operators import (
+    HermitianOperator,
+    complex_from_json,
+    operator_from_json,
+    pure_state,
+)
 from .solver import SolverBreakdown
 
 EXIT_OK = 0
@@ -58,6 +62,10 @@ class RunConfig:
         delta = getattr(args, "delta", None)
         if delta is not None and not 0.0 < delta < 2.0:
             raise _InputError(f"delta {delta} outside (0, 2)")
+        try:
+            budget_dim()
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
         return cls(
             command=args.command,
             input_path=getattr(args, "input", None),
@@ -89,44 +97,39 @@ def _parse_range(text: str) -> list[int]:
         raise _InputError(f"cannot parse N range {text!r}") from exc
 
 
-def _read_operator(path: str) -> HermitianOperator:
+def _read_json(path: str, parse, what: str = ""):
+    """parse(file text), with read and format errors as input errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return operator_from_json(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _InputError(f"{path}: {what}{exc}") from exc
+
+
+def _read_operator(path: str) -> HermitianOperator:
+    return _read_json(path, operator_from_json)
 
 
 def _read_state_vector(path: str) -> HermitianOperator:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        dims = tuple(int(d) for d in data["dims"])
-        re = np.array(data["re"], dtype=float).ravel()
-        im = np.array(data.get("im", np.zeros_like(re).tolist()), dtype=float).ravel()
-        return pure_state(re + 1j * im, dims)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"{path}: malformed state vector: {exc}") from exc
+    def parse(text):
+        dims, vec = complex_from_json(json.loads(text))
+        return pure_state(vec.ravel(), dims)
+
+    return _read_json(path, parse, "malformed state vector: ")
 
 
 def _read_ensemble(path: str) -> apps.EstimationProblem:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    def parse(text):
         entries = []
-        for item in data["ensemble"]:
+        for item in json.loads(text)["ensemble"]:
             enc = operator_from_json(json.dumps(item["encoded"]))
             src = operator_from_json(json.dumps(item["source"]))
             entries.append((float(item["p"]), enc, src))
         return apps.EstimationProblem(tuple(entries))
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"{path}: malformed ensemble: {exc}") from exc
+
+    return _read_json(path, parse, "malformed ensemble: ")
 
 
 def _emit(text: str, out_path: str | None):
@@ -204,6 +207,12 @@ def cmd_bounds(config, args) -> int:
             ",reqN_sym,reqN_ppt,log10_ops_sym,log10_ops_ppt"
             ",log10_simpl_sym,log10_simpl_ppt"
         )
+    if delta_cols:
+        delta_tail = ",".join(
+            [str(required_N(config.delta, args.dB, ppt=False)),
+             str(required_N(config.delta, args.dB, ppt=True))]
+            + [_fmt(v) for v in complexity_estimate(args.dA, args.dB, config.delta)]
+        )
     lines = [header]
     for n in config.n_values:
         r = bound_report(args.dA, args.dB, n)
@@ -223,10 +232,7 @@ def cmd_bounds(config, args) -> int:
             ]
         )
         if delta_cols:
-            n_sym = required_N(config.delta, args.dB, ppt=False)
-            n_ppt = required_N(config.delta, args.dB, ppt=True)
-            ops = complexity_estimate(args.dA, args.dB, config.delta)
-            row += "," + ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
+            row += "," + delta_tail
         lines.append(row)
     _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK

@@ -1,25 +1,33 @@
 """Compile (PPT) Bose-symmetric-extension queries into block SDPs.
 
-The decision variable is always the *compressed* extension X living on
-H_A (x) Sym^N(H_B); the two linear maps that connect it to physics are
+The query state lives on H_A (x) H_1 (x) ... (x) H_k, k >= 1.  Factor 0 is
+A; every further factor is extended N times within its own symmetric
+subspace, so the decision variable is always the *compressed* extension X
+on H_A (x) Sym^N(H_1) (x) ... (x) Sym^N(H_k).  k = 1 is the bipartite
+hierarchy, k >= 2 its locally symmetric multipartite variant.
 
-* ``trace_map``  : X  ->  tr over N-1 copies of the lifted extension,
-* ``ppt_map``    : X  ->  compression of the lifted extension, partially
-                   transposed over the last N2 copies, onto
-                   H_A (x) Sym^{N1} (x) Sym^{N2},  N1 = ceil(N/2).
+Every map that connects X to physics is a :class:`LocalMap` I_A (x) L, with
+L a real sparse matrix on vec of the symmetric part:
 
-Both maps have exact rational-combinatorial coefficients derived from the
-occupation-number calculus; the naive lift/operate/compress pipeline is
-kept in the test suite as an oracle only.
+* ``trace_map`` : X -> trace over N-1 copies of every party,
+* ``ppt_map``   : X -> partial transpose over the last N2 copies of every
+                  party, compressed onto Sym^{N-N2} (x) Sym^{N2} per party,
+* ``reduce_extension`` : Sym^N -> Sym^{N-1}, one copy traced off.
+
+A multiparty L is the Kronecker product of the per-party matrices.  All
+coefficients are exact occupation-number combinatorics; the naive
+lift/operate/compress pipeline is kept in the test suite as an oracle only.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import comb, sqrt
+from functools import lru_cache
+from math import comb, prod, sqrt
 
 import numpy as np
+import scipy.sparse as sp
 
 from .operators import HermitianOperator
 from .solver import (
@@ -31,24 +39,23 @@ from .solver import (
     solve,
     unembed_real,
 )
-from .symmetric import SymmetricBasis, build_basis, occupations, sym_dim
+from .symmetric import SymmetricBasis, occupations, sym_dim
 
 __all__ = [
     "BudgetExceeded",
     "ExtensionQuery",
     "MembershipResult",
+    "LocalMap",
     "TraceMap",
     "PptMap",
+    "budget_dim",
     "compressed_maps",
     "build_bse_sdp",
     "check_membership",
     "optimize_over_cone",
-    "optimize_over_cone_full",
     "ConeOptimum",
     "verify_witness",
     "reduce_extension",
-    "build_tripartite_sdp",
-    "tripartite_membership",
 ]
 
 BUDGET_ENV = "DPSKIT_BUDGET_DIM"
@@ -59,18 +66,25 @@ class BudgetExceeded(RuntimeError):
     """The compressed SDP would exceed the configured dimension budget."""
 
 
-def _budget() -> int:
+def budget_dim() -> int:
+    """The compressed-side cap from DPSKIT_BUDGET_DIM (ValueError if invalid)."""
     raw = os.environ.get(BUDGET_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET_DIM
-    except ValueError:
+    if not raw:
         return DEFAULT_BUDGET_DIM
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class ExtensionQuery:
     """A membership or cone-optimization request against S^N or S_p^N.
 
+    ``rho`` has factors (A, B_1, ..., B_k); each B_i is extended N times.
     ``reduced_constraint`` picks the linear condition on the reduced
     operator: "trace_match" (membership), "identity_marginal" (Lambda_A = I,
     the state-estimation normalization) or "unit_trace" (optimization over
@@ -88,8 +102,8 @@ class ExtensionQuery:
     ppt_cuts: str = "half"
 
     def __post_init__(self):
-        if self.rho.nfactors != 2:
-            raise ValueError("query state must have exactly two factors (A, B)")
+        if self.rho.nfactors < 2:
+            raise ValueError("query state needs at least two factors (A, B, ...)")
         if self.N < 1:
             raise ValueError("extension size N must be >= 1")
         if self.mode not in ("membership", "cone_optimize"):
@@ -115,106 +129,127 @@ class MembershipResult:
     detail: str = ""
 
 
-class TraceMap:
+# ---------------------------------------------------------------------------
+# sparse local maps
+# ---------------------------------------------------------------------------
+
+
+def _binom_weight(a, b) -> int:
+    """prod_i C(a_i + b_i, a_i): ways to interleave occupations a and b."""
+    return prod(comb(x + y, x) for x, y in zip(a, b))
+
+
+def _add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _local_matrix(entries, s_in: int, s_out: int):
+    """(L, s_in, s_out) from (out_row, out_col, in_row, in_col, coef) entries.
+
+    The builders below are cached, so every map shares its L: never modify it.
+    """
+    oi, oj, ki, kj, coef = (np.array(c) for c in zip(*entries))
+    L = sp.csr_matrix(
+        (coef, (oi * s_out + oj, ki * s_in + kj)), shape=(s_out**2, s_in**2)
+    )
+    return L, s_in, s_out
+
+
+@lru_cache(maxsize=None)
+def _trace_local(d: int, N: int, M: int):
+    """Trace N - M copies off Sym^N(C^d), leaving Sym^M(C^d)."""
+    index = {occ: i for i, occ in enumerate(occupations(d, N))}
+    kept = occupations(d, M)
+    scale = comb(N, M)
+    entries = [
+        (mi, mpi, index[_add(m, r)], index[_add(mp, r)],
+         sqrt(_binom_weight(m, r) * _binom_weight(mp, r)) / scale)
+        for mi, m in enumerate(kept)
+        for mpi, mp in enumerate(kept)
+        for r in occupations(d, N - M)
+    ]
+    return _local_matrix(entries, len(index), len(kept))
+
+
+@lru_cache(maxsize=None)
+def _ppt_local(d: int, N: int, n2: int):
+    """Sym^N(C^d) -> partial transpose of the last n2 copies, compressed
+    onto Sym^{N-n2} (x) Sym^{n2}."""
+    index = {occ: i for i, occ in enumerate(occupations(d, N))}
+    pairs = [(u, v) for u in occupations(d, N - n2) for v in occupations(d, n2)]
+    split_norm = comb(N, n2)
+
+    def c(u, v):
+        return sqrt(_binom_weight(u, v) / split_norm)
+
+    entries = [
+        (oi, oj, index[_add(u, vp)], index[_add(up, v)], c(u, vp) * c(up, v))
+        for oi, (u, v) in enumerate(pairs)
+        for oj, (up, vp) in enumerate(pairs)
+    ]
+    return _local_matrix(entries, len(index), len(pairs))
+
+
+def _vec_order(sides) -> np.ndarray:
+    """Positions in kron(L_1, ..., L_k) order of the row-major vec of an
+    operator on the product of spaces with the given sides."""
+    k = len(sides)
+    pos = np.arange(prod(s * s for s in sides)).reshape([s for s in sides for _ in "ij"])
+    return pos.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))).ravel()
+
+
+class LocalMap:
+    """I_A (x) L between operators on H_A (x) K_in and H_A (x) K_out.
+
+    ``factors`` holds one (L_i, s_in_i, s_out_i) per party; L is their
+    Kronecker product, a real sparse (s_out^2, s_in^2) matrix acting on the
+    row-major vec of the K-part.  ``apply`` and ``adjoint`` accept leading
+    batch axes.
+    """
+
+    def __init__(self, dA: int, factors):
+        mats, sides_in, sides_out = zip(*factors)
+        L = mats[0]
+        for m in mats[1:]:
+            L = sp.kron(L, m, format="csr")
+        if len(mats) > 1:
+            L = L[_vec_order(sides_out)][:, _vec_order(sides_in)]
+        self.dA = dA
+        self.L = L.tocsr()
+        self.size_in, self.size_out = prod(sides_in), prod(sides_out)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._act(self.L, x, self.size_in, self.size_out)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self._act(self.L.T, y, self.size_out, self.size_in)
+
+    def _act(self, mat, x, s_in: int, s_out: int) -> np.ndarray:
+        dA = self.dA
+        x = np.asarray(x, dtype=complex)
+        lead = x.shape[:-2]
+        # (..., a, k, a', k') -> columns vec(k, k'), one per (..., a, a')
+        xk = x.reshape(lead + (dA, s_in, dA, s_in)).swapaxes(-3, -2)
+        yk = (mat @ xk.reshape(-1, s_in * s_in).T).T
+        y = yk.reshape(lead + (dA, dA, s_out, s_out)).swapaxes(-3, -2)
+        return y.reshape(lead + (dA * s_out, dA * s_out))
+
+
+class TraceMap(LocalMap):
     """X on H_A (x) Sym^N  ->  tr_{B^{N-1}} of the lifted operator."""
 
     def __init__(self, dA: int, basis: SymmetricBasis):
-        self.dA = dA
-        self.d = basis.d
-        self.N = basis.N
-        self.size_in = basis.size
-        occs = basis.multi_indices
-        index = {occ: i for i, occ in enumerate(occs)}
-        rows = []
-        for ki, k in enumerate(occs):
-            for b in range(self.d):
-                if k[b] == 0:
-                    continue
-                reduced = list(k)
-                reduced[b] -= 1
-                for bp in range(self.d):
-                    kp = list(reduced)
-                    kp[bp] += 1
-                    kpi = index[tuple(kp)]
-                    coef = sqrt(k[b] * kp[bp]) / self.N
-                    rows.append((ki, kpi, b, bp, coef))
-        self.rows = rows
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        dA, d, s = self.dA, self.d, self.size_in
-        x4 = x.reshape(dA, s, dA, s)
-        out = np.zeros((dA, d, dA, d), dtype=complex)
-        for ki, kpi, b, bp, coef in self.rows:
-            out[:, b, :, bp] += coef * x4[:, ki, :, kpi]
-        return out.reshape(dA * d, dA * d)
-
-    def adjoint(self, e: np.ndarray) -> np.ndarray:
-        dA, d, s = self.dA, self.d, self.size_in
-        e4 = e.reshape(dA, d, dA, d)
-        out = np.zeros((dA, s, dA, s), dtype=complex)
-        for ki, kpi, b, bp, coef in self.rows:
-            out[:, ki, :, kpi] += coef * e4[:, b, :, bp]
-        return out.reshape(dA * s, dA * s)
+        super().__init__(dA, [_trace_local(basis.d, basis.N, 1)])
 
 
-class PptMap:
+class PptMap(LocalMap):
     """X -> compressed partial transpose across A B^{N-K} | B^K (K factors)."""
 
     def __init__(self, dA: int, basis: SymmetricBasis, transposed: int):
         if not 0 <= transposed <= basis.N:
             raise ValueError("transposed copy count out of range")
-        self.dA = dA
-        self.d = basis.d
-        self.N = basis.N
         self.n2 = transposed
-        self.n1 = basis.N - transposed
-        self.size_in = basis.size
-        occs1 = occupations(basis.d, self.n1)
-        occs2 = occupations(basis.d, self.n2)
-        self.s1, self.s2 = len(occs1), len(occs2)
-        index = {occ: i for i, occ in enumerate(basis.multi_indices)}
-        split_norm = comb(self.N, self.n1)
-        coef = {}
-        for ui, u in enumerate(occs1):
-            for vi, v in enumerate(occs2):
-                prod_binom = 1
-                for a, b in zip(u, v):
-                    prod_binom *= comb(a + b, a)
-                coef[ui, vi] = sqrt(prod_binom / split_norm)
-        rows = []
-        for ui, u in enumerate(occs1):
-            for vi, v in enumerate(occs2):
-                for upi, up in enumerate(occs1):
-                    for vpi, vp in enumerate(occs2):
-                        k = tuple(a + b for a, b in zip(u, vp))
-                        kp = tuple(a + b for a, b in zip(up, v))
-                        rows.append(
-                            (
-                                ui * self.s2 + vi,
-                                upi * self.s2 + vpi,
-                                index[k],
-                                index[kp],
-                                coef[ui, vpi] * coef[upi, vi],
-                            )
-                        )
-        self.rows = rows
-        self.size_out = self.s1 * self.s2
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        dA, s, so = self.dA, self.size_in, self.size_out
-        x4 = x.reshape(dA, s, dA, s)
-        out = np.zeros((dA, so, dA, so), dtype=complex)
-        for oi, oj, ki, kpi, coef in self.rows:
-            out[:, oi, :, oj] = coef * x4[:, ki, :, kpi]
-        return out.reshape(dA * so, dA * so)
-
-    def adjoint(self, g: np.ndarray) -> np.ndarray:
-        dA, s, so = self.dA, self.size_in, self.size_out
-        g4 = g.reshape(dA, so, dA, so)
-        out = np.zeros((dA, s, dA, s), dtype=complex)
-        for oi, oj, ki, kpi, coef in self.rows:
-            out[:, ki, :, kpi] += coef * g4[:, oi, :, oj]
-        return out.reshape(dA * s, dA * s)
+        super().__init__(dA, [_ppt_local(basis.d, basis.N, transposed)])
 
 
 def compressed_maps(dA: int, basis: SymmetricBasis, ppt: bool):
@@ -222,6 +257,13 @@ def compressed_maps(dA: int, basis: SymmetricBasis, ppt: bool):
     tmap = TraceMap(dA, basis)
     pmap = PptMap(dA, basis, basis.N // 2) if ppt else None
     return tmap, pmap
+
+
+def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
+    """Trace one B copy off a compressed extension: Sym^N -> Sym^{N-1}."""
+    if N < 2:
+        raise ValueError("need N >= 2 to reduce")
+    return LocalMap(dA, [_trace_local(d, N, N - 1)]).apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -232,69 +274,55 @@ def compressed_maps(dA: int, basis: SymmetricBasis, ppt: bool):
 @dataclass
 class _Codec:
     query: ExtensionQuery
-    basis: SymmetricBasis
-    tmap: TraceMap
+    tmap: LocalMap
     pmaps: list
-    n_reduced_constraints: int
-    herm_ab: list
+    herm_ab: np.ndarray | None  # the trace_match rows' Hermitian basis
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
-    dA, dB = q.rho.factor_dims
-    if dA * sym_dim(dB, q.N) > _budget():
+    dA, *dBs = q.rho.factor_dims
+    nx = dA * prod(sym_dim(d, q.N) for d in dBs)
+    if nx > budget_dim():
         raise BudgetExceeded(
-            f"d_A*sym_dim(d_B,N) = {dA * sym_dim(dB, q.N)} exceeds "
-            f"{BUDGET_ENV} = {_budget()}"
+            f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
+            f"{BUDGET_ENV} = {budget_dim()}"
         )
-    basis = build_basis(dB, q.N)
-    tmap = TraceMap(dA, basis)
+    tmap = LocalMap(dA, [_trace_local(d, q.N, 1) for d in dBs])
+    cuts = []
     if q.ppt:
-        cuts = (
-            [basis.N // 2]
-            if q.ppt_cuts == "half"
-            else list(range(1, basis.N // 2 + 1))
-        )
-        pmaps = [PptMap(dA, basis, t) for t in cuts]
-        # N=1 has an empty transposed side; the PPT block is then X itself
-        pmaps = [p for p in pmaps if p.n2 > 0]
-    else:
-        pmaps = []
+        cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
+    # N=1 has an empty transposed side; the PPT block is then X itself
+    pmaps = [LocalMap(dA, [_ppt_local(d, q.N, t) for d in dBs]) for t in cuts if t > 0]
 
-    nx = dA * basis.size
     block_sizes = [2 * nx] + [2 * dA * p.size_out for p in pmaps]
     nb = len(block_sizes)
 
-    constraints = []
-    herm_ab = []
+    herm_ab = None
     if q.reduced_constraint == "trace_match":
-        herm_ab = hermitian_basis(dA * dB)
-        target = q.rho.entries
-        for e in herm_ab:
-            mats = [None] * nb
-            mats[0] = embed_complex(tmap.adjoint(e))
-            rhs = 2.0 * float(np.real(np.sum(e.conj() * target)))
-            constraints.append((mats, rhs))
+        herm_ab = np.array(hermitian_basis(q.rho.dim))
+        rows = embed_complex(tmap.adjoint(herm_ab))
+        rhs = 2.0 * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
     elif q.reduced_constraint == "identity_marginal":
         # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
-        eye_b = np.eye(dB)
-        for f in hermitian_basis(dA):
-            mats = [None] * nb
-            mats[0] = embed_complex(tmap.adjoint(np.kron(f, eye_b)))
-            constraints.append((mats, 2.0 * float(np.real(np.trace(f)))))
-    elif q.reduced_constraint == "unit_trace":
-        mats = [None] * nb
-        mats[0] = embed_complex(np.eye(nx, dtype=complex))
-        constraints.append((mats, 2.0))
-    else:
-        raise ValueError(q.reduced_constraint)
-    n_reduced = len(constraints)
+        f = np.array(hermitian_basis(dA))
+        rows = embed_complex(tmap.adjoint(np.kron(f, np.eye(q.rho.dim // dA))))
+        rhs = 2.0 * np.real(np.trace(f, axis1=1, axis2=2))
+    else:  # unit_trace
+        rows = embed_complex(np.eye(nx, dtype=complex))[None]
+        rhs = [2.0]
+    constraints = [([r] + [None] * (nb - 1), float(v)) for r, v in zip(rows, rhs)]
 
     for pi, pmap in enumerate(pmaps):
-        ny = dA * pmap.size_out
-        for g in hermitian_basis(ny):
-            mats = [None] * nb
-            mats[0] = embed_complex(pmap.adjoint(g))
-            mats[1 + pi] = -embed_complex(g)
+        g = np.array(hermitian_basis(dA * pmap.size_out))
+        adj = pmap.adjoint(g)
+        link = embed_complex(g)
+        del g
+        np.negative(link, out=link)
+        rows = embed_complex(adj)
+        del adj
+        for r, y in zip(rows, link):
+            mats = [r] + [None] * (nb - 1)
+            mats[1 + pi] = y
             constraints.append((mats, 0.0))
 
     objective = [None] * nb
@@ -304,7 +332,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
         sense = "maximize"
 
     problem = SdpProblem(block_sizes, objective, constraints, sense)
-    return problem, _Codec(q, basis, tmap, pmaps, n_reduced, herm_ab)
+    return problem, _Codec(q, tmap, pmaps, herm_ab)
 
 
 def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
@@ -314,11 +342,6 @@ def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
 
 FEAS_EQUALITY_TOL = 1e-7
 FEAS_PSD_SLACK = 1e-9
-
-
-def _extract_extension(sol: SdpSolution, codec: _Codec):
-    x = unembed_real(sol.primal_blocks[0])
-    return x
 
 
 def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
@@ -337,18 +360,15 @@ def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
 
 
 def _decode_witness(sol: SdpSolution, codec: _Codec) -> HermitianOperator | None:
-    y = sol.dual_multipliers
-    if codec.n_reduced_constraints == 0 or codec.herm_ab == []:
+    if codec.herm_ab is None:
         return None
-    w = np.zeros_like(codec.herm_ab[0])
-    for i in range(codec.n_reduced_constraints):
-        w += y[i] * codec.herm_ab[i]
+    y = sol.dual_multipliers[: len(codec.herm_ab)]
+    w = np.tensordot(y, codec.herm_ab, axes=1)
     w = -0.5 * (w + w.conj().T)
     scale = float(np.linalg.norm(w))
     if scale == 0.0:
         return None
-    dA, dB = codec.query.rho.factor_dims
-    return HermitianOperator((dA, dB), w / scale)
+    return HermitianOperator(codec.query.rho.factor_dims, w / scale)
 
 
 def check_membership(
@@ -370,7 +390,7 @@ def check_membership(
     except SolverBreakdown as exc:
         return MembershipResult("undecided", detail=f"solver breakdown: {exc}")
     if sol.status in ("optimal", "max_iter"):
-        x = _extract_extension(sol, codec)
+        x = unembed_real(sol.primal_blocks[0])
         ok, detail = _verify_feasible(x, codec)
         if ok:
             return MembershipResult("feasible", extension=x, detail=detail)
@@ -395,8 +415,7 @@ def _refine_witness(q: ExtensionQuery, w: HermitianOperator) -> HermitianOperato
         return w
     margin = abs(float(np.vdot(w.entries, q.rho.entries).real))
     shift = min(-floor * 1.5, 0.25 * margin)
-    dA, dB = w.factor_dims
-    return HermitianOperator((dA, dB), w.entries + shift * np.eye(dA * dB))
+    return w.replace_entries(w.entries + shift * np.eye(w.dim))
 
 
 def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
@@ -410,8 +429,7 @@ def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
         reduced_constraint="unit_trace",
         ppt_cuts=q.ppt_cuts,
     )
-    value, _ = optimize_over_cone(aux)
-    return -value
+    return -optimize_over_cone(aux).value
 
 
 @dataclass
@@ -423,9 +441,14 @@ class ConeOptimum:
     extension: np.ndarray
 
 
-def optimize_over_cone_full(
+def optimize_over_cone(
     q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200
 ) -> ConeOptimum:
+    """max tr(objective . Lambda) over the compressed cone at level N.
+
+    ``value`` is the optimum and ``optimizer`` the reduced optimizer Lambda
+    (the partial trace of the optimal extension ``extension``).
+    """
     if q.mode != "cone_optimize":
         raise ValueError("optimize_over_cone requires a cone_optimize query")
     problem, codec = _compile(q)
@@ -434,151 +457,12 @@ def optimize_over_cone_full(
         raise SolverBreakdown("cone optimization is unbounded; check constraints")
     if sol.status == "primal_infeasible":
         raise SolverBreakdown("cone constraints are infeasible")
-    x = _extract_extension(sol, codec)
+    x = unembed_real(sol.primal_blocks[0])
     lam = codec.tmap.apply(x)
-    dA, dB = q.rho.factor_dims
     return ConeOptimum(
         value=0.5 * sol.objective_value,
-        optimizer=HermitianOperator((dA, dB), lam, hermitian_tol=1e-6),
+        optimizer=HermitianOperator(q.rho.factor_dims, lam, hermitian_tol=1e-6),
         status=sol.status,
         iterations=sol.iterations,
         extension=x,
     )
-
-
-def optimize_over_cone(
-    q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200
-) -> tuple[float, HermitianOperator]:
-    """max tr(objective . Lambda) over the compressed cone at level N.
-
-    Returns the optimum and the reduced optimizer Lambda_AB (the partial
-    trace of the optimal extension).
-    """
-    opt = optimize_over_cone_full(q, tol=tol, max_iter=max_iter)
-    return opt.value, opt.optimizer
-
-
-def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
-    """Trace one B copy off a compressed extension: Sym^N -> Sym^{N-1}."""
-    if N < 2:
-        raise ValueError("need N >= 2 to reduce")
-    occs_hi = occupations(d, N)
-    occs_lo = occupations(d, N - 1)
-    hi = {occ: i for i, occ in enumerate(occs_hi)}
-    s_hi, s_lo = len(occs_hi), len(occs_lo)
-    x4 = x.reshape(dA, s_hi, dA, s_hi)
-    out = np.zeros((dA, s_lo, dA, s_lo), dtype=complex)
-    for mi, mocc in enumerate(occs_lo):
-        for mpi, mpocc in enumerate(occs_lo):
-            for b in range(d):
-                k = list(mocc)
-                k[b] += 1
-                kp = list(mpocc)
-                kp[b] += 1
-                coef = sqrt(k[b] * kp[b]) / N
-                out[:, mi, :, mpi] += coef * x4[:, hi[tuple(k)], :, hi[tuple(kp)]]
-    return out.reshape(dA * s_lo, dA * s_lo)
-
-
-# ---------------------------------------------------------------------------
-# tripartite locally Bose-symmetric extensions
-# ---------------------------------------------------------------------------
-
-
-class _LocalTables:
-    """Per-party trace/ppt tables for the locally symmetric variant."""
-
-    def __init__(self, d: int, N: int):
-        self.basis = build_basis(d, N)
-        self.tmap = TraceMap(1, self.basis)  # tables only; dA handled outside
-        self.pmap = PptMap(1, self.basis, N // 2)
-
-
-def build_tripartite_sdp(
-    rho: HermitianOperator, N: int, ppt: bool
-) -> SdpProblem:
-    problem, _ = _compile_tripartite(rho, N, ppt)
-    return problem
-
-
-def _compile_tripartite(rho: HermitianOperator, N: int, ppt: bool):
-    if rho.nfactors != 3:
-        raise ValueError("tripartite query needs exactly three factors")
-    d1, d2, d3 = rho.factor_dims
-    s2, s3 = sym_dim(d2, N), sym_dim(d3, N)
-    if d1 * s2 * s3 > _budget():
-        raise BudgetExceeded(
-            f"d_1*sym_dim(d_2,N)*sym_dim(d_3,N) = {d1 * s2 * s3} exceeds "
-            f"{BUDGET_ENV} = {_budget()}"
-        )
-    t2, t3 = _LocalTables(d2, N), _LocalTables(d3, N)
-
-    nx = d1 * s2 * s3
-
-    def trace_apply(x):
-        x6 = x.reshape(d1, s2, s3, d1, s2, s3)
-        out = np.zeros((d1, d2, d3, d1, d2, d3), dtype=complex)
-        for k2, k2p, b2, b2p, c2 in t2.tmap.rows:
-            for k3, k3p, b3, b3p, c3 in t3.tmap.rows:
-                out[:, b2, b3, :, b2p, b3p] += (c2 * c3) * x6[:, k2, k3, :, k2p, k3p]
-        return out.reshape(rho.dim, rho.dim)
-
-    def trace_adjoint(e):
-        e6 = e.reshape(d1, d2, d3, d1, d2, d3)
-        out = np.zeros((d1, s2, s3, d1, s2, s3), dtype=complex)
-        for k2, k2p, b2, b2p, c2 in t2.tmap.rows:
-            for k3, k3p, b3, b3p, c3 in t3.tmap.rows:
-                out[:, k2, k3, :, k2p, k3p] += (c2 * c3) * e6[:, b2, b3, :, b2p, b3p]
-        return out.reshape(nx, nx)
-
-    o2, o3 = t2.pmap.size_out, t3.pmap.size_out
-    ny = d1 * o2 * o3
-
-    def ppt_adjoint(g):
-        g6 = g.reshape(d1, o2, o3, d1, o2, o3)
-        out = np.zeros((d1, s2, s3, d1, s2, s3), dtype=complex)
-        for i2, j2, k2, k2p, c2 in t2.pmap.rows:
-            for i3, j3, k3, k3p, c3 in t3.pmap.rows:
-                out[:, k2, k3, :, k2p, k3p] += (c2 * c3) * g6[:, i2, i3, :, j2, j3]
-        return out.reshape(nx, nx)
-
-    block_sizes = [2 * nx] + ([2 * ny] if ppt and N >= 2 else [])
-    nb = len(block_sizes)
-    constraints = []
-    herm = hermitian_basis(rho.dim)
-    for e in herm:
-        mats = [None] * nb
-        mats[0] = embed_complex(trace_adjoint(e))
-        rhs = 2.0 * float(np.real(np.sum(e.conj() * rho.entries)))
-        constraints.append((mats, rhs))
-    if nb == 2:
-        for g in hermitian_basis(ny):
-            mats = [None] * nb
-            mats[0] = embed_complex(ppt_adjoint(g))
-            mats[1] = -embed_complex(g)
-            constraints.append((mats, 0.0))
-    problem = SdpProblem(block_sizes, [None] * nb, constraints, "feasibility")
-    return problem, (trace_apply, nx)
-
-
-def tripartite_membership(
-    rho: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8,
-    max_iter: int = 200,
-) -> MembershipResult:
-    problem, (trace_apply, nx) = _compile_tripartite(rho, N, ppt)
-    try:
-        sol = solve(problem, tol=tol, max_iter=max_iter)
-    except SolverBreakdown as exc:
-        return MembershipResult("undecided", detail=f"solver breakdown: {exc}")
-    if sol.status in ("optimal", "max_iter"):
-        x = unembed_real(sol.primal_blocks[0])
-        eq = float(np.max(np.abs(trace_apply(x) - rho.entries)))
-        lam = float(np.linalg.eigvalsh(x)[0])
-        if eq <= FEAS_EQUALITY_TOL and lam >= -FEAS_PSD_SLACK * 100:
-            return MembershipResult("feasible", extension=x, detail=f"residual {eq:.2e}")
-        if sol.status == "max_iter":
-            return MembershipResult("undecided", detail=f"max_iter; residual {eq:.2e}")
-        return MembershipResult("undecided", detail=f"residual {eq:.2e}")
-    if sol.status == "primal_infeasible":
-        return MembershipResult("infeasible", detail="dual certificate")
-    return MembershipResult("undecided", detail=f"solver status {sol.status}")

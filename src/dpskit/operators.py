@@ -31,6 +31,7 @@ __all__ = [
     "pure_state",
     "operator_to_json",
     "operator_from_json",
+    "complex_from_json",
 ]
 
 NORM_KINDS = ("trace", "operator", "frobenius")
@@ -61,6 +62,8 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix shape {m.shape} does not match factor dims {dims}"
             )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix has non-finite (NaN or inf) entries")
         defect = np.max(np.abs(m - m.conj().T)) if side else 0.0
         if defect > self.hermitian_tol:
             raise ValueError(
@@ -119,6 +122,8 @@ def identity(factor_dims) -> HermitianOperator:
 def pure_state(vector, factor_dims) -> HermitianOperator:
     """Projector onto the (normalized) vector, as a state."""
     v = np.asarray(vector, dtype=complex).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector has non-finite (NaN or inf) entries")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("zero vector")
@@ -259,12 +264,21 @@ def operator_to_json(x: HermitianOperator) -> str:
     )
 
 
+def complex_from_json(data) -> tuple[tuple[int, ...], np.ndarray]:
+    """(dims, re + 1j im) of a parsed {"dims", "re", "im"} payload.
+
+    "im" defaults to zero; KeyError, TypeError and ValueError pass through.
+    """
+    dims = tuple(int(d) for d in data["dims"])
+    re = np.array(data["re"], dtype=float)
+    im = np.array(data.get("im", np.zeros_like(re).tolist()), dtype=float)
+    return dims, re + 1j * im
+
+
 def operator_from_json(text: str) -> HermitianOperator:
     data = json.loads(text)
     try:
-        dims = [int(d) for d in data["dims"]]
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data.get("im", np.zeros_like(re).tolist()), dtype=float)
+        dims, m = complex_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator JSON: {exc}") from exc
-    return HermitianOperator(tuple(dims), re + 1j * im)
+    return HermitianOperator(dims, m)

@@ -242,10 +242,19 @@ class TestRequiredN:
         assert required_N(0.1, 2, ppt=False) == 19
 
     def test_ppt_example_verified(self):
+        # the smallest N, below the asymptotic start ceil(sqrt(2) j_0 / sqrt(0.1)) = 11
         n = required_N(0.1, 2, ppt=True)
-        assert n >= 11  # ceil(sqrt(2) j_0 / sqrt(0.1)) = 11, then verified
-        assert g_N(2, n) <= 0.1
-        assert n == 11 or g_N(2, n - 1) > 0.1
+        assert n == 8
+        assert g_N(2, 8) <= 0.1 < g_N(2, 7)
+
+    @pytest.mark.parametrize(
+        "d,delta,expected",
+        [(2, 0.05, 13), (3, 0.1, 14), (3, 0.05, 21), (4, 0.1, 18), (4, 0.02, 47)],
+    )
+    def test_ppt_is_minimal(self, d, delta, expected):
+        n = required_N(delta, d, ppt=True)
+        assert n == expected
+        assert g_N(d, n) <= delta < g_N(d, n - 1)
 
     def test_degenerate_delta(self):
         assert required_N(1.999, 2, ppt=False) in (0, 1)

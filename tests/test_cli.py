@@ -207,6 +207,27 @@ class TestFileInputs:
         assert main(["membership", "--input", str(src), "--N", "4..2"]) == 2
 
 
+class TestInputHardening:
+    def test_nan_operator_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "nan.json"
+        src.write_text('{"dims": [2, 2], "re": [[NaN, 0, 0, 0], [0, 0.25, 0, 0],'
+                       ' [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}')
+        assert main(["membership", "--input", str(src), "--N", "2"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_state_vector_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "nan_vec.json"
+        src.write_text('{"dims": [2, 2, 2], "re": [1, 0, 0, 0, 0, 0, 0, NaN]}')
+        assert main(["geometric", "--input", str(src), "--N", "2"]) == 2
+        assert "malformed state vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_invalid_budget_env_exit_2(self, raw, mixed_file, monkeypatch, capsys):
+        monkeypatch.setenv("DPSKIT_BUDGET_DIM", raw)
+        assert main(["membership", "--input", mixed_file, "--N", "2"]) == 2
+        assert "DPSKIT_BUDGET_DIM" in capsys.readouterr().err
+
+
 def test_complexity_command(tmp_path):
     out = tmp_path / "cx.json"
     code = main(

@@ -46,6 +46,13 @@ class TestConstruction:
         op = HermitianOperator((2,), m)
         assert_allclose(op.entries, op.entries.conj().T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator((2,), m)
+
     def test_entries_immutable(self):
         op = identity((2,))
         with pytest.raises(ValueError):
