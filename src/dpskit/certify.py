@@ -19,6 +19,8 @@ from .extensions import (
     ExtensionQuery,
     PptMap,
     _compile,
+    _embed_rows,
+    _verify_feasible,
     check_membership,
     reduce_extension,
 )
@@ -122,15 +124,14 @@ def rank_min_heuristic(
     if objective_floor is not None:
         if q.objective is None:
             raise ValueError("objective_floor needs an objective in the query")
-        nb = len(problem.block_sizes)
+        # a 1x1 slack block s >= 0 with <objective, Lambda> - s = floor
         problem.block_sizes.append(1)
         problem.objective.append(None)
-        for i, (mats, rhs) in enumerate(problem.constraints):
-            problem.constraints[i] = (mats + [None], rhs)
-        mats = [None] * (nb + 1)
-        mats[0] = embed_complex(codec.tmap.adjoint(q.objective.entries))
-        mats[nb] = -np.ones((1, 1))
-        problem.constraints.append((mats, 2.0 * float(objective_floor)))
+        problem.constraints = np.pad(problem.constraints, ((0, 1), (0, 1)))
+        problem.rhs = np.append(problem.rhs, 2.0 * float(objective_floor))
+        floor_row = problem.blocks(problem.constraints[-1:])
+        _embed_rows(floor_row[0], codec.tmap.adjoint(q.objective.entries)[None])
+        floor_row[-1][...] = -1.0
 
     nx = problem.block_sizes[0] // 2
     rng = np.random.default_rng(seed)
@@ -154,8 +155,7 @@ def rank_min_heuristic(
                 infeasible_status = sol.status
                 return
             x = unembed_real(sol.primal_blocks[0])
-            resid = float(np.max(np.abs(codec.tmap.apply(x) - q.rho.entries)))
-            if resid > 1e-7:
+            if not _verify_feasible(x, codec)[0]:
                 return
             r = numerical_rank(x)
             if best_rank is None or r < best_rank:

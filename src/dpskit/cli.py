@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
 
 from . import applications as apps
 from .bounds import bound_report, complexity_estimate, required_N
@@ -32,6 +33,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER = 4
+
+# exact pure states carry zero eigenvalues; rounding leaves them near -1e-16
+STATE_PSD_TOL = 1e-9
 
 
 class _InputError(Exception):
@@ -57,8 +61,10 @@ class RunConfig:
     def from_args(cls, args) -> "RunConfig":
         n_raw = getattr(args, "N", None)
         n_values = tuple(_parse_range(n_raw)) if n_raw is not None else ()
-        if n_raw is not None and not n_values:
-            raise _InputError("N range is empty")
+        if not args.tol > 0.0:
+            raise _InputError(f"--tol must be positive, got {args.tol}")
+        if args.max_iter < 1:
+            raise _InputError(f"--max-iter must be >= 1, got {args.max_iter}")
         delta = getattr(args, "delta", None)
         if delta is not None and not 0.0 < delta < 2.0:
             raise _InputError(f"delta {delta} outside (0, 2)")
@@ -81,20 +87,19 @@ class RunConfig:
 
 
 def _parse_range(text: str) -> list[int]:
-    """"2..4" -> [2, 3, 4]; "3" -> [3]; "1,4,6" -> [1, 4, 6]."""
+    """"2..4" -> [2, 3, 4]; "3" -> [3]; "1,4,6" -> [1, 4, 6]; all N >= 1."""
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        if "," in text:
-            return [int(t) for t in text.split(",")]
-        return [int(text)]
+            lo, hi = (int(t) for t in text.split(".."))
+            values = list(range(lo, hi + 1))
+        else:
+            values = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise _InputError(f"cannot parse N range {text!r}") from exc
+    if not values or min(values) < 1:
+        raise _InputError(f"N range {text!r} must be nonempty, with every N >= 1")
+    return values
 
 
 def _read_json(path: str, parse, what: str = ""):
@@ -110,6 +115,33 @@ def _read_json(path: str, parse, what: str = ""):
 
 def _read_operator(path: str) -> HermitianOperator:
     return _read_json(path, operator_from_json)
+
+
+def _read_state(path: str, command: str) -> HermitianOperator:
+    """A density operator: unit trace and positive semidefinite."""
+    rho = _read_operator(path)
+    if abs(rho.trace() - 1.0) > 1e-8:
+        raise _InputError(f"{command} input must be a unit-trace state")
+    lam = float(np.linalg.eigvalsh(rho.entries)[0])
+    if lam < -STATE_PSD_TOL:
+        raise _InputError(
+            f"{command} input must be positive semidefinite "
+            f"(min eigenvalue {lam:.3g})"
+        )
+    return rho
+
+
+def _generate(make, *params):
+    """Call an input generator, its parameter-range ValueError as an input error."""
+    try:
+        return make(*params)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+
+
+def _check_dims(args):
+    if args.dA < 1 or args.dB < 2:
+        raise _InputError(f"need dA >= 1 and dB >= 2, got dA={args.dA}, dB={args.dB}")
 
 
 def _read_state_vector(path: str) -> HermitianOperator:
@@ -179,9 +211,7 @@ def _bound_sweep_command(config, make_pair):
 
 
 def cmd_membership(config, args) -> int:
-    rho = _read_operator(config.input_path)
-    if abs(rho.trace() - 1.0) > 1e-8:
-        raise _InputError("membership input must be a unit-trace state")
+    rho = _read_state(config.input_path, "membership")
     verdicts = {}
     budget_hit = False
     for n in config.n_values:
@@ -200,6 +230,7 @@ def cmd_membership(config, args) -> int:
 
 
 def cmd_bounds(config, args) -> int:
+    _check_dims(args)
     header = "dA,dB,N,gN,pc_sym,pc_ppt,R_sym,R_ppt,dtr_sym,dtr_ppt"
     delta_cols = config.delta is not None
     if delta_cols:
@@ -240,9 +271,9 @@ def cmd_bounds(config, args) -> int:
 
 def cmd_fidelity(config, args) -> int:
     if args.bb84 is not None:
-        problem = apps.bb84_two_copy_problem(args.bb84)
+        problem = _generate(apps.bb84_two_copy_problem, args.bb84)
     elif args.qutrit_grid is not None:
-        problem = apps.qutrit_grid_problem(args.qutrit_grid)
+        problem = _generate(apps.qutrit_grid_problem, args.qutrit_grid)
     elif config.input_path:
         problem = _read_ensemble(config.input_path)
     else:
@@ -256,7 +287,7 @@ def cmd_purity(config, args) -> int:
     if args.channel == "identity-qubit":
         choi = apps.identity_choi(2)
     elif args.channel == "depolarizing-qubit":
-        choi = apps.depolarizing_choi(2, args.p)
+        choi = _generate(apps.depolarizing_choi, 2, args.p)
     elif args.choi:
         choi = _read_operator(args.choi)
     else:
@@ -282,9 +313,9 @@ def cmd_geometric(config, args) -> int:
 
 
 def cmd_certify(config, args) -> int:
-    rho = _read_operator(config.input_path)
-    if abs(rho.trace() - 1.0) > 1e-8:
-        raise _InputError("certify input must be a unit-trace state")
+    if args.maxN < 2:
+        raise _InputError(f"--maxN must be >= 2, got {args.maxN}")
+    rho = _read_state(config.input_path, "certify")
     result = certify(rho, maxN=args.maxN, delta=config.delta or 1e-7, seed=config.seed)
     _emit(result.to_json() + "\n", config.out)
     return EXIT_OK
@@ -293,6 +324,7 @@ def cmd_certify(config, args) -> int:
 def cmd_complexity(config, args) -> int:
     if config.delta is None:
         raise _InputError("complexity requires --delta")
+    _check_dims(args)
     sym_ops, ppt_ops, sym_s, ppt_s = complexity_estimate(args.dA, args.dB, config.delta)
     payload = {
         "dA": args.dA,

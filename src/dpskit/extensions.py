@@ -279,6 +279,14 @@ class _Codec:
     herm_ab: np.ndarray | None  # the trace_match rows' Hermitian basis
 
 
+def _embed_rows(rows: np.ndarray, h: np.ndarray):
+    """Write the real embeddings of a Hermitian stack into (k, n, n) views of
+    constraint rows, made exactly symmetric there."""
+    rows[...] = embed_complex(h)
+    rows += rows.swapaxes(1, 2)
+    rows *= 0.5
+
+
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     dA, *dBs = q.rho.factor_dims
     nx = dA * prod(sym_dim(d, q.N) for d in dBs)
@@ -294,44 +302,41 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     # N=1 has an empty transposed side; the PPT block is then X itself
     pmaps = [LocalMap(dA, [_ppt_local(d, q.N, t) for d in dBs]) for t in cuts if t > 0]
 
-    block_sizes = [2 * nx] + [2 * dA * p.size_out for p in pmaps]
-    nb = len(block_sizes)
-
     herm_ab = None
     if q.reduced_constraint == "trace_match":
         herm_ab = np.array(hermitian_basis(q.rho.dim))
-        rows = embed_complex(tmap.adjoint(herm_ab))
-        rhs = 2.0 * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
+        state = tmap.adjoint(herm_ab)
+        state_rhs = 2.0 * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
     elif q.reduced_constraint == "identity_marginal":
         # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
         f = np.array(hermitian_basis(dA))
-        rows = embed_complex(tmap.adjoint(np.kron(f, np.eye(q.rho.dim // dA))))
-        rhs = 2.0 * np.real(np.trace(f, axis1=1, axis2=2))
+        state = tmap.adjoint(np.kron(f, np.eye(q.rho.dim // dA)))
+        state_rhs = 2.0 * np.real(np.trace(f, axis1=1, axis2=2))
     else:  # unit_trace
-        rows = embed_complex(np.eye(nx, dtype=complex))[None]
-        rhs = [2.0]
-    constraints = [([r] + [None] * (nb - 1), float(v)) for r, v in zip(rows, rhs)]
+        state = np.eye(nx, dtype=complex)[None]
+        state_rhs = 2.0
 
-    for pi, pmap in enumerate(pmaps):
-        g = np.array(hermitian_basis(dA * pmap.size_out))
-        adj = pmap.adjoint(g)
-        link = embed_complex(g)
-        del g
-        np.negative(link, out=link)
-        rows = embed_complex(adj)
-        del adj
-        for r, y in zip(rows, link):
-            mats = [r] + [None] * (nb - 1)
-            mats[1 + pi] = y
-            constraints.append((mats, 0.0))
-
-    objective = [None] * nb
-    sense = "feasibility"
+    # rows: the state constraints, then per PPT block Y one row
+    # <adj(G), X> - <G, Y> = 0 for each G of a Hermitian basis of Y's space
+    block_sizes = [2 * nx] + [2 * dA * p.size_out for p in pmaps]
+    m = len(state) + sum((n // 2) ** 2 for n in block_sizes[1:])
+    sense = "maximize" if q.mode == "cone_optimize" else "feasibility"
+    problem = SdpProblem(
+        block_sizes, [None] * len(block_sizes),
+        np.zeros((m, sum(n * n for n in block_sizes))), np.zeros(m), sense,
+    )
+    x_rows, *y_rows = problem.blocks(problem.constraints)
+    start = len(state)
+    _embed_rows(x_rows[:start], state)
+    problem.rhs[:start] = state_rhs
+    for pmap, y_block in zip(pmaps, y_rows):
+        g = np.array(hermitian_basis(y_block.shape[1] // 2))
+        rows = slice(start, start + len(g))
+        _embed_rows(x_rows[rows], pmap.adjoint(g))
+        _embed_rows(y_block[rows], -g)
+        start += len(g)
     if q.mode == "cone_optimize":
-        objective[0] = embed_complex(tmap.adjoint(q.objective.entries))
-        sense = "maximize"
-
-    problem = SdpProblem(block_sizes, objective, constraints, sense)
+        problem.objective[0] = embed_complex(tmap.adjoint(q.objective.entries))
     return problem, _Codec(q, tmap, pmaps, herm_ab)
 
 

@@ -5,6 +5,13 @@ Standard form, over symmetric blocks X = (X_1, ..., X_B):
     minimize    sum_b <C_b, X_b>
     subject to  sum_b <A_ib, X_b> = b_i   (i = 1..m),   X_b >= 0.
 
+The data is held in the SeDuMi-style (A, b) vec form: a point is the vector
+x = (vec X_1, ..., vec X_B) of row-major vecs, of length sum_b n_b^2, and
+row i of the real (m, sum_b n_b^2) matrix A is (vec A_i1, ..., vec A_iB).
+The constraints then read A x = b and their adjoint is y -> y A.  The
+iterates X, Z and the cost live in this vec space; only the nonlinear steps
+(Z^{-1}, the Schur complement, step lengths) work on per-block (n, n) views.
+
 The iteration runs on the homogeneous self-dual embedding with the HKM
 search direction and a Mehrotra predictor-corrector, so infeasible problems
 terminate with an explicit Farkas certificate instead of a diverging
@@ -41,40 +48,61 @@ class SolverBreakdown(RuntimeError):
     """Numerical failure distinct from plain iteration-limit exhaustion."""
 
 
+def _asymmetric(stack: np.ndarray, sym_tol: float) -> np.ndarray:
+    """Indices of the matrices in a (k, n, n) stack that are not symmetric."""
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    skew = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
+    return np.flatnonzero(skew > sym_tol * scale)
+
+
 @dataclass
 class SdpProblem:
-    """Block-diagonal standard-form SDP.
+    """Block-diagonal standard-form SDP in (A, b) vec form.
 
-    ``objective[b]`` is the symmetric cost matrix for block b (None = zero).
-    Each constraint is ``(mats, rhs)`` where ``mats[b]`` is the symmetric
-    coefficient matrix on block b (None = zero).  ``sense`` is one of
-    "minimize", "maximize", "feasibility".
+    ``constraints`` is the real (m, sum_b n_b^2) matrix A: row i is the
+    concatenation of the row-major vecs of the symmetric coefficient
+    matrices (A_i1, ..., A_iB), so the constraints read A vec(X) = rhs with
+    ``rhs`` the (m,) vector b.  ``objective[b]`` is the symmetric cost matrix
+    for block b (None = zero).  ``sense`` is one of "minimize", "maximize",
+    "feasibility".
     """
 
     block_sizes: list[int]
     objective: list
-    constraints: list
+    constraints: np.ndarray
+    rhs: np.ndarray
     sense: str = "minimize"
+
+    def blocks(self, flat: np.ndarray) -> list:
+        """Per-block (..., n, n) views of the last axis of a vec-space array."""
+        views, start = [], 0
+        for n in self.block_sizes:
+            views.append(flat[..., start:start + n * n].reshape(flat.shape[:-1] + (n, n)))
+            start += n * n
+        return views
 
     def validate(self, sym_tol: float = 1e-12):
         if self.sense not in ("minimize", "maximize", "feasibility"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
             raise ValueError("objective must supply one matrix (or None) per block")
-        for b, n in enumerate(self.block_sizes):
-            pairs = [("objective", self.objective[b])]
-            pairs += [
-                (f"constraint {i}", mats[b])
-                for i, (mats, _) in enumerate(self.constraints)
-            ]
-            for tag, mat in pairs:
-                if mat is None:
-                    continue
-                if mat.shape != (n, n):
-                    raise ValueError(f"{tag}: block {b} shape {mat.shape} != {(n, n)}")
-                scale = max(1.0, float(np.max(np.abs(mat))))
-                if np.max(np.abs(mat - mat.T)) > sym_tol * scale:
-                    raise ValueError(f"{tag}: block {b} not symmetric")
+        a = np.asarray(self.constraints)
+        width = sum(n * n for n in self.block_sizes)
+        if a.ndim != 2 or a.shape[1] != width:
+            raise ValueError(f"constraints shape {a.shape} != (m, {width})")
+        if np.shape(self.rhs) != (len(a),):
+            raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({len(a)},)")
+        for b, (n, c, rows) in enumerate(
+            zip(self.block_sizes, self.objective, self.blocks(a))
+        ):
+            if c is not None:
+                if c.shape != (n, n):
+                    raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
+                if _asymmetric(c[None], sym_tol).size:
+                    raise ValueError(f"objective: block {b} not symmetric")
+            bad = _asymmetric(rows, sym_tol)
+            if bad.size:
+                raise ValueError(f"constraint {bad[0]}: block {b} not symmetric")
 
 
 @dataclass
@@ -130,39 +158,12 @@ def hermitian_basis(n: int):
     return basis
 
 
-# ---------------------------------------------------------------------------
-# internal dense representation
-# ---------------------------------------------------------------------------
+def _flat(mats) -> np.ndarray:
+    """The vec-space vector of a sequence of per-block matrices."""
+    return np.concatenate([np.ravel(mat) for mat in mats])
 
 
-class _Blocks:
-    """Stacked constraint tensors plus the maps y -> A^T(y) and X -> A(X)."""
-
-    def __init__(self, block_sizes, constraints):
-        self.sizes = list(block_sizes)
-        self.m = len(constraints)
-        self.stacks = []
-        self.flats = []
-        for b, n in enumerate(self.sizes):
-            stack = np.zeros((self.m, n, n))
-            for i, (mats, _) in enumerate(constraints):
-                if mats[b] is not None:
-                    stack[i] = 0.5 * (mats[b] + mats[b].T)
-            self.stacks.append(stack)
-            self.flats.append(stack.reshape(self.m, n * n))
-        self.rhs = np.array([float(r) for _, r in constraints])
-
-    def apply(self, xblocks) -> np.ndarray:
-        out = np.zeros(self.m)
-        for flat, x in zip(self.flats, xblocks):
-            out += flat @ x.ravel()
-        return out
-
-    def adjoint(self, y) -> list:
-        return [np.tensordot(y, stack, axes=1) for stack in self.stacks]
-
-
-def _prune_constraints(blocks: _Blocks, rel_tol: float = 1e-12):
+def _prune_constraints(a: np.ndarray, rhs: np.ndarray, rel_tol: float = 1e-12):
     """Drop linearly dependent constraint rows via the constraint Gram matrix.
 
     Returns ``(kept_indices, farkas_y)``; ``farkas_y`` is a certificate for a
@@ -171,19 +172,17 @@ def _prune_constraints(blocks: _Blocks, rel_tol: float = 1e-12):
     machine precision on the singular values; exactly-duplicated or
     near-machine-dependent rows are what occurs in practice here.
     """
-    m = blocks.m
+    m = len(rhs)
     if m == 0:
         return [], None
-    gram = np.zeros((m, m))
-    for flat in blocks.flats:
-        gram += flat @ flat.T
+    gram = a @ a.T
     w, v = np.linalg.eigh(gram)
     wmax = max(float(w[-1]), 1e-300)
     null_mask = w < rel_tol * wmax
-    rhs_scale = 1.0 + float(np.max(np.abs(blocks.rhs), initial=0.0))
+    rhs_scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
     for k in np.nonzero(null_mask)[0]:
         u = v[:, k]
-        viol = float(u @ blocks.rhs)
+        viol = float(u @ rhs)
         if abs(viol) > 1e-9 * rhs_scale:
             return None, u / viol
     if not null_mask.any():
@@ -236,52 +235,48 @@ def solve(
     ``iter,mu,primal_res,dual_res,gap`` row.
     """
     problem.validate()
-    nb = len(problem.block_sizes)
+    sizes = problem.block_sizes
+    split = problem.blocks
     sign = -1.0 if problem.sense == "maximize" else 1.0
-    cost = []
-    for b, n in enumerate(problem.block_sizes):
-        c = problem.objective[b]
-        if problem.sense == "feasibility" or c is None:
-            cost.append(np.zeros((n, n)))
-        else:
-            cost.append(sign * 0.5 * (c + c.T))
+    cost = _flat(
+        np.zeros((n, n))
+        if problem.sense == "feasibility" or c is None
+        else sign * 0.5 * (c + c.T)
+        for n, c in zip(sizes, problem.objective)
+    )
+    A = np.asarray(problem.constraints, dtype=float)
+    bvec = np.asarray(problem.rhs, dtype=float)
+    m_all = len(bvec)
 
-    blocks = _Blocks(problem.block_sizes, problem.constraints)
-    kept, farkas = _prune_constraints(blocks)
-    if farkas is not None:
+    def infeasible(y_full, certificate, residuals, iterations):
         return SdpSolution(
             status="primal_infeasible",
-            primal_blocks=[np.zeros((n, n)) for n in problem.block_sizes],
-            dual_multipliers=farkas,
+            primal_blocks=[np.zeros((n, n)) for n in sizes],
+            dual_multipliers=y_full,
             objective_value=np.nan,
-            residuals=(np.inf, np.inf, np.inf),
-            certificate=[-mb for mb in blocks.adjoint(farkas)],
-            iterations=0,
+            residuals=residuals,
+            certificate=certificate,
+            iterations=iterations,
         )
-    if len(kept) < blocks.m:
-        blocks = _Blocks(
-            problem.block_sizes, [problem.constraints[i] for i in kept]
-        )
-        kept_index = np.array(kept, dtype=int)
-    else:
-        kept_index = np.arange(blocks.m)
 
-    m = blocks.m
-    bvec = blocks.rhs
+    kept, farkas = _prune_constraints(A, bvec)
+    if farkas is not None:
+        return infeasible(farkas, [-mb for mb in split(farkas @ A)], (np.inf,) * 3, 0)
+    if len(kept) < m_all:
+        A, bvec = A[kept], bvec[kept]
+
+    m = len(bvec)
     bnorm = 1.0 + np.linalg.norm(bvec)
-    cnorm = 1.0 + np.sqrt(sum(float(np.sum(c * c)) for c in cost))
-    deg = sum(problem.block_sizes) + 1
-
-    def inner(ablocks, bblocks):
-        return sum(float(np.sum(a * b)) for a, b in zip(ablocks, bblocks))
+    cnorm = 1.0 + np.linalg.norm(cost)
+    deg = sum(sizes) + 1
 
     def expand_y(yk):
-        full = np.zeros(len(problem.constraints))
-        full[kept_index] = yk
+        full = np.zeros(m_all)
+        full[kept] = yk
         return full
 
-    X = [np.eye(n) for n in problem.block_sizes]
-    Z = [np.eye(n) for n in problem.block_sizes]
+    X = _flat(np.eye(n) for n in sizes)
+    Z = X.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -292,25 +287,17 @@ def solve(
     best = None
 
     for it in range(1, max_iter + 1):
-        mu = (inner(X, Z) + tau * kappa) / deg
-        AX = blocks.apply(X)
-        ATy = blocks.adjoint(y)
+        mu = (X @ Z + tau * kappa) / deg
+        AX = A @ X
+        ATy = y @ A
+        by, cx = float(bvec @ y), float(cost @ X)
         rp = bvec * tau - AX
-        rd = [cost[b] * tau - ATy[b] - Z[b] for b in range(nb)]
-        rg = float(bvec @ y) - inner(cost, X) - kappa
+        rd = cost * tau - ATy - Z
+        rg = by - cx - kappa
 
         pres = np.linalg.norm(AX / tau - bvec) / bnorm
-        dres = (
-            np.sqrt(
-                sum(
-                    float(np.sum((ATy[b] / tau + Z[b] / tau - cost[b]) ** 2))
-                    for b in range(nb)
-                )
-            )
-            / cnorm
-        )
-        pobj = inner(cost, X) / tau
-        dobj = float(bvec @ y) / tau
+        dres = np.linalg.norm(ATy / tau + Z / tau - cost) / cnorm
+        pobj, dobj = cx / tau, by / tau
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         if log_csv is not None:
@@ -321,28 +308,25 @@ def solve(
             break
 
         # infeasibility certificates straight off the homogeneous iterate
-        by = float(bvec @ y)
         if by > tol:
             yn = y / by
-            viol = max(
-                float(np.linalg.eigvalsh(cb)[-1]) for cb in blocks.adjoint(yn)
-            )
+            viol = max(float(np.linalg.eigvalsh(cb)[-1]) for cb in split(yn @ A))
             if viol <= tol * (1.0 + np.linalg.norm(yn)):
                 status = "primal_infeasible"
                 break
-        cx = inner(cost, X)
         if cx < -tol:
-            xn = [xb / (-cx) for xb in X]
-            if np.linalg.norm(blocks.apply(xn)) <= tol * (
-                1.0 + max(np.linalg.norm(x) for x in xn)
+            xn = X / (-cx)
+            if np.linalg.norm(A @ xn) <= tol * (
+                1.0 + max(np.linalg.norm(xb) for xb in split(xn))
             ):
                 status = "dual_infeasible"
                 break
 
         best = (X, y, Z, tau, pres, dres, gap)
 
+        Xb = split(X)
         Zinv = []
-        for zb in Z:
+        for zb in split(Z):
             try:
                 ell = np.linalg.cholesky(zb)
             except np.linalg.LinAlgError as exc:
@@ -354,9 +338,9 @@ def solve(
 
         # HKM Schur complement M_ij = <A_i, Zinv A_j X>, then symmetrized
         M = np.zeros((m, m))
-        for b in range(nb):
-            half = np.matmul(Zinv[b], np.matmul(blocks.stacks[b], X[b]))
-            M += blocks.flats[b] @ half.reshape(m, -1).T
+        for zinv_b, xb, rows in zip(Zinv, Xb, split(A)):
+            half = np.matmul(zinv_b, np.matmul(rows, xb))
+            M += rows.reshape(m, -1) @ half.reshape(m, -1).T
         M = 0.5 * (M + M.T)
         factor = None
         jitter = 0.0
@@ -376,62 +360,57 @@ def solve(
             resid = rhs - M @ sol  # one refinement step recovers ~2 digits
             return sol + sla.cho_solve(factor, resid, check_finite=False)
 
-        r2 = bvec + blocks.apply([Zinv[b] @ cost[b] @ X[b] for b in range(nb)])
+        def hkm(u):
+            """Zinv U X, block by block."""
+            return _flat(zinv_b @ ub @ xb for zinv_b, ub, xb in zip(Zinv, split(u), Xb))
+
+        r2 = bvec + A @ hkm(cost)
         dy2 = schur_solve(r2)
-        ATdy2 = blocks.adjoint(dy2)
-        dZ2 = [cost[b] - ATdy2[b] for b in range(nb)]
-        dX2 = [Zinv[b] @ (ATdy2[b] - cost[b]) @ X[b] for b in range(nb)]
+        ATdy2 = dy2 @ A
+        dZ2 = cost - ATdy2
+        dX2 = hkm(ATdy2 - cost)
+        zinv = _flat(Zinv)
 
         def build(sigma_mu, corr, corr_tk):
-            base = []
-            for b in range(nb):
-                t = sigma_mu * Zinv[b] - X[b] - Zinv[b] @ rd[b] @ X[b]
-                if corr[b] is not None:
-                    t = t - Zinv[b] @ corr[b]
-                base.append(t)
-            r1 = rp - blocks.apply(base)
+            base = sigma_mu * zinv - X - hkm(rd) - corr
+            r1 = rp - A @ base
             dy1 = schur_solve(r1)
-            ATdy1 = blocks.adjoint(dy1)
-            dX1 = [base[b] + Zinv[b] @ ATdy1[b] @ X[b] for b in range(nb)]
-            dZ1 = [rd[b] - ATdy1[b] for b in range(nb)]
-            denom = float(bvec @ dy2) - inner(cost, dX2) + kappa / tau
+            ATdy1 = dy1 @ A
+            dX1 = base + hkm(ATdy1)
+            dZ1 = rd - ATdy1
+            denom = float(bvec @ dy2) - cost @ dX2 + kappa / tau
             if abs(denom) < 1e-300:
                 raise SolverBreakdown("degenerate tau equation")
-            numer = (
-                (sigma_mu - tau * kappa - corr_tk) / tau
-                - rg
-                - float(bvec @ dy1)
-                + inner(cost, dX1)
-            )
-            dtau = numer / denom
-            dX = [0.5 * ((dX1[b] + dtau * dX2[b]) + (dX1[b] + dtau * dX2[b]).T) for b in range(nb)]
-            dZ = [dZ1[b] + dtau * dZ2[b] for b in range(nb)]
-            dkappa = (sigma_mu - tau * kappa - corr_tk) / tau - (kappa / tau) * dtau
+            target = (sigma_mu - tau * kappa - corr_tk) / tau
+            dtau = (target - rg - float(bvec @ dy1) + cost @ dX1) / denom
+            dX = _flat(0.5 * (d + d.T) for d in split(dX1 + dtau * dX2))
+            dZ = dZ1 + dtau * dZ2
+            dkappa = target - (kappa / tau) * dtau
             return dX, dy1 + dtau * dy2, dZ, dtau, dkappa
 
         def max_alpha(dX, dZ, dtau, dkappa):
             alpha = np.inf
-            for b in range(nb):
-                alpha = min(alpha, _max_step(X[b], dX[b]))
-                alpha = min(alpha, _max_step(Z[b], dZ[b]))
+            for xb, dxb, zb, dzb in zip(Xb, split(dX), split(Z), split(dZ)):
+                alpha = min(alpha, _max_step(xb, dxb))
+                alpha = min(alpha, _max_step(zb, dzb))
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:
                 alpha = min(alpha, -kappa / dkappa)
             return alpha
 
-        dXa, dya, dZa, dtaua, dkappaa = build(0.0, [None] * nb, 0.0)
+        dXa, dya, dZa, dtaua, dkappaa = build(0.0, 0.0, 0.0)
         alpha_a = min(1.0, max_alpha(dXa, dZa, dtaua, dkappaa))
         mu_aff = (
-            inner(
-                [X[b] + alpha_a * dXa[b] for b in range(nb)],
-                [Z[b] + alpha_a * dZa[b] for b in range(nb)],
-            )
+            (X + alpha_a * dXa) @ (Z + alpha_a * dZa)
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / deg
         sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
-        corr = [dZa[b] @ dXa[b] for b in range(nb)]
+        corr = _flat(
+            zinv_b @ (dzb @ dxb)
+            for zinv_b, dzb, dxb in zip(Zinv, split(dZa), split(dXa))
+        )
         dX, dy, dZ, dtau, dkappa = build(sigma * mu, corr, dtaua * dkappaa)
         alpha = min(1.0, step_frac * max_alpha(dX, dZ, dtau, dkappa))
         if not np.isfinite(alpha) or alpha <= 1e-12:
@@ -440,45 +419,24 @@ def solve(
         # back off if rounding in the max-step estimate overshot the cone
         for _ in range(40):
             ok = all(
-                np.linalg.eigvalsh(X[b] + alpha * dX[b])[0] > 0.0
-                and np.linalg.eigvalsh(Z[b] + alpha * dZ[b])[0] > 0.0
-                for b in range(nb)
+                np.linalg.eigvalsh(xb)[0] > 0.0 and np.linalg.eigvalsh(zb)[0] > 0.0
+                for xb, zb in zip(split(X + alpha * dX), split(Z + alpha * dZ))
             )
             if ok and tau + alpha * dtau > 0.0 and kappa + alpha * dkappa > 0.0:
                 break
             alpha *= 0.8
-        X = [X[b] + alpha * dX[b] for b in range(nb)]
-        Z = [Z[b] + alpha * dZ[b] for b in range(nb)]
+        X = X + alpha * dX
+        Z = Z + alpha * dZ
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
         if not np.isfinite(tau) or tau <= 0.0 or kappa < 0.0:
             raise SolverBreakdown("homogeneous variables left the cone")
 
-    if status == "optimal":
-        return SdpSolution(
-            status="optimal",
-            primal_blocks=[0.5 * (xb + xb.T) / tau for xb in X],
-            dual_multipliers=expand_y(y / tau),
-            objective_value=sign * inner(cost, X) / tau,
-            residuals=(pres, dres, gap),
-            iterations=it,
-            dual_slacks=[zb / tau for zb in Z],
-        )
     if status == "primal_infeasible":
-        by = float(bvec @ y)
-        return SdpSolution(
-            status="primal_infeasible",
-            primal_blocks=[np.zeros((n, n)) for n in problem.block_sizes],
-            dual_multipliers=expand_y(y / by),
-            objective_value=np.nan,
-            residuals=(pres, dres, gap),
-            certificate=[zb / by for zb in Z],
-            iterations=it,
-        )
+        return infeasible(expand_y(y / by), split(Z / by), (pres, dres, gap), it)
     if status == "dual_infeasible":
-        cx = inner(cost, X)
-        ray = [xb / (-cx) for xb in X]
+        ray = split(X / (-cx))
         return SdpSolution(
             status="dual_infeasible",
             primal_blocks=ray,
@@ -488,15 +446,16 @@ def solve(
             certificate=ray,
             iterations=it,
         )
-    if best is None:
-        raise SolverBreakdown("no usable iterate produced")
-    Xb, yb, Zb, taub, pres, dres, gap = best
+    if status == "max_iter":
+        if best is None:
+            raise SolverBreakdown("no usable iterate produced")
+        X, y, Z, tau, pres, dres, gap = best
     return SdpSolution(
-        status="max_iter",
-        primal_blocks=[0.5 * (xb + xb.T) / taub for xb in Xb],
-        dual_multipliers=expand_y(yb / taub),
-        objective_value=sign * inner(cost, Xb) / taub,
+        status=status,
+        primal_blocks=[0.5 * (xb + xb.T) / tau for xb in split(X)],
+        dual_multipliers=expand_y(y / tau),
+        objective_value=sign * (cost @ X) / tau,
         residuals=(pres, dres, gap),
         iterations=it,
-        dual_slacks=[zb / taub for zb in Zb],
+        dual_slacks=[zb / tau for zb in split(Z)],
     )

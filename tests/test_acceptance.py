@@ -166,22 +166,19 @@ def robustness_ppt_exact(rho, tol=1e-9):
     entanglement; independent of the extension machinery.
     """
     basis = hermitian_basis(4)
-    nb = 3
-    constraints = []
+    zero = np.zeros(64)
+    rows, rhs = [], []
     rho_pt = _pt_entries(rho.entries)
     for e in basis:
         e_pt = _pt_entries(e)
-        mats = [None] * nb
-        mats[0] = embed_complex(e_pt)
-        mats[1] = -embed_complex(e)
-        constraints.append((mats, 0.0))
-        mats = [None] * nb
-        mats[1] = -embed_complex(e)
-        mats[2] = embed_complex(e)
-        rhs = 2.0 * float(np.real(np.vdot(e, rho_pt)))
-        constraints.append((mats, rhs))
+        # one row-major vec per block (sigma', sigma'^PT, (rho + sigma')^PT)
+        rows.append([embed_complex(e_pt).ravel(), -embed_complex(e).ravel(), zero])
+        rhs.append(0.0)
+        rows.append([zero, -embed_complex(e).ravel(), embed_complex(e).ravel()])
+        rhs.append(2.0 * float(np.real(np.vdot(e, rho_pt))))
+    constraints = np.array([np.concatenate(r) for r in rows])
     objective = [embed_complex(np.eye(4, dtype=complex)), None, None]
-    problem = SdpProblem([8, 8, 8], objective, constraints, "minimize")
+    problem = SdpProblem([8, 8, 8], objective, constraints, np.array(rhs), "minimize")
     sol = solve(problem, tol=tol)
     assert sol.status == "optimal", sol.status
     return 0.5 * sol.objective_value
@@ -363,7 +360,7 @@ def test_criterion_10_solver_integrity():
         mats = [_sym(rng, n) for _ in range(m)]
         c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
         b = np.array([float(np.sum(mats[i] * x_star)) for i in range(m)])
-        prob = SdpProblem([n], [c], [([mats[i]], b[i]) for i in range(m)], "minimize")
+        prob = SdpProblem([n], [c], np.array([a.ravel() for a in mats]), b, "minimize")
         sol = solve(prob)
         statuses.append(sol.status)
         opt = float(np.sum(c * x_star))
@@ -378,7 +375,7 @@ def test_criterion_10_solver_integrity():
         mats[0] = (-s - sum(y[i] * mats[i] for i in range(1, m))) / y[0]
         b = rng.standard_normal(m)
         b[0] = (1.0 - y[1:] @ b[1:]) / y[0]
-        prob = SdpProblem([n], [None], [([mats[i]], b[i]) for i in range(m)],
+        prob = SdpProblem([n], [None], np.array([a.ravel() for a in mats]), b,
                           "feasibility")
         sol = solve(prob)
         assert sol.status == "primal_infeasible"

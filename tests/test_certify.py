@@ -80,7 +80,7 @@ class TestRankMinHeuristic:
         assert numerical_rank(x) == 1
 
     def test_feasibility_always_maintained(self):
-        from dpskit.extensions import TraceMap
+        from dpskit.extensions import PptMap, TraceMap
 
         rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
         q = ExtensionQuery(rho=rho, N=2, ppt=True)
@@ -89,6 +89,9 @@ class TestRankMinHeuristic:
         tmap = TraceMap(2, basis)
         assert np.max(np.abs(tmap.apply(x) - rho.entries)) < 1e-7
         assert np.linalg.eigvalsh(x)[0] > -1e-7
+        # the query's PPT block at the ceil/floor cut
+        pmap = PptMap(2, basis, 1)
+        assert np.linalg.eigvalsh(pmap.apply(x))[0] > -1e-7
 
     def test_infeasible_query_raises(self):
         q = ExtensionQuery(rho=BELL, N=2, ppt=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpskit.cli import main
-from dpskit.operators import identity, operator_to_json, pure_state
+from dpskit.operators import HermitianOperator, identity, operator_to_json, pure_state
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
@@ -226,6 +226,43 @@ class TestInputHardening:
         monkeypatch.setenv("DPSKIT_BUDGET_DIM", raw)
         assert main(["membership", "--input", mixed_file, "--N", "2"]) == 2
         assert "DPSKIT_BUDGET_DIM" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["membership", "--input", "STATE", "--N", "0"],
+            ["membership", "--input", "STATE", "--max-iter", "-3"],
+            ["fidelity", "--bb84", "0.1", "--N", "0"],
+            ["fidelity", "--bb84", "2"],
+            ["fidelity", "--qutrit-grid", "-1"],
+            ["fidelity", "--bb84", "0.1", "--tol", "-1"],
+            ["geometric", "--state", "ghz", "--N", "0"],
+            ["purity", "--channel", "depolarizing-qubit", "--p", "1.5"],
+            ["bounds", "--dB", "1", "--N", "2"],
+            ["bounds", "--dA", "0"],
+            ["complexity", "--dB", "1", "--delta", "0.1"],
+            ["certify", "--input", "STATE", "--maxN", "1"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a not in ("--input", "STATE")),
+    )
+    def test_out_of_range_exit_2(self, argv, mixed_file, capsys):
+        argv = [mixed_file if a == "STATE" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["membership", "--ppt"], ["certify"]], ids=["membership", "certify"]
+    )
+    def test_non_psd_state_exit_2(self, argv, tmp_path, capsys):
+        src = tmp_path / "non_psd.json"
+        rho = HermitianOperator((2, 2), np.diag([0.5, 0.5, 0.5, -0.5]))
+        src.write_text(operator_to_json(rho))
+        assert main(argv[:1] + ["--input", str(src)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive semidefinite" in captured.err
 
 
 def test_complexity_command(tmp_path):

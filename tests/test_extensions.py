@@ -418,11 +418,11 @@ def test_tripartite_maps_match_naive_pipeline():
     gs = hermitian_basis(ny)
     n_state = (d1 * d2 * d3) ** 2
     assert len(problem.constraints) == n_state + ny * ny
-    assert all(mats[1] is None for mats, _ in problem.constraints[:n_state])
+    x_cols, y_cols = problem.blocks(problem.constraints)
+    assert not y_cols[:n_state].any()
 
     for j in (0, 5, ny * ny - 1):
-        mats, rhs = problem.constraints[n_state + j]
-        adj_g = unembed_real(mats[0])
+        adj_g = unembed_real(x_cols[n_state + j])
         lhs = complex(np.vdot(gs[j], p_naive))
         rhs_val = complex(np.vdot(adj_g, x))
         assert abs(lhs - rhs_val) < 1e-9

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from dpskit.operators import HermitianOperator
@@ -19,6 +20,11 @@ def sym(rng, n):
     return 0.5 * (g + g.T)
 
 
+def vecs(*mats):
+    """Constraint matrix of single-block rows, one row-major vec per row."""
+    return np.array([m.ravel() for m in mats])
+
+
 def constructed_optimum(n, m, seed):
     """Random SDP with a known optimum built from a complementary pair."""
     rng = np.random.default_rng(seed)
@@ -32,7 +38,7 @@ def constructed_optimum(n, m, seed):
     mats = [sym(rng, n) for _ in range(m)]
     c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
     b = np.array([float(np.sum(mats[i] * x_star)) for i in range(m)])
-    problem = SdpProblem([n], [c], [([mats[i]], b[i]) for i in range(m)], "minimize")
+    problem = SdpProblem([n], [c], vecs(*mats), b, "minimize")
     return problem, float(np.sum(c * x_star))
 
 
@@ -46,7 +52,7 @@ def constructed_infeasible(n, m, seed):
     mats[0] = (-s - sum(y[i] * mats[i] for i in range(1, m))) / y[0]
     b = rng.standard_normal(m)
     b[0] = (1.0 - y[1:] @ b[1:]) / y[0]
-    return SdpProblem([n], [None], [([mats[i]], b[i]) for i in range(m)], "feasibility")
+    return SdpProblem([n], [None], vecs(*mats), b, "feasibility")
 
 
 class TestEmbedding:
@@ -99,14 +105,14 @@ def test_hermitian_basis_orthonormal():
 
 class TestSolve:
     def test_trivial_eigenvalue_problem(self):
-        p = SdpProblem([2], [np.diag([1.0, 2.0])], [([np.eye(2)], 1.0)], "minimize")
+        p = SdpProblem([2], [np.diag([1.0, 2.0])], vecs(np.eye(2)), [1.0], "minimize")
         s = solve(p)
         assert s.status == "optimal"
         assert s.objective_value == pytest.approx(1.0, abs=1e-7)
         assert_allclose(s.primal_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
 
     def test_contradictory_equalities(self):
-        p = SdpProblem([2], [None], [([np.eye(2)], 1.0), ([np.eye(2)], 2.0)], "feasibility")
+        p = SdpProblem([2], [None], vecs(np.eye(2), np.eye(2)), [1.0, 2.0], "feasibility")
         s = solve(p)
         assert s.status == "primal_infeasible"
         b = np.array([1.0, 2.0])
@@ -121,7 +127,7 @@ class TestSolve:
         assert s.status == "optimal"
         assert abs(s.objective_value - opt) <= 1e-6 * (1 + abs(opt))
         # weak duality at the returned pair
-        b = np.array([c[1] for c in problem.constraints])
+        b = problem.rhs
         dual = float(b @ s.dual_multipliers)
         assert s.objective_value >= dual - 1e-6
 
@@ -130,10 +136,11 @@ class TestSolve:
         p1, opt1 = constructed_optimum(5, 4, 100)
         # staple a second independent block carrying a known optimum
         p2, opt2 = constructed_optimum(4, 3, 101)
-        constraints = [(m + [None], r) for m, r in p1.constraints]
-        constraints += [([None] + m, r) for m, r in p2.constraints]
+        # block-diagonal rows: p1's rows touch block 0 only, p2's block 1 only
+        constraints = sla.block_diag(p1.constraints, p2.constraints)
+        rhs = np.concatenate([p1.rhs, p2.rhs])
         prob = SdpProblem(
-            [5, 4], [p1.objective[0], p2.objective[0]], constraints, "minimize"
+            [5, 4], [p1.objective[0], p2.objective[0]], constraints, rhs, "minimize"
         )
         s = solve(prob)
         assert s.status == "optimal"
@@ -145,9 +152,9 @@ class TestSolve:
         s = solve(prob)
         assert s.status == "primal_infeasible"
         y = s.dual_multipliers
-        b = np.array([c[1] for c in prob.constraints])
+        b = prob.rhs
         assert float(b @ y) == pytest.approx(1.0, abs=1e-9)
-        aty = sum(y[i] * prob.constraints[i][0][0] for i in range(len(y)))
+        (aty,) = prob.blocks(y @ prob.constraints)
         assert np.linalg.eigvalsh(aty)[-1] <= 1e-7
 
     def test_determinism(self):
@@ -157,14 +164,14 @@ class TestSolve:
         assert abs(a.objective_value - b.objective_value) <= 1e-9
 
     def test_feasibility_interior(self):
-        p = SdpProblem([3], [None], [([np.eye(3)], 1.0)], "feasibility")
+        p = SdpProblem([3], [None], vecs(np.eye(3)), [1.0], "feasibility")
         s = solve(p)
         assert s.status == "optimal"
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-8
         assert np.trace(s.primal_blocks[0]) == pytest.approx(1.0, abs=1e-7)
 
     def test_maximize_sense(self):
-        p = SdpProblem([2], [np.diag([1.0, 2.0])], [([np.eye(2)], 1.0)], "maximize")
+        p = SdpProblem([2], [np.diag([1.0, 2.0])], vecs(np.eye(2)), [1.0], "maximize")
         s = solve(p)
         assert s.objective_value == pytest.approx(2.0, abs=1e-7)
 
@@ -173,7 +180,7 @@ class TestSolve:
         c = np.diag([1.0, -1.0])
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
-        p = SdpProblem([2], [c], [([a], 1.0)], "minimize")
+        p = SdpProblem([2], [c], vecs(a), [1.0], "minimize")
         s = solve(p)
         assert s.status == "dual_infeasible"
         ray = s.certificate[0]
@@ -197,8 +204,19 @@ class TestSolve:
         # the tau-scaled iterate is still PSD and roughly feasible
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-9
 
-    def test_validate_rejects_asymmetric(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        p = SdpProblem([2], [bad], [([np.eye(2)], 1.0)], "minimize")
-        with pytest.raises(ValueError, match="symmetric"):
+    BAD = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "objective, constraints, rhs, message",
+        [
+            (BAD, vecs(np.eye(2)), [1.0], "objective: block 0 not symmetric"),
+            (None, vecs(np.eye(2), BAD), [1.0, 0.0], "constraint 1: block 0 not symmetric"),
+            (None, np.ones((1, 3)), [1.0], r"constraints shape \(1, 3\) != \(m, 4\)"),
+            (None, vecs(np.eye(2)), [1.0, 2.0], r"rhs shape \(2,\) != \(1,\)"),
+        ],
+        ids=["objective", "constraint_row", "width", "rhs_length"],
+    )
+    def test_validate_rejects_asymmetric(self, objective, constraints, rhs, message):
+        p = SdpProblem([2], [objective], constraints, rhs, "minimize")
+        with pytest.raises(ValueError, match=message):
             solve(p)
