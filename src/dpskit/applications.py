@@ -55,6 +55,9 @@ class EstimationProblem:
     ensemble: tuple
 
     def __post_init__(self):
+        for p, _, _ in self.ensemble:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability {p} outside [0, 1]")
         total = sum(p for p, _, _ in self.ensemble)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -100,7 +103,8 @@ def estimation_operator(problem: EstimationProblem) -> HermitianOperator:
 
 
 def fidelity_bounds(
-    problem: EstimationProblem, N: int, ppt: bool, tol: float = 1e-8
+    problem: EstimationProblem, N: int, ppt: bool, tol: float = 1e-8,
+    max_iter: int = 200,
 ) -> BoundPair:
     """F^N (or F_p^N) and its matching measure-and-prepare lower bound."""
     rho = estimation_operator(problem)
@@ -113,7 +117,7 @@ def fidelity_bounds(
         objective=rho,
         reduced_constraint="identity_marginal",
     )
-    opt = optimize_over_cone(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
     lower = _lower_bound(opt.value, N, d, ppt, tail=1.0)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
@@ -169,7 +173,8 @@ def depolarizing_choi(d: int, p: float) -> HermitianOperator:
 
 
 def output_purity_bounds(
-    choi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8
+    choi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8,
+    max_iter: int = 200,
 ) -> BoundPair:
     """nu^N and its lower bound for a channel given by its Choi operator."""
     d_a, d_b = choi.factor_dims
@@ -184,7 +189,7 @@ def output_purity_bounds(
         objective=choi,
         reduced_constraint="unit_trace",
     )
-    opt = optimize_over_cone(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
     lower = _lower_bound(opt.value, N, d_b, ppt, tail=1.0)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
@@ -202,7 +207,8 @@ def w_state() -> HermitianOperator:
 
 
 def geometric_entanglement_bounds(
-    psi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8
+    psi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8,
+    max_iter: int = 200,
 ) -> BoundPair:
     """E^N and its lower bound for a pure tripartite state (density form)."""
     if psi.nfactors != 3:
@@ -222,6 +228,6 @@ def geometric_entanglement_bounds(
         objective=rho_ab,
         reduced_constraint="unit_trace",
     )
-    opt = optimize_over_cone(query, tol=tol)
+    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
     lower = _lower_bound(opt.value, N, d_b, ppt, tail=lam_a)
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)

@@ -19,13 +19,12 @@ from .extensions import (
     ExtensionQuery,
     PptMap,
     _compile,
-    _embed_rows,
     _verify_feasible,
     check_membership,
     reduce_extension,
 )
 from .operators import HermitianOperator, operator_to_json
-from .solver import SolverBreakdown, embed_complex, solve, unembed_real
+from .solver import SolverBreakdown, solve
 from .symmetric import SymmetricBasis, build_basis
 
 __all__ = [
@@ -116,9 +115,11 @@ def rank_min_heuristic(
     given, with the query's ``objective``) pins tr(Lambda . objective) >=
     floor through a slack block.
     """
+    # the objective stays on the query so that a complex one keeps the
+    # floor row in complex arithmetic
     base = ExtensionQuery(
         rho=q.rho, N=q.N, ppt=q.ppt, mode="membership",
-        objective=None, reduced_constraint="trace_match", ppt_cuts=q.ppt_cuts,
+        objective=q.objective, reduced_constraint="trace_match", ppt_cuts=q.ppt_cuts,
     )
     problem, codec = _compile(base)
     if objective_floor is not None:
@@ -128,12 +129,12 @@ def rank_min_heuristic(
         problem.block_sizes.append(1)
         problem.objective.append(None)
         problem.constraints = np.pad(problem.constraints, ((0, 1), (0, 1)))
-        problem.rhs = np.append(problem.rhs, 2.0 * float(objective_floor))
+        problem.rhs = np.append(problem.rhs, codec.weight * float(objective_floor))
         floor_row = problem.blocks(problem.constraints[-1:])
-        _embed_rows(floor_row[0], codec.tmap.adjoint(q.objective.entries)[None])
+        codec.embed_rows(floor_row[0], codec.tmap.adjoint(q.objective.entries)[None])
         floor_row[-1][...] = -1.0
 
-    nx = problem.block_sizes[0] // 2
+    nx = codec.tmap.dA * codec.tmap.size_in
     rng = np.random.default_rng(seed)
     best_x = None
     best_rank = None
@@ -146,7 +147,7 @@ def rank_min_heuristic(
                 problem.sense = "feasibility"
             else:
                 problem.sense = "minimize"
-                problem.objective[0] = embed_complex(weight)
+                problem.objective[0] = codec.embed(weight)
             try:
                 sol = solve(problem, tol=tol)
             except SolverBreakdown:
@@ -154,7 +155,7 @@ def rank_min_heuristic(
             if sol.status not in ("optimal", "max_iter"):
                 infeasible_status = sol.status
                 return
-            x = unembed_real(sol.primal_blocks[0])
+            x = codec.unembed(sol.primal_blocks[0])
             if not _verify_feasible(x, codec)[0]:
                 return
             r = numerical_rank(x)
@@ -174,7 +175,9 @@ def rank_min_heuristic(
     for _ in range(max(restarts, 0)):
         if best_rank == 1:
             break
-        g = rng.standard_normal((nx, nx)) + 1j * rng.standard_normal((nx, nx))
+        g = rng.standard_normal((nx, nx))
+        if not codec.real:
+            g = g + 1j * rng.standard_normal((nx, nx))
         w0 = g @ g.conj().T
         run_pass(w0 / np.trace(w0).real)
     if best_x is None:

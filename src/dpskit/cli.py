@@ -118,8 +118,11 @@ def _read_operator(path: str) -> HermitianOperator:
 
 
 def _read_state(path: str, command: str) -> HermitianOperator:
-    """A density operator: unit trace and positive semidefinite."""
+    """A density operator on two or more factors: unit trace and positive
+    semidefinite."""
     rho = _read_operator(path)
+    if rho.nfactors < 2:
+        raise _InputError(f"{command} input needs at least two factors (A, B, ...)")
     if abs(rho.trace() - 1.0) > 1e-8:
         raise _InputError(f"{command} input must be a unit-trace state")
     lam = float(np.linalg.eigvalsh(rho.entries)[0])
@@ -279,7 +282,10 @@ def cmd_fidelity(config, args) -> int:
     else:
         raise _InputError("fidelity needs --bb84, --qutrit-grid, or --input")
     return _bound_sweep_command(
-        config, lambda n, ppt: apps.fidelity_bounds(problem, n, ppt, tol=config.tol)
+        config,
+        lambda n, ppt: apps.fidelity_bounds(
+            problem, n, ppt, tol=config.tol, max_iter=config.max_iter
+        ),
     )
 
 
@@ -293,7 +299,10 @@ def cmd_purity(config, args) -> int:
     else:
         raise _InputError("purity needs --channel or --choi")
     return _bound_sweep_command(
-        config, lambda n, ppt: apps.output_purity_bounds(choi, n, ppt, tol=config.tol)
+        config,
+        lambda n, ppt: apps.output_purity_bounds(
+            choi, n, ppt, tol=config.tol, max_iter=config.max_iter
+        ),
     )
 
 
@@ -308,7 +317,9 @@ def cmd_geometric(config, args) -> int:
         raise _InputError("geometric needs --state ghz|w or --input")
     return _bound_sweep_command(
         config,
-        lambda n, ppt: apps.geometric_entanglement_bounds(psi, n, ppt, tol=config.tol),
+        lambda n, ppt: apps.geometric_entanglement_bounds(
+            psi, n, ppt, tol=config.tol, max_iter=config.max_iter
+        ),
     )
 
 
@@ -316,6 +327,8 @@ def cmd_certify(config, args) -> int:
     if args.maxN < 2:
         raise _InputError(f"--maxN must be >= 2, got {args.maxN}")
     rho = _read_state(config.input_path, "certify")
+    if rho.nfactors != 2:
+        raise _InputError(f"certify input needs exactly two factors, got {rho.nfactors}")
     result = certify(rho, maxN=args.maxN, delta=config.delta or 1e-7, seed=config.seed)
     _emit(result.to_json() + "\n", config.out)
     return EXIT_OK

@@ -273,18 +273,43 @@ def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
 
 @dataclass
 class _Codec:
+    """How one compiled query's Hermitian data meets the real solver.
+
+    Complex data enters through ``embed_complex``, which doubles every block
+    side and every inner product (``weight`` = 2), and its rows run over the
+    full Hermitian basis.  When rho (and, for a cone query, the objective) is
+    real, the SDP is posed over real symmetric X instead: every map L is
+    real and the cone is invariant under conjugation, so (X + conj X)/2 is
+    feasible whenever X is and has the same value.  The rows then run over
+    the real symmetric members of the basis, and ``weight`` is 1.
+    """
+
     query: ExtensionQuery
     tmap: LocalMap
     pmaps: list
-    herm_ab: np.ndarray | None  # the trace_match rows' Hermitian basis
+    real: bool
 
+    @property
+    def weight(self) -> int:
+        """Factor on block sides and on inner products under ``embed``."""
+        return 1 if self.real else 2
 
-def _embed_rows(rows: np.ndarray, h: np.ndarray):
-    """Write the real embeddings of a Hermitian stack into (k, n, n) views of
-    constraint rows, made exactly symmetric there."""
-    rows[...] = embed_complex(h)
-    rows += rows.swapaxes(1, 2)
-    rows *= 0.5
+    def embed(self, h: np.ndarray) -> np.ndarray:
+        return np.real(h) if self.real else embed_complex(h)
+
+    def unembed(self, r: np.ndarray) -> np.ndarray:
+        return r.astype(complex) if self.real else unembed_real(r)
+
+    def basis(self, n: int) -> np.ndarray:
+        full = np.array(hermitian_basis(n))
+        return full[~np.imag(full).any(axis=(1, 2))] if self.real else full
+
+    def embed_rows(self, rows: np.ndarray, h: np.ndarray):
+        """Write the embeddings of a Hermitian stack into (k, n, n) views of
+        constraint rows, made exactly symmetric there."""
+        rows[...] = self.embed(h)
+        rows += rows.swapaxes(1, 2)
+        rows *= 0.5
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
@@ -301,25 +326,28 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
         cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
     # N=1 has an empty transposed side; the PPT block is then X itself
     pmaps = [LocalMap(dA, [_ppt_local(d, q.N, t) for d in dBs]) for t in cuts if t > 0]
+    data = [q.rho] if q.objective is None else [q.rho, q.objective]
+    codec = _Codec(q, tmap, pmaps, not any(np.imag(op.entries).any() for op in data))
+    weight = codec.weight
 
-    herm_ab = None
     if q.reduced_constraint == "trace_match":
-        herm_ab = np.array(hermitian_basis(q.rho.dim))
+        herm_ab = codec.basis(q.rho.dim)
         state = tmap.adjoint(herm_ab)
-        state_rhs = 2.0 * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
+        state_rhs = weight * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
     elif q.reduced_constraint == "identity_marginal":
         # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
-        f = np.array(hermitian_basis(dA))
+        f = codec.basis(dA)
         state = tmap.adjoint(np.kron(f, np.eye(q.rho.dim // dA)))
-        state_rhs = 2.0 * np.real(np.trace(f, axis1=1, axis2=2))
+        state_rhs = weight * np.real(np.trace(f, axis1=1, axis2=2))
     else:  # unit_trace
         state = np.eye(nx, dtype=complex)[None]
-        state_rhs = 2.0
+        state_rhs = weight
 
     # rows: the state constraints, then per PPT block Y one row
     # <adj(G), X> - <G, Y> = 0 for each G of a Hermitian basis of Y's space
-    block_sizes = [2 * nx] + [2 * dA * p.size_out for p in pmaps]
-    m = len(state) + sum((n // 2) ** 2 for n in block_sizes[1:])
+    links = [codec.basis(dA * p.size_out) for p in pmaps]
+    block_sizes = [weight * nx] + [weight * g.shape[1] for g in links]
+    m = len(state) + sum(len(g) for g in links)
     sense = "maximize" if q.mode == "cone_optimize" else "feasibility"
     problem = SdpProblem(
         block_sizes, [None] * len(block_sizes),
@@ -327,17 +355,16 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     )
     x_rows, *y_rows = problem.blocks(problem.constraints)
     start = len(state)
-    _embed_rows(x_rows[:start], state)
+    codec.embed_rows(x_rows[:start], state)
     problem.rhs[:start] = state_rhs
-    for pmap, y_block in zip(pmaps, y_rows):
-        g = np.array(hermitian_basis(y_block.shape[1] // 2))
+    for pmap, g, y_block in zip(pmaps, links, y_rows):
         rows = slice(start, start + len(g))
-        _embed_rows(x_rows[rows], pmap.adjoint(g))
-        _embed_rows(y_block[rows], -g)
+        codec.embed_rows(x_rows[rows], pmap.adjoint(g))
+        codec.embed_rows(y_block[rows], -g)
         start += len(g)
     if q.mode == "cone_optimize":
-        problem.objective[0] = embed_complex(tmap.adjoint(q.objective.entries))
-    return problem, _Codec(q, tmap, pmaps, herm_ab)
+        problem.objective[0] = codec.embed(tmap.adjoint(q.objective.entries))
+    return problem, codec
 
 
 def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
@@ -365,15 +392,17 @@ def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
 
 
 def _decode_witness(sol: SdpSolution, codec: _Codec) -> HermitianOperator | None:
-    if codec.herm_ab is None:
+    q = codec.query
+    if q.reduced_constraint != "trace_match":
         return None
-    y = sol.dual_multipliers[: len(codec.herm_ab)]
-    w = np.tensordot(y, codec.herm_ab, axes=1)
+    herm_ab = codec.basis(q.rho.dim)  # the basis of the state rows
+    y = sol.dual_multipliers[: len(herm_ab)]
+    w = np.tensordot(y, herm_ab, axes=1)
     w = -0.5 * (w + w.conj().T)
     scale = float(np.linalg.norm(w))
     if scale == 0.0:
         return None
-    return HermitianOperator(codec.query.rho.factor_dims, w / scale)
+    return HermitianOperator(q.rho.factor_dims, w / scale)
 
 
 def check_membership(
@@ -395,7 +424,7 @@ def check_membership(
     except SolverBreakdown as exc:
         return MembershipResult("undecided", detail=f"solver breakdown: {exc}")
     if sol.status in ("optimal", "max_iter"):
-        x = unembed_real(sol.primal_blocks[0])
+        x = codec.unembed(sol.primal_blocks[0])
         ok, detail = _verify_feasible(x, codec)
         if ok:
             return MembershipResult("feasible", extension=x, detail=detail)
@@ -462,10 +491,10 @@ def optimize_over_cone(
         raise SolverBreakdown("cone optimization is unbounded; check constraints")
     if sol.status == "primal_infeasible":
         raise SolverBreakdown("cone constraints are infeasible")
-    x = unembed_real(sol.primal_blocks[0])
+    x = codec.unembed(sol.primal_blocks[0])
     lam = codec.tmap.apply(x)
     return ConeOptimum(
-        value=0.5 * sol.objective_value,
+        value=sol.objective_value / codec.weight,
         optimizer=HermitianOperator(q.rho.factor_dims, lam, hermitian_tol=1e-6),
         status=sol.status,
         iterations=sol.iterations,

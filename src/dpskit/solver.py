@@ -22,6 +22,10 @@ Complex Hermitian data enters through the real embedding
 ``[[Re H, -Im H], [Im H, Re H]]``; note Hilbert-Schmidt inner products
 double under the embedding, so right-hand sides and objective values carry
 a factor of 2 that callers must account for (see :func:`embed_complex`).
+Real data skips the embedding: a problem whose data has no imaginary part
+is posed over real symmetric blocks of the original side directly, with
+half the block sides, about half the rows and no factor of 2
+(``dpskit.extensions`` decides this per query from its data).
 """
 
 from __future__ import annotations

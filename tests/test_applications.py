@@ -78,6 +78,12 @@ class TestEstimationOperator:
         with pytest.raises(ValueError, match="sum"):
             EstimationProblem(((0.7, enc, enc),))
 
+    @pytest.mark.parametrize("p", [1.5, -0.5])
+    def test_probabilities_must_lie_in_unit_interval(self, p):
+        zero, one = pure_state([1, 0], (2,)), pure_state([0, 1], (2,))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EstimationProblem(((p, zero, zero), (1.0 - p, one, one)))
+
     def test_sources_must_be_pure(self):
         enc = pure_state([1, 0], (2,))
         mixed = identity((2,)) * 0.5

@@ -126,6 +126,23 @@ class TestSweeps:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--bb84", "0.1"],
+            ["purity", "--channel", "depolarizing-qubit", "--p", "0.2"],
+            ["geometric", "--state", "w"],
+        ],
+        ids=["fidelity", "purity", "geometric"],
+    )
+    def test_max_iter_reaches_bound_sweeps(self, argv, tmp_path):
+        out = tmp_path / "capped.csv"
+        code = main(argv + ["--N", "2", "--ppt", "true", "--max-iter", "2",
+                            "--out", str(out)])
+        assert code == 0
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert row[4] == "max_iter"
+
     def test_budget_partial_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPSKIT_BUDGET_DIM", "14")
         out = tmp_path / "partial.csv"
@@ -263,6 +280,35 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "positive semidefinite" in captured.err
+
+    @pytest.mark.parametrize("p", [1.5, -0.5])
+    def test_ensemble_probability_out_of_range_exit_2(self, p, tmp_path, capsys):
+        zero = {"dims": [2], "re": [[1, 0], [0, 0]]}
+        one = {"dims": [2], "re": [[0, 0], [0, 1]]}
+        ensemble = {"ensemble": [
+            {"p": p, "encoded": zero, "source": zero},
+            {"p": 1.0 - p, "encoded": one, "source": one},
+        ]}
+        src = tmp_path / "ensemble.json"
+        src.write_text(json.dumps(ensemble))
+        assert main(["fidelity", "--input", str(src), "--N", "2", "--ppt", "true"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[0, 1]" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, dims",
+        [("membership", (4,)), ("certify", (4,)), ("certify", (2, 2, 2))],
+        ids=["membership-1", "certify-1", "certify-3"],
+    )
+    def test_state_factor_count_exit_2(self, command, dims, tmp_path, capsys):
+        side = int(np.prod(dims))
+        src = tmp_path / "state.json"
+        src.write_text(operator_to_json(HermitianOperator(dims, np.eye(side) / side)))
+        assert main([command, "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "factors" in captured.err
 
 
 def test_complexity_command(tmp_path):

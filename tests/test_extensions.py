@@ -426,3 +426,153 @@ def test_tripartite_maps_match_naive_pipeline():
         lhs = complex(np.vdot(gs[j], p_naive))
         rhs_val = complex(np.vdot(adj_g, x))
         assert abs(lhs - rhs_val) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# real and complex arithmetic: real data compiles over real symmetric X
+# ---------------------------------------------------------------------------
+
+
+def _phase_rotation(op):
+    """U op U^dag for the local diagonal phase unitary U = U_A (x) U_B (x) ...,
+    U_A = diag(1, i, -1, ...), each further factor diag(exp(i pi k / 3)).
+
+    The extendable (PPT) cones and the Lambda_A = I constraint are invariant
+    under local unitaries, so a rotated query has the same optimum, but its
+    data is complex."""
+    u = np.diag(1j ** np.arange(op.factor_dims[0]))
+    for d in op.factor_dims[1:]:
+        u = np.kron(u, np.diag(np.exp(1j * np.pi * np.arange(d) / 3.0)))
+    return op.replace_entries(u @ op.entries @ u.conj().T)
+
+
+def _rotated(q):
+    obj = None if q.objective is None else _phase_rotation(q.objective)
+    return ExtensionQuery(
+        rho=_phase_rotation(q.rho), N=q.N, ppt=q.ppt, mode=q.mode, objective=obj,
+        reduced_constraint=q.reduced_constraint, ppt_cuts=q.ppt_cuts,
+    )
+
+
+def _fidelity_query(problem, N):
+    from dpskit.applications import estimation_operator
+
+    rho = estimation_operator(problem)
+    return ExtensionQuery(rho=rho, N=N, ppt=True, mode="cone_optimize",
+                          objective=rho, reduced_constraint="identity_marginal")
+
+
+def _unit_trace_query(rho, objective, N):
+    return ExtensionQuery(rho=rho, N=N, ppt=True, mode="cone_optimize",
+                          objective=objective, reduced_constraint="unit_trace")
+
+
+def _bb84(N):
+    from dpskit.applications import bb84_two_copy_problem
+
+    return _fidelity_query(bb84_two_copy_problem(0.1), N)
+
+
+def _qutrit(N):
+    from dpskit.applications import qutrit_grid_problem
+
+    return _fidelity_query(qutrit_grid_problem(0.1), N)
+
+
+def _depolarizing_purity(N):
+    from dpskit.applications import depolarizing_choi
+
+    choi = depolarizing_choi(2, 0.2)
+    return _unit_trace_query(choi * (1.0 / choi.trace()), choi, N)
+
+
+def _w_geometric(N):
+    from dpskit.applications import w_state
+
+    rho_ab = partial_trace(w_state(), [2])
+    return _unit_trace_query(rho_ab, rho_ab, N)
+
+
+@pytest.mark.parametrize(
+    "make, N, m, sides",
+    [
+        (_bb84, 2, 146, [12, 16]),
+        (_bb84, 3, 310, [16, 24]),
+        (_bb84, 4, 676, [20, 36]),
+        (_qutrit, 2, 384, [18, 27]),
+    ],
+    ids=["bb84-N2", "bb84-N3", "bb84-N4", "qutrit-N2"],
+)
+def test_real_data_compiles_to_real_sizes(make, N, m, sides):
+    q = make(N)
+    problem, codec = _compile(q)
+    assert codec.real
+    assert (len(problem.rhs), problem.block_sizes) == (m, sides)
+    # m = n(n+1)/2 state rows for Lambda_A = I, plus n_y(n_y+1)/2 PPT links
+    d_a = q.rho.factor_dims[0]
+    n_y = sides[1]
+    assert m == d_a * (d_a + 1) // 2 + n_y * (n_y + 1) // 2
+
+
+def test_complex_data_keeps_doubled_sides():
+    problem, codec = _compile(_rotated(_bb84(2)))
+    assert not codec.real
+    assert (len(problem.rhs), problem.block_sizes) == (272, [24, 32])
+
+
+def test_complex_objective_alone_selects_complex_path():
+    q = _bb84(2)
+    complex_obj = ExtensionQuery(
+        rho=q.rho, N=2, ppt=True, mode="cone_optimize",
+        objective=_phase_rotation(q.objective), reduced_constraint="identity_marginal",
+    )
+    assert _compile(q)[1].real
+    assert not _compile(complex_obj)[1].real
+
+
+@pytest.mark.parametrize(
+    "make, N",
+    [(_bb84, 2), (_qutrit, 2), (_depolarizing_purity, 3), (_w_geometric, 3)],
+    ids=["bb84-N2", "qutrit-N2", "purity-N3", "w-N3"],
+)
+def test_real_and_complex_paths_agree(make, N):
+    q = make(N)
+    q_rot = _rotated(q)
+    assert _compile(q)[1].real and not _compile(q_rot)[1].real
+    real, cplx = optimize_over_cone(q), optimize_over_cone(q_rot)
+    assert real.status == cplx.status == "optimal"
+    assert abs(real.value - cplx.value) < 1e-7
+    assert np.iscomplexobj(real.extension)
+    assert real.extension.shape == cplx.extension.shape
+
+
+def test_real_witness_stays_valid_on_complex_path():
+    q = ExtensionQuery(rho=BELL, N=2, ppt=True)
+    res = check_membership(q)
+    assert res.verdict == "infeasible"
+    w = res.witness
+    assert not np.imag(w.entries).any()
+    q_rot = _rotated(q)
+    assert not _compile(q_rot)[1].real
+    w_rot = _phase_rotation(w)
+    assert float(np.vdot(w_rot.entries, q_rot.rho.entries).real) < -1e-7
+    aux = ExtensionQuery(rho=q_rot.rho, N=2, ppt=True, mode="cone_optimize",
+                         objective=w_rot * -1.0, reduced_constraint="unit_trace")
+    assert not _compile(aux)[1].real
+    assert verify_witness(q_rot, w_rot) >= -1e-7
+
+
+@pytest.mark.parametrize(
+    "v, expected", [(0.25, "feasible"), (0.6, "infeasible")],
+    ids=["separable", "entangled"],
+)
+def test_membership_verdict_same_on_both_paths(v, expected):
+    rho = v * BELL + (1.0 - v) * (identity((2, 2)) * 0.25)
+    q = ExtensionQuery(rho=rho, N=2, ppt=True)
+    q_rot = _rotated(q)
+    assert _compile(q)[1].real and not _compile(q_rot)[1].real
+    res, res_rot = check_membership(q), check_membership(q_rot)
+    assert res.verdict == res_rot.verdict == expected
+    if expected == "feasible":
+        assert np.iscomplexobj(res.extension)
+        assert res.extension.shape == res_rot.extension.shape
