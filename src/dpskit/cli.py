@@ -2,8 +2,9 @@
 
 Commands: membership, bounds, fidelity, purity, geometric, certify,
 complexity.  Exit codes: 0 success, 2 input error, 3 resource/budget,
-4 solver breakdown.  All outputs are deterministic given the inputs and
-tolerances, apart from the wall_time_s column.
+4 solver breakdown or linear-algebra failure.  All outputs are
+deterministic given the inputs and tolerances, apart from the wall_time_s
+column.
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SolverBreakdown as exc:
+    except (SolverBreakdown, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -300,9 +300,12 @@ class _Codec:
     def unembed(self, r: np.ndarray) -> np.ndarray:
         return r.astype(complex) if self.real else unembed_real(r)
 
-    def basis(self, n: int) -> np.ndarray:
-        full = np.array(hermitian_basis(n))
-        return full[~np.imag(full).any(axis=(1, 2))] if self.real else full
+    def basis(self, n: int, members: slice = slice(None)) -> np.ndarray:
+        """The Hermitian basis members on side n that rows run over."""
+        return hermitian_basis(n, self.real, members)
+
+    def basis_size(self, n: int) -> int:
+        return n * (n + 1) // 2 if self.real else n * n
 
     def embed_rows(self, rows: np.ndarray, h: np.ndarray):
         """Write the embeddings of a Hermitian stack into (k, n, n) views of
@@ -310,6 +313,10 @@ class _Codec:
         rows[...] = self.embed(h)
         rows += rows.swapaxes(1, 2)
         rows *= 0.5
+
+
+# Complex entries per chunk of PPT-link basis members (4 MiB).
+LINK_CHUNK = 1 << 18
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
@@ -345,9 +352,9 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
 
     # rows: the state constraints, then per PPT block Y one row
     # <adj(G), X> - <G, Y> = 0 for each G of a Hermitian basis of Y's space
-    links = [codec.basis(dA * p.size_out) for p in pmaps]
-    block_sizes = [weight * nx] + [weight * g.shape[1] for g in links]
-    m = len(state) + sum(len(g) for g in links)
+    y_sides = [dA * p.size_out for p in pmaps]
+    block_sizes = [weight * nx] + [weight * n for n in y_sides]
+    m = len(state) + sum(codec.basis_size(n) for n in y_sides)
     sense = "maximize" if q.mode == "cone_optimize" else "feasibility"
     problem = SdpProblem(
         block_sizes, [None] * len(block_sizes),
@@ -357,11 +364,15 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     start = len(state)
     codec.embed_rows(x_rows[:start], state)
     problem.rhs[:start] = state_rhs
-    for pmap, g, y_block in zip(pmaps, links, y_rows):
-        rows = slice(start, start + len(g))
-        codec.embed_rows(x_rows[rows], pmap.adjoint(g))
-        codec.embed_rows(y_block[rows], -g)
-        start += len(g)
+    for pmap, n, y_block in zip(pmaps, y_sides, y_rows):
+        # a chunk of basis members at a time bounds the complex temporaries
+        step = max(1, LINK_CHUNK // (n * n))
+        for lo in range(0, codec.basis_size(n), step):
+            g = codec.basis(n, slice(lo, lo + step))
+            rows = slice(start + lo, start + lo + len(g))
+            codec.embed_rows(x_rows[rows], pmap.adjoint(g))
+            codec.embed_rows(y_block[rows], -g)
+        start += codec.basis_size(n)
     if q.mode == "cone_optimize":
         problem.objective[0] = codec.embed(tmap.adjoint(q.objective.entries))
     return problem, codec

@@ -311,6 +311,24 @@ class TestInputHardening:
         assert "factors" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["membership", "--input", "STATE", "--N", "2"],
+     ["fidelity", "--bb84", "0.1", "--N", "2", "--ppt", "true"]],
+    ids=["membership", "fidelity"],
+)
+def test_linalg_error_exit_4(argv, mixed_file, monkeypatch, capsys):
+    def failing_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr("dpskit.extensions.solve", failing_solve)
+    assert main([mixed_file if a == "STATE" else a for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "positive definite" in captured.err
+
+
 def test_complexity_command(tmp_path):
     out = tmp_path / "cx.json"
     code = main(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -576,3 +578,70 @@ def test_membership_verdict_same_on_both_paths(v, expected):
     if expected == "feasible":
         assert np.iscomplexobj(res.extension)
         assert res.extension.shape == res_rot.extension.shape
+
+
+# ---------------------------------------------------------------------------
+# compiled constraint matrices: independent rows, bounded compile memory
+# ---------------------------------------------------------------------------
+
+
+def _ghz_mixed():
+    from dpskit.applications import ghz_state
+
+    return ghz_state() * 0.5 + identity((2, 2, 2)) * (0.5 / 8)
+
+
+_WERNER = BELL * 0.3 + identity((2, 2)) * (0.7 / 4)
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _bb84(2),
+        lambda: _bb84(3),
+        lambda: _bb84(4),
+        lambda: _qutrit(2),
+        lambda: _depolarizing_purity(3),
+        lambda: ExtensionQuery(rho=_WERNER, N=3, ppt=True),
+        lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True, ppt_cuts="all"),
+        lambda: ExtensionQuery(rho=_ghz_mixed(), N=2),
+        lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True),
+    ],
+    ids=["bb84_ppt_N2", "bb84_ppt_N3", "bb84_ppt_N4", "qutrit_ppt_N2",
+         "purity_unit_trace_N3_ppt", "trace_match_N3_ppt", "trace_match_N4_allcuts",
+         "tri_N2", "tri_N2_ppt"],
+)
+def test_compiled_rows_full_rank(make, path):
+    """The solver prunes no rows, so the compiler must emit independent ones.
+    They are: product states span Herm(AB), so L^T is injective on the state
+    rows, and each PPT-link row carries its own basis member -G on Y."""
+    q = make() if path == "real" else _rotated(make())
+    problem, codec = _compile(q)
+    assert codec.real == (path == "real")
+    s = np.linalg.svd(problem.constraints, compute_uv=False)
+    assert len(s) == len(problem.rhs)
+    assert s[-1] > 1e-10 * s[0]
+
+
+def test_compile_memory_bounded_by_constraint_matrix():
+    """BB84 PPT N=5 (real path, m = 1186): the link rows are built a chunk of
+    basis members at a time, never from the full dense Hermitian basis."""
+    q = _bb84(5)
+    tracemalloc.start()
+    try:
+        problem, codec = _compile(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codec.real and len(problem.rhs) == 1186
+    assert peak <= 3 * problem.constraints.nbytes
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+def test_link_rows_independent_of_chunk_size(path, monkeypatch):
+    q = _bb84(3) if path == "real" else _rotated(_bb84(3))
+    whole, _ = _compile(q)
+    monkeypatch.setattr("dpskit.extensions.LINK_CHUNK", 1)  # one member a chunk
+    chunked, _ = _compile(q)
+    assert np.array_equal(whole.constraints, chunked.constraints)

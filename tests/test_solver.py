@@ -204,6 +204,15 @@ class TestSolve:
         # the tau-scaled iterate is still PSD and roughly feasible
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-9
 
+    def test_schur_formation_independent_of_chunk_size(self, monkeypatch):
+        problem, _ = constructed_optimum(8, 6, 5)
+        whole = solve(problem)
+        # two constraints per chunk of the (k, 8, 8) temporaries
+        monkeypatch.setattr("dpskit.solver.SCHUR_CHUNK", 2 * 64)
+        chunked = solve(problem)
+        assert chunked.iterations == whole.iterations
+        assert np.array_equal(chunked.dual_multipliers, whole.dual_multipliers)
+
     BAD = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize(
@@ -220,3 +229,35 @@ class TestSolve:
         p = SdpProblem([2], [objective], constraints, rhs, "minimize")
         with pytest.raises(ValueError, match=message):
             solve(p)
+
+
+class TestDependentRows:
+    """No pass prunes dependent rows: the homogeneous embedding solves
+    consistent ones and certifies contradictory ones by itself."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_consistent_duplicate_and_multiple_rows(self, seed):
+        problem, opt = constructed_optimum(8, 6, seed)
+        # row 0 once more, and 2.5 times row 1, with consistent right-hand sides
+        a = np.vstack([problem.constraints, problem.constraints[0],
+                       2.5 * problem.constraints[1]])
+        b = np.concatenate([problem.rhs, [problem.rhs[0], 2.5 * problem.rhs[1]]])
+        s = solve(SdpProblem([8], problem.objective, a, b, "minimize"))
+        assert s.status == "optimal"
+        assert len(s.dual_multipliers) == 8
+        dedup = solve(problem).objective_value
+        assert abs(s.objective_value - dedup) <= 1e-6 * (1 + abs(opt))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+    def test_near_duplicate_contradictory_pair(self, delta):
+        # tr X = 1 and tr X + 2 delta X_01 = 2 need |X_01| = 1/(2 delta) > 1/2
+        e = np.zeros((3, 3))
+        e[0, 1] = e[1, 0] = 1.0
+        p = SdpProblem([3], [None], vecs(np.eye(3), np.eye(3) + delta * e),
+                       np.array([1.0, 2.0]), "feasibility")
+        s = solve(p)
+        assert s.status == "primal_infeasible"
+        y = s.dual_multipliers
+        assert float(p.rhs @ y) > 0
+        (aty,) = p.blocks(y @ p.constraints)
+        assert np.linalg.eigvalsh(aty)[-1] <= 1e-9
