@@ -6,7 +6,9 @@ g_N is one minus the largest root of a designated Jacobi polynomial.  Three
 independent routes compute it:
 
 * the tridiagonal eigenvalue route (primary; numerically stable),
-* bisection root-refinement of the polynomial recurrence (internal check),
+* bisection root-refinement of the polynomial recurrence (internal check,
+  run on every call: a sign scan that evaluates the recurrence over a chunk
+  of grid points at once, then Brent's method on the bracket it finds),
 * the smallest generalized eigenvalue of the moment-matrix pencil (A, B)
   (:func:`g_N_via_pencil`, retained as an oracle).
 
@@ -57,25 +59,35 @@ __all__ = [
 ]
 
 
-def jacobi_eval(n: int, alpha: float, beta: float, x: float) -> float:
-    """P_n^{(alpha,beta)}(x) by the standard three-term recurrence."""
+def _jacobi_terms(n: int, alpha: float, beta: float) -> list:
+    """Coefficients (a1, a2, a3, a4) of the three-term recurrence
+    a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} of P^{(alpha,beta)}, k = 2..n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    p_prev = 1.0
+    k = np.arange(2, n + 1, dtype=float)
+    c = 2.0 * k + alpha + beta
+    a1 = 2.0 * k * (k + alpha + beta) * (c - 2.0)
+    a2 = (c - 1.0) * (alpha * alpha - beta * beta)
+    a3 = (c - 1.0) * c * (c - 2.0)
+    a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * c
+    return list(zip(a1.tolist(), a2.tolist(), a3.tolist(), a4.tolist()))
+
+
+def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):
+    """P_n^{(alpha,beta)}(x) from ``terms = _jacobi_terms(n, alpha, beta)``,
+    elementwise for an array x."""
     if n == 0:
-        return p_prev
-    p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        a1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
-        a2 = (2.0 * k + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
-        a3 = (
-            (2.0 * k + alpha + beta - 1.0)
-            * (2.0 * k + alpha + beta)
-            * (2.0 * k + alpha + beta - 2.0)
-        )
-        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+        return np.ones(np.shape(x)) if np.ndim(x) else 1.0
+    p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    for a1, a2, a3, a4 in terms:
         p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
     return p
+
+
+def jacobi_eval(n: int, alpha: float, beta: float, x):
+    """P_n^{(alpha,beta)}(x) by the standard three-term recurrence, for a
+    float or an array x."""
+    return _jacobi_run(x, n, alpha, beta, _jacobi_terms(n, alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -106,18 +118,11 @@ def jacobi_recurrence(alpha: float, beta: float, n: int) -> JacobiRecurrence:
     so alpha_k = 1 - a_k and beta_k = -c_k.
     """
     a, b = float(alpha), float(beta)
-    diag = np.zeros(n)
-    off2 = np.zeros(max(n - 1, 0))
-    for k in range(n):
-        if k == 0:
-            ak = (b - a) / (a + b + 2.0)
-        else:
-            denom = (2.0 * k + a + b) * (2.0 * k + a + b + 2.0)
-            ak = (b * b - a * a) / denom
-        diag[k] = 1.0 - ak
-    for k in range(1, n):
-        t = 2.0 * k + a + b
-        off2[k - 1] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t * t - 1.0))
+    k = np.arange(1, max(n, 1), dtype=float)
+    t = 2.0 * k + a + b
+    ak = (b * b - a * a) / (t * (t + 2.0))
+    diag = 1.0 - np.concatenate(([(b - a) / (a + b + 2.0)], ak))[:n]
+    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t * t - 1.0))
     return JacobiRecurrence(a, b, diag, -np.sqrt(off2))
 
 
@@ -137,19 +142,36 @@ def tridiagonal_C(d: int, N: int) -> np.ndarray:
     return jacobi_recurrence(alpha, beta, deg).matrix()
 
 
+# Grid points per sign-scan chunk.  For N <= 300 the first sign change lies
+# at grid index 37 at most for d = 2 and 96 at most for d = 6, so the first
+# chunk holds it.
+SCAN_CHUNK = 128
+
+
 def _largest_root_bisect(alpha: int, beta: int, deg: int) -> float:
-    """Largest root of P_deg^{(alpha,beta)} by sign scan in theta = arccos x."""
-    f = lambda x: jacobi_eval(deg, alpha, beta, x)
+    """Largest root of P_deg^{(alpha,beta)} by sign scan in theta = arccos x.
+
+    The scan walks the grid theta_i = pi i / (40 deg + 40) from x = 1 to the
+    first i with P(x_{i-1}) > 0 >= P(x_i), and Brent refines that bracket.
+    It costs one vectorized recurrence per chunk of grid points up to the
+    bracket, plus one scalar recurrence per Brent step.
+    """
+    rec = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
     # P(1) = C(deg+alpha, deg) > 0; roots are ~uniform in theta
     steps = 40 * deg + 40
-    prev_t, prev_f = 0.0, f(1.0)
-    for i in range(1, steps + 1):
-        t = pi * i / steps
-        val = f(cos(t))
-        if prev_f > 0.0 and val <= 0.0:
-            lo, hi = cos(t), cos(prev_t)
-            return brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
-        prev_t, prev_f = t, val
+    x_prev, f_prev = 1.0, _jacobi_run(1.0, *rec)
+    for start in range(1, steps + 1, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK, steps + 1)
+        x = np.array([x_prev] + [cos(pi * i / steps) for i in range(start, stop)])
+        fx = np.concatenate(([f_prev], _jacobi_run(x[1:], *rec)))
+        hits = np.flatnonzero((fx[:-1] > 0.0) & (fx[1:] <= 0.0))
+        if hits.size:
+            i = hits[0]
+            # the terms go in through args: brentq holds the function it is
+            # given in a reference cycle, and a closure over the terms would
+            # keep them alive until the cyclic collector runs
+            return brentq(_jacobi_run, x[i + 1], x[i], args=rec, xtol=1e-14, rtol=1e-15)
+        x_prev, f_prev = x[-1], fx[-1]
     raise ArithmeticError(f"no sign change found for P_{deg}^{({alpha},{beta})}")
 
 
@@ -313,10 +335,17 @@ class BoundReport:
     ppt_distances_valid: bool  # the PPT distance guarantees need N >= 2
 
 
-def bound_report(d_A: int, d_B: int, N: int) -> BoundReport:
+def bound_report(
+    d_A: int, d_B: int, N: int, bessel_zero: float | None = None
+) -> BoundReport:
+    """Every closed-form bound at (d_A, d_B, N).
+
+    ``bessel_zero`` is ``bessel_zero_first(d_B - 2)``, found here when not
+    given; a table over many N finds it once and passes it to every row.
+    """
     d = d_B
     g = g_N(d, N)
-    j = bessel_zero_first(d - 2)
+    j = bessel_zero_first(d - 2) if bessel_zero is None else bessel_zero
     return BoundReport(
         d_A=d_A,
         d_B=d_B,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import applications as apps
-from .bounds import bound_report, complexity_estimate, required_N
+from .bounds import bessel_zero_first, bound_report, complexity_estimate, required_N
 from .certify import certify
 from .extensions import BudgetExceeded, ExtensionQuery, budget_dim, check_membership
 from .operators import (
@@ -249,8 +249,9 @@ def cmd_bounds(config, args) -> int:
             + [_fmt(v) for v in complexity_estimate(args.dA, args.dB, config.delta)]
         )
     lines = [header]
+    j = bessel_zero_first(args.dB - 2)
     for n in config.n_values:
-        r = bound_report(args.dA, args.dB, n)
+        r = bound_report(args.dA, args.dB, n, j)
         row = ",".join(
             [str(args.dA), str(args.dB), str(n)]
             + [

@@ -57,11 +57,32 @@ class SolverBreakdown(RuntimeError):
     """Numerical failure distinct from plain iteration-limit exhaustion."""
 
 
-def _asymmetric(stack: np.ndarray, sym_tol: float) -> np.ndarray:
-    """Indices of the matrices in a (k, n, n) stack that are not symmetric."""
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-    skew = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
-    return np.flatnonzero(skew > sym_tol * scale)
+def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
+    """Per block, the indices of the rows of a canonical CSR (k, sum n_b^2)
+    matrix of vecs whose n_b x n_b matrix A is not symmetric:
+    max |A - A^T| > sym_tol * max(1, max |A|).
+
+    Each stored entry is paired with its transpose by a search over the
+    sorted (row, column) keys, so the cost is O(nnz log nnz).
+    """
+    starts = np.cumsum([0] + [n * n for n in sizes])
+    col_block = np.repeat(np.arange(len(sizes)), np.diff(starts))
+    col_t = np.concatenate(
+        [start + np.arange(n * n).reshape(n, n).T.ravel() for start, n in zip(starts, sizes)]
+    )
+    row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    key = row * starts[-1] + rows.indices
+    key_t = row * starts[-1] + col_t[rows.indices]
+    pos = np.searchsorted(key, key_t)
+    # a sentinel for pos = nnz, a transpose key past every stored key
+    key, data = np.append(key, -1), np.append(rows.data, 0.0)
+    skew = np.abs(rows.data - np.where(key[pos] == key_t, data[pos], 0.0))
+    # (row, block) groups are contiguous in CSR order
+    group = row * len(sizes) + col_block[rows.indices]
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    scale = np.maximum(1.0, np.maximum.reduceat(np.abs(rows.data), first))
+    bad = group[first[np.maximum.reduceat(skew, first) > sym_tol * scale]]
+    return [bad[bad % len(sizes) == b] // len(sizes) for b in range(len(sizes))]
 
 
 @dataclass
@@ -90,7 +111,12 @@ class SdpProblem:
             start += n * n
         return views
 
-    def validate(self, sym_tol: float = 1e-12):
+    def validate(self, sym_tol: float = 1e-12) -> sp.csr_matrix:
+        """Check shapes and symmetry; return the constraint matrix as CSR.
+
+        Symmetry is tested on the sparse rows, so the check costs memory in
+        proportion to the nonzeros of A, not to m times the block sizes.
+        """
         if self.sense not in ("minimize", "maximize", "feasibility"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
@@ -101,17 +127,17 @@ class SdpProblem:
             raise ValueError(f"constraints shape {a.shape} != (m, {width})")
         if np.shape(self.rhs) != (len(a),):
             raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({len(a)},)")
-        for b, (n, c, rows) in enumerate(
-            zip(self.block_sizes, self.objective, self.blocks(a))
-        ):
+        a = sp.csr_matrix(a, dtype=float)  # from a dense array: canonical
+        bad_rows = _asymmetric(a, self.block_sizes, sym_tol)
+        for b, (n, c, bad) in enumerate(zip(self.block_sizes, self.objective, bad_rows)):
             if c is not None:
                 if c.shape != (n, n):
                     raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
-                if _asymmetric(c[None], sym_tol).size:
+                if np.max(np.abs(c - c.T)) > sym_tol * max(1.0, np.max(np.abs(c))):
                     raise ValueError(f"objective: block {b} not symmetric")
-            bad = _asymmetric(rows, sym_tol)
             if bad.size:
                 raise ValueError(f"constraint {bad[0]}: block {b} not symmetric")
+        return a
 
 
 @dataclass
@@ -248,7 +274,7 @@ def solve(
     ``log_csv`` may be a writable text stream; each iteration appends an
     ``iter,mu,primal_res,dual_res,gap`` row.
     """
-    problem.validate()
+    A = problem.validate()
     sizes = problem.block_sizes
     split = problem.blocks
     sign = -1.0 if problem.sense == "maximize" else 1.0
@@ -258,7 +284,6 @@ def solve(
         else sign * 0.5 * (c + c.T)
         for n, c in zip(sizes, problem.objective)
     )
-    A = sp.csr_matrix(np.asarray(problem.constraints, dtype=float))
     AT = A.T
     parts = _schur_parts(A, sizes)
     bvec = np.asarray(problem.rhs, dtype=float)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dpskit import bounds
 from dpskit.bounds import (
+    _gn_params,
     bessel_zero_first,
     bound_report,
     complexity_estimate,
@@ -37,6 +39,56 @@ from dpskit.symmetric import build_basis
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
 
+# Scalar loops that the vectorized recurrences replaced, kept as references:
+# the arithmetic is unchanged, so results must be equal, not close.
+
+
+def loop_jacobi_eval(n, alpha, beta, x):
+    p_prev = 1.0
+    if n == 0:
+        return p_prev
+    p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    for k in range(2, n + 1):
+        a1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
+        a2 = (2.0 * k + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
+        a3 = (2.0 * k + alpha + beta - 1.0) * (2.0 * k + alpha + beta) * (
+            2.0 * k + alpha + beta - 2.0)
+        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+    return p
+
+
+def loop_largest_root(alpha, beta, deg):
+    from math import cos, pi
+
+    from scipy.optimize import brentq
+
+    f = lambda x: loop_jacobi_eval(deg, alpha, beta, x)
+    steps = 40 * deg + 40
+    prev_t, prev_f = 0.0, f(1.0)
+    for i in range(1, steps + 1):
+        t = pi * i / steps
+        val = f(cos(t))
+        if prev_f > 0.0 and val <= 0.0:
+            return brentq(f, cos(t), cos(prev_t), xtol=1e-14, rtol=1e-15)
+        prev_t, prev_f = t, val
+    raise ArithmeticError
+
+
+def loop_recurrence(a, b, n):
+    diag, off2 = np.zeros(n), np.zeros(max(n - 1, 0))
+    for k in range(n):
+        if k == 0:
+            ak = (b - a) / (a + b + 2.0)
+        else:
+            ak = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
+        diag[k] = 1.0 - ak
+    for k in range(1, n):
+        t = 2.0 * k + a + b
+        off2[k - 1] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t * t - 1.0))
+    return diag, -np.sqrt(off2)
+
+
 class TestJacobi:
     def test_degree_zero(self):
         for a, b in [(0, 0), (1, 2), (3.5, 0.5)]:
@@ -61,6 +113,21 @@ class TestJacobi:
             assert jacobi_eval(int(n), int(a), int(b), x) == pytest.approx(
                 float(eval_jacobi(int(n), int(a), int(b), x)), rel=1e-10, abs=1e-10
             )
+
+    def test_equals_loop_reference_on_floats_and_arrays(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        for n, a, b in [(0, 1, 0), (1, 0, 1), (7, 2, 1), (40, 3.5, 0.5), (23, 0.3, 1.9),
+                        (151, 4, 1)]:
+            want = [loop_jacobi_eval(n, a, b, float(xi)) for xi in x]
+            assert [jacobi_eval(n, a, b, float(xi)) for xi in x] == want
+            assert np.array_equal(jacobi_eval(n, a, b, x), want)
+
+    def test_recurrence_equals_loop_reference(self):
+        for a, b in [(0, 0), (0, 1), (4, 1), (3.5, 0.5), (0.3, 2.7)]:
+            for n in range(0, 160, 7):
+                diag, off = loop_recurrence(float(a), float(b), n)
+                rec = jacobi_recurrence(a, b, n)
+                assert np.array_equal(rec.diag, diag) and np.array_equal(rec.off, off)
 
     def test_recurrence_symmetry_invariant(self):
         rec = jacobi_recurrence(2, 1, 6)
@@ -126,6 +193,39 @@ class TestGn:
         for d in (2, 4, 6):
             for n in (1, 10, 40):
                 assert np.linalg.eigvalsh(tridiagonal_C(d, n))[0] > 0
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_sign_scan_equals_loop_reference(self, d):
+        for n in [*range(1, 41), 99, 200, 301]:
+            alpha, beta, deg = _gn_params(d, n)
+            assert g_N_via_root(d, n) == 1.0 - loop_largest_root(alpha, beta, deg)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_sign_scan_root_against_scipy_roots(self, d):
+        from scipy.special import roots_jacobi
+
+        for n in [*range(1, 61), 100, 150, 200, 300]:
+            alpha, beta, deg = _gn_params(d, n)
+            want = 1.0 - max(roots_jacobi(deg, alpha, beta)[0])
+            assert abs(g_N_via_root(d, n) - want) <= 1e-12
+
+    def test_routes_disagreeing_raise(self, monkeypatch):
+        # a diagonal shift of 1e-6 moves the eigenvalue route by 1e-6, ten
+        # times cross_check_tol, and leaves the root route alone
+        def shifted(d, n):
+            c = tridiagonal_C(d, n)
+            return c + 1e-6 * np.eye(len(c))
+
+        monkeypatch.setattr(bounds, "tridiagonal_C", shifted)
+        with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
+            g_N(3, 10)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_sign_scan_independent_of_chunk_size(self, chunk, monkeypatch):
+        cases = [(d, n) for d in (2, 4, 6) for n in (1, 2, 9, 40, 151)]
+        whole = [g_N_via_root(d, n) for d, n in cases]
+        monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+        assert [g_N_via_root(d, n) for d, n in cases] == whole
 
     def test_pencil_one_by_one(self):
         # N=1, d=2: A = [1/6], B = [1/2]; 2 * (1/6)/(1/2) = 2/3
@@ -206,6 +306,12 @@ class TestBoundReport:
                 assert 0.0 < r.p_c_sym < 1.0
                 assert 0.0 < r.p_c_ppt < 1.0
                 assert r.ppt_distances_valid == (n >= 2)
+
+    def test_given_bessel_zero_gives_same_report(self):
+        for d in (2, 3, 5):
+            j = bessel_zero_first(d - 2)
+            for n in (1, 4, 31):
+                assert bound_report(2, d, n, j) == bound_report(2, d, n)
 
     def test_ppt_robustness_beats_sym_eventually(self):
         for d in (2, 3, 4):

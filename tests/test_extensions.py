@@ -638,6 +638,30 @@ def test_compile_memory_bounded_by_constraint_matrix():
     assert peak <= 3 * problem.constraints.nbytes
 
 
+def test_validate_memory_bounded_by_constraint_matrix():
+    """BB84 PPT N=6 (m = 2090, sides 28 and 64): the symmetry check runs on
+    the sparse rows (8248 nonzeros), not on dense (m, n, n) stacks of A."""
+    problem, _ = _compile(_bb84(6))
+    assert len(problem.rhs) == 2090
+    tracemalloc.start()
+    try:
+        problem.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * problem.constraints.nbytes
+
+
+@pytest.mark.parametrize("row", [0, 57, 145])
+def test_validate_names_asymmetric_row_in_second_block(row):
+    problem, _ = _compile(_bb84(2))
+    n0, n1 = problem.block_sizes
+    assert len(problem.rhs) == 146
+    problem.constraints[row, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
+    with pytest.raises(ValueError, match=rf"^constraint {row}: block 1 not symmetric$"):
+        problem.validate()
+
+
 @pytest.mark.parametrize("path", ["real", "complex"])
 def test_link_rows_independent_of_chunk_size(path, monkeypatch):
     q = _bb84(3) if path == "real" else _rotated(_bb84(3))

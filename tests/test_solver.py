@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from dpskit.operators import HermitianOperator
 from dpskit.solver import (
     SdpProblem,
+    _asymmetric,
     embed_complex,
     hermitian_basis,
     solve,
@@ -229,6 +231,39 @@ class TestSolve:
         p = SdpProblem([2], [objective], constraints, rhs, "minimize")
         with pytest.raises(ValueError, match=message):
             solve(p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_symmetry_check_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes, m = [1, 3, 5, 2], 40
+        blocks = []
+        for n in sizes:
+            mats = rng.standard_normal((m, n, n)) * (rng.random((m, n, n)) < 0.3)
+            mats = mats + mats.swapaxes(1, 2)
+            mats[rng.random(m) < 0.2] *= 1e6  # rows whose scale is not 1
+            # skews just above and below the threshold, and zeros on one side
+            idx = tuple(rng.integers(k, size=12) for k in (m, n, n))
+            scale = np.maximum(1.0, np.abs(mats[idx[0]]).max(axis=(1, 2)))
+            mats[idx] += rng.choice([0.5, 2.0], 12) * 1e-12 * scale
+            mats[tuple(rng.integers(k, size=3) for k in (m, n, n))] = 0.0
+            blocks.append(mats)
+        a = np.hstack([mats.reshape(m, -1) for mats in blocks])
+        got = _asymmetric(sp.csr_matrix(a), sizes, 1e-12)
+        for mats, bad in zip(blocks, got):
+            scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+            skew = np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2))
+            assert np.array_equal(bad, np.flatnonzero(skew > 1e-12 * scale))
+        assert sum(bad.size for bad in got) > 0
+
+    def test_validate_scales_tolerance_per_matrix(self):
+        # skew 1e-7 is within 1e-12 of row 0's largest entry, 1e6, but not
+        # of row 1's, 1
+        big, small = np.diag([1e6, 1.0]), np.eye(2)
+        big[0, 1] = small[0, 1] = 1e-7
+        SdpProblem([2], [None], vecs(big, np.eye(2)), [1.0, 1.0]).validate()
+        p = SdpProblem([2], [None], vecs(big, small), [1.0, 1.0])
+        with pytest.raises(ValueError, match="constraint 1: block 0 not symmetric"):
+            p.validate()
 
 
 class TestDependentRows:
