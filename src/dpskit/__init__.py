@@ -55,7 +55,6 @@ from .extensions import (
     MembershipResult,
     build_bse_sdp,
     check_membership,
-    compressed_maps,
     optimize_over_cone,
     reduce_extension,
     verify_witness,

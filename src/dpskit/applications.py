@@ -113,7 +113,6 @@ def fidelity_bounds(
         rho=rho,
         N=N,
         ppt=ppt,
-        mode="cone_optimize",
         objective=rho,
         reduced_constraint="identity_marginal",
     )
@@ -185,7 +184,6 @@ def output_purity_bounds(
         rho=choi * (1.0 / choi.trace()),
         N=N,
         ppt=ppt,
-        mode="cone_optimize",
         objective=choi,
         reduced_constraint="unit_trace",
     )
@@ -224,7 +222,6 @@ def geometric_entanglement_bounds(
         rho=rho_ab,
         N=N,
         ppt=ppt,
-        mode="cone_optimize",
         objective=rho_ab,
         reduced_constraint="unit_trace",
     )

@@ -410,8 +410,9 @@ def required_N(delta: float, d_B: int, ppt: bool) -> int:
 def complexity_estimate(d_A: int, d_B: int, delta: float):
     """log10 of the dominant SDP operation counts at accuracy delta.
 
-    Returns (sym_ops, ppt_ops, sym_simplified, ppt_simplified), all as
-    base-10 logarithms (the raw counts overflow quickly).
+    Returns (n_sym, n_ppt, sym_ops, ppt_ops, sym_simplified, ppt_simplified):
+    the two :func:`required_N` the counts rest on, then the counts as base-10
+    logarithms (the raw counts overflow quickly).
     """
     n_sym = required_N(delta, d_B, ppt=False)
     n_ppt = required_N(delta, d_B, ppt=True)
@@ -424,7 +425,7 @@ def complexity_estimate(d_A: int, d_B: int, delta: float):
     ppt_ops = (6.0 * np.log(d_A) + 4.0 * log_dim_ppt + 4.0 * log_dim_half) / ln10
     sym_simplified = 6.0 * log10(d_A) + 6.0 * d_B * log10(2.0 * e / delta)
     ppt_simplified = 6.0 * log10(d_A) + 4.0 * d_B * log10(e * e / delta)
-    return sym_ops, ppt_ops, sym_simplified, ppt_simplified
+    return n_sym, n_ppt, sym_ops, ppt_ops, sym_simplified, ppt_simplified
 
 
 def ppt_alone(rho: HermitianOperator, tol: float = 1e-9):

@@ -3,9 +3,10 @@
 A PPT Bose-symmetric extension whose rank does not exceed the larger of its
 two marginal ranks across the transposed cut certifies separability of the
 reduced state outright.  Generic solver output is max-rank, so a log-det
-reweighting heuristic searches the feasible region for low-rank extensions;
-the heuristic carries no guarantee of finding a loop, and ``certify``
-reports "undecided" honestly when none shows up.
+reweighting heuristic searches the feasible region for low-rank extensions,
+starting from the extension that :func:`check_membership` found and
+re-verified; the heuristic carries no guarantee of finding a loop, and
+``certify`` reports "undecided" honestly when none shows up.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import numpy as np
 from .extensions import (
     ExtensionQuery,
     PptMap,
+    TraceMap,
     _compile,
     _verify_feasible,
     check_membership,
-    reduce_extension,
 )
 from .operators import HermitianOperator, operator_to_json
 from .solver import SolverBreakdown, solve
-from .symmetric import SymmetricBasis, build_basis
+from .symmetric import sym_dim
 
 __all__ = [
     "RankProfile",
@@ -54,50 +55,36 @@ def numerical_rank(x, tol: float = 1e-7) -> int:
     return int(np.sum(w > thresh))
 
 
-def _reduce_to_level(x: np.ndarray, dA: int, d: int, N: int, target: int) -> np.ndarray:
-    out = x
-    for level in range(N, target, -1):
-        out = reduce_extension(out, dA, d, level)
-    return out
-
-
 def rank_loop_check(
     extension: np.ndarray,
     dA: int,
-    basis: SymmetricBasis,
+    d: int,
+    N: int,
     K: int,
     tol: float = 1e-7,
 ) -> tuple[bool, RankProfile]:
     """Evaluate the loop inequality rank(full) <= max(rank(AB^K), rank(B^{N-K})).
 
-    The caller is responsible for the premise that the extension is PPT
-    across the A B^K | B^{N-K} cut.
+    ``extension`` is compressed, on H_A (x) Sym^N(C^d).  The caller is
+    responsible for the premise that it is PPT across the A B^K | B^{N-K} cut.
     """
-    d, N = basis.d, basis.N
     if not 1 <= K <= N:
         raise ValueError(f"K = {K} out of range for N = {N}")
-    side = dA * basis.size
+    side = dA * sym_dim(d, N)
     if extension.shape != (side, side):
         raise ValueError("extension side does not match dA * sym_dim")
     rank_full = numerical_rank(extension, tol)
-    left = _reduce_to_level(extension, dA, d, N, K)
-    rank_left = numerical_rank(left, tol)
-    # tracing A off the level-(N-K) reduction gives Lambda_{B^{N-K}} directly
-    if K != N:
-        right_level = _reduce_to_level(extension, dA, d, N, N - K)
-        s_r = right_level.shape[0] // dA
-        r4 = right_level.reshape(dA, s_r, dA, s_r)
-        right = np.einsum("asat->st", r4)
-    else:
-        right = np.array([[np.trace(extension)]])
-    rank_right = numerical_rank(right, tol)
+    rank_left = numerical_rank(TraceMap(dA, (d,), N, K).apply(extension), tol)
+    # Lambda_{B^{N-K}}: trace A off, then all but N - K copies
+    sym = np.einsum("asat->st", extension.reshape(dA, side // dA, dA, side // dA))
+    rank_right = numerical_rank(TraceMap(1, (d,), N, N - K).apply(sym), tol)
     loop = rank_full <= max(rank_left, rank_right)
     return loop, RankProfile(rank_full, rank_left, rank_right, K, tol)
 
 
 def rank_min_heuristic(
     q: ExtensionQuery,
-    objective_floor: float | None = None,
+    extension: np.ndarray,
     rounds: int = 10,
     tol: float = 1e-8,
     eps: float = 1e-4,
@@ -106,72 +93,54 @@ def rank_min_heuristic(
 ) -> np.ndarray:
     """Search the feasible set for a low-rank extension by log-det reweighting.
 
-    Round k minimizes <W_k, X> over the same feasible set with
-    W_{k+1} = (X_k + eps I)^{-1}; the lowest-rank feasible iterate wins.
-    The first pass starts from the plain feasibility solve; further passes
+    Round k minimizes <W_k, X> over the feasible set of the membership query
+    ``q`` with W_{k+1} = (X_k + eps I)^{-1}; the lowest-rank feasible iterate
+    wins.  The first pass starts from ``extension``, a feasible extension of
+    ``q`` (the one :func:`check_membership` returns), which is re-verified
+    here (ValueError if it fails) and is round 1's iterate.  Further passes
     reseed with random positive weights, which breaks the symmetry that can
     trap the reweighting at the analytic center (highly symmetric inputs
-    like the maximally mixed state need this).  ``objective_floor`` (when
-    given, with the query's ``objective``) pins tr(Lambda . objective) >=
-    floor through a slack block.
+    like the maximally mixed state need this).
     """
-    # the objective stays on the query so that a complex one keeps the
-    # floor row in complex arithmetic
-    base = ExtensionQuery(
-        rho=q.rho, N=q.N, ppt=q.ppt, mode="membership",
-        objective=q.objective, reduced_constraint="trace_match", ppt_cuts=q.ppt_cuts,
-    )
-    problem, codec = _compile(base)
-    if objective_floor is not None:
-        if q.objective is None:
-            raise ValueError("objective_floor needs an objective in the query")
-        # a 1x1 slack block s >= 0 with <objective, Lambda> - s = floor
-        problem.block_sizes.append(1)
-        problem.objective.append(None)
-        problem.constraints = np.pad(problem.constraints, ((0, 1), (0, 1)))
-        problem.rhs = np.append(problem.rhs, codec.weight * float(objective_floor))
-        floor_row = problem.blocks(problem.constraints[-1:])
-        codec.embed_rows(floor_row[0], codec.tmap.adjoint(q.objective.entries)[None])
-        floor_row[-1][...] = -1.0
-
+    if q.reduced_constraint != "trace_match":
+        raise ValueError("rank_min_heuristic requires a trace_match query")
+    problem, codec = _compile(q)
+    ok, detail = _verify_feasible(extension, codec)
+    if not ok:
+        raise ValueError(f"extension is not feasible: {detail}")
+    problem.sense = "minimize"
     nx = codec.tmap.dA * codec.tmap.size_in
     rng = np.random.default_rng(seed)
-    best_x = None
-    best_rank = None
-    infeasible_status = None
+    best_x, best_rank = extension, numerical_rank(extension)
 
-    def run_pass(weight):
-        nonlocal best_x, best_rank, infeasible_status
-        for _ in range(max(rounds, 1)):
-            if weight is None:
-                problem.sense = "feasibility"
-            else:
-                problem.sense = "minimize"
-                problem.objective[0] = codec.embed(weight)
+    def reweight(x):
+        scale = max(float(np.linalg.eigvalsh(x)[-1]), 1.0)
+        w, v = np.linalg.eigh(x)
+        w = np.maximum(w, 0.0) + eps * scale
+        weight = (v / w) @ v.conj().T
+        return 0.5 * (weight + weight.conj().T)
+
+    def run_pass(weight, solves):
+        nonlocal best_x, best_rank
+        for _ in range(solves):
+            if best_rank == 1:
+                return
+            problem.objective[0] = codec.embed(weight)
             try:
                 sol = solve(problem, tol=tol)
             except SolverBreakdown:
                 return
             if sol.status not in ("optimal", "max_iter"):
-                infeasible_status = sol.status
                 return
             x = codec.unembed(sol.primal_blocks[0])
             if not _verify_feasible(x, codec)[0]:
                 return
             r = numerical_rank(x)
-            if best_rank is None or r < best_rank:
+            if r < best_rank:
                 best_x, best_rank = x, r
-            scale = max(float(np.linalg.eigvalsh(x)[-1]), 1.0)
-            w, v = np.linalg.eigh(x)
-            w = np.maximum(w, 0.0) + eps * scale
-            weight = (v / w) @ v.conj().T
-            weight = 0.5 * (weight + weight.conj().T)
-            if best_rank == 1:
-                return
+            weight = reweight(x)
 
-    run_pass(None)
-    if best_x is None and infeasible_status is not None:
-        raise ValueError(f"query is not feasible ({infeasible_status})")
+    run_pass(reweight(extension), max(rounds, 1) - 1)
     for _ in range(max(restarts, 0)):
         if best_rank == 1:
             break
@@ -179,9 +148,7 @@ def rank_min_heuristic(
         if not codec.real:
             g = g + 1j * rng.standard_normal((nx, nx))
         w0 = g @ g.conj().T
-        run_pass(w0 / np.trace(w0).real)
-    if best_x is None:
-        raise ValueError("rank minimization produced no feasible iterate")
+        run_pass(w0 / np.trace(w0).real, max(rounds, 1))
     return best_x
 
 
@@ -230,13 +197,9 @@ def certify(
             )
         if res.verdict != "feasible":
             return CertifyResult(verdict="undecided", N=n, detail=res.detail)
-        try:
-            x = rank_min_heuristic(q, rounds=rounds, seed=seed)
-        except (ValueError, SolverBreakdown):
-            x = res.extension
-        basis = build_basis(dB, n)
+        x = rank_min_heuristic(q, res.extension, rounds=rounds, seed=seed)
         k_default = (n + 1) // 2
-        loop, profile = rank_loop_check(x, dA, basis, k_default, tol_rank)
+        loop, profile = rank_loop_check(x, dA, dB, n, k_default, tol_rank)
         if loop:
             return CertifyResult(
                 verdict="separable", N=n, profile=profile, extension=x,
@@ -246,11 +209,11 @@ def certify(
         for k_alt in range(1, n):
             if k_alt == k_default:
                 continue
-            pmap = PptMap(dA, basis, n - k_alt)
+            pmap = PptMap(dA, (dB,), n, n - k_alt)
             lam = float(np.linalg.eigvalsh(pmap.apply(x))[0])
             if lam < -1e-7:
                 continue
-            loop, profile = rank_loop_check(x, dA, basis, k_alt, tol_rank)
+            loop, profile = rank_loop_check(x, dA, dB, n, k_alt, tol_rank)
             if loop:
                 return CertifyResult(
                     verdict="separable", N=n, profile=profile, extension=x,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import applications as apps
-from .bounds import bessel_zero_first, bound_report, complexity_estimate, required_N
+from .bounds import bessel_zero_first, bound_report, complexity_estimate
 from .certify import certify
 from .extensions import BudgetExceeded, ExtensionQuery, budget_dim, check_membership
 from .operators import (
@@ -243,11 +243,8 @@ def cmd_bounds(config, args) -> int:
             ",log10_simpl_sym,log10_simpl_ppt"
         )
     if delta_cols:
-        delta_tail = ",".join(
-            [str(required_N(config.delta, args.dB, ppt=False)),
-             str(required_N(config.delta, args.dB, ppt=True))]
-            + [_fmt(v) for v in complexity_estimate(args.dA, args.dB, config.delta)]
-        )
+        n_sym, n_ppt, *ops = complexity_estimate(args.dA, args.dB, config.delta)
+        delta_tail = ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
     lines = [header]
     j = bessel_zero_first(args.dB - 2)
     for n in config.n_values:
@@ -340,13 +337,15 @@ def cmd_complexity(config, args) -> int:
     if config.delta is None:
         raise _InputError("complexity requires --delta")
     _check_dims(args)
-    sym_ops, ppt_ops, sym_s, ppt_s = complexity_estimate(args.dA, args.dB, config.delta)
+    n_sym, n_ppt, sym_ops, ppt_ops, sym_s, ppt_s = complexity_estimate(
+        args.dA, args.dB, config.delta
+    )
     payload = {
         "dA": args.dA,
         "dB": args.dB,
         "delta": config.delta,
-        "required_N_sym": required_N(config.delta, args.dB, ppt=False),
-        "required_N_ppt": required_N(config.delta, args.dB, ppt=True),
+        "required_N_sym": n_sym,
+        "required_N_ppt": n_ppt,
         "log10_ops_sym": sym_ops,
         "log10_ops_ppt": ppt_ops,
         "log10_simplified_sym": sym_s,
@@ -425,9 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first ``main`` call; parse_args leaves it unchanged
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         config = RunConfig.from_args(args)
         return args.func(config, args)

@@ -9,10 +9,14 @@ hierarchy, k >= 2 its locally symmetric multipartite variant.
 Every map that connects X to physics is a :class:`LocalMap` I_A (x) L, with
 L a real sparse matrix on vec of the symmetric part:
 
-* ``trace_map`` : X -> trace over N-1 copies of every party,
-* ``ppt_map``   : X -> partial transpose over the last N2 copies of every
-                  party, compressed onto Sym^{N-N2} (x) Sym^{N2} per party,
+* :class:`TraceMap` : X -> trace over all but M copies of every party
+  (M = 1 in the compiled constraints, any M for the rank loop),
+* :class:`PptMap`   : X -> partial transpose over the last N2 copies of
+  every party, compressed onto Sym^{N-N2} (x) Sym^{N2} per party,
 * ``reduce_extension`` : Sym^N -> Sym^{N-1}, one copy traced off.
+
+Both map classes take (d_A, the extended factor dims, N, ...), so nothing
+downstream needs the d^N isometry of :mod:`dpskit.symmetric`.
 
 A multiparty L is the Kronecker product of the per-party matrices.  All
 coefficients are exact occupation-number combinatorics; the naive
@@ -39,7 +43,7 @@ from .solver import (
     solve,
     unembed_real,
 )
-from .symmetric import SymmetricBasis, occupations, sym_dim
+from .symmetric import occupations, sym_dim
 
 __all__ = [
     "BudgetExceeded",
@@ -49,7 +53,6 @@ __all__ = [
     "TraceMap",
     "PptMap",
     "budget_dim",
-    "compressed_maps",
     "build_bse_sdp",
     "check_membership",
     "optimize_over_cone",
@@ -86,17 +89,18 @@ class ExtensionQuery:
 
     ``rho`` has factors (A, B_1, ..., B_k); each B_i is extended N times.
     ``reduced_constraint`` picks the linear condition on the reduced
-    operator: "trace_match" (membership), "identity_marginal" (Lambda_A = I,
-    the state-estimation normalization) or "unit_trace" (optimization over
-    normalized cone members).  ``ppt_cuts`` is "half" for the single
-    ceil(N/2) | floor(N/2) bipartition that defines S_p^N, or "all" for
-    every nontrivial cut (an optional strengthening, not the default).
+    operator: "trace_match" (Lambda = rho: a membership query, which takes
+    no objective), "identity_marginal" (Lambda_A = I, the state-estimation
+    normalization) or "unit_trace" (optimization over normalized cone
+    members); the last two maximize tr(objective . Lambda).  ``ppt_cuts``
+    is "half" for the single ceil(N/2) | floor(N/2) bipartition that defines
+    S_p^N, or "all" for every nontrivial cut (an optional strengthening, not
+    the default).
     """
 
     rho: HermitianOperator
     N: int
     ppt: bool = False
-    mode: str = "membership"
     objective: HermitianOperator | None = None
     reduced_constraint: str = "trace_match"
     ppt_cuts: str = "half"
@@ -106,17 +110,13 @@ class ExtensionQuery:
             raise ValueError("query state needs at least two factors (A, B, ...)")
         if self.N < 1:
             raise ValueError("extension size N must be >= 1")
-        if self.mode not in ("membership", "cone_optimize"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "membership" and self.reduced_constraint != "trace_match":
-            raise ValueError("membership queries use the trace_match constraint")
-        if self.mode == "cone_optimize":
-            if self.objective is None:
-                raise ValueError("cone_optimize requires an objective operator")
-            if self.reduced_constraint not in ("identity_marginal", "unit_trace"):
-                raise ValueError(
-                    "cone_optimize uses identity_marginal or unit_trace"
-                )
+        kind = self.reduced_constraint
+        if kind not in ("trace_match", "identity_marginal", "unit_trace"):
+            raise ValueError(f"unknown reduced_constraint {kind!r}")
+        if kind == "trace_match" and self.objective is not None:
+            raise ValueError("a trace_match (membership) query takes no objective")
+        if kind != "trace_match" and self.objective is None:
+            raise ValueError(f"{kind} requires an objective operator")
         if self.ppt_cuts not in ("half", "all"):
             raise ValueError(f"unknown ppt_cuts {self.ppt_cuts!r}")
 
@@ -236,34 +236,29 @@ class LocalMap:
 
 
 class TraceMap(LocalMap):
-    """X on H_A (x) Sym^N  ->  tr_{B^{N-1}} of the lifted operator."""
+    """X on H_A (x) (x)_i Sym^N(C^{d_i})  ->  the reduced operator on
+    H_A (x) (x)_i Sym^kept(C^{d_i}): N - kept copies of every party traced off."""
 
-    def __init__(self, dA: int, basis: SymmetricBasis):
-        super().__init__(dA, [_trace_local(basis.d, basis.N, 1)])
+    def __init__(self, dA: int, dims, N: int, kept: int = 1):
+        if not 0 <= kept <= N:
+            raise ValueError("kept copy count out of range")
+        super().__init__(dA, [_trace_local(d, N, kept) for d in dims])
 
 
 class PptMap(LocalMap):
     """X -> compressed partial transpose across A B^{N-K} | B^K (K factors)."""
 
-    def __init__(self, dA: int, basis: SymmetricBasis, transposed: int):
-        if not 0 <= transposed <= basis.N:
+    def __init__(self, dA: int, dims, N: int, transposed: int):
+        if not 0 <= transposed <= N:
             raise ValueError("transposed copy count out of range")
-        self.n2 = transposed
-        super().__init__(dA, [_ppt_local(basis.d, basis.N, transposed)])
-
-
-def compressed_maps(dA: int, basis: SymmetricBasis, ppt: bool):
-    """The (trace_map, ppt_map) pair for the standard ceil/floor cut."""
-    tmap = TraceMap(dA, basis)
-    pmap = PptMap(dA, basis, basis.N // 2) if ppt else None
-    return tmap, pmap
+        super().__init__(dA, [_ppt_local(d, N, transposed) for d in dims])
 
 
 def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
     """Trace one B copy off a compressed extension: Sym^N -> Sym^{N-1}."""
     if N < 2:
         raise ValueError("need N >= 2 to reduce")
-    return LocalMap(dA, [_trace_local(d, N, N - 1)]).apply(x)
+    return TraceMap(dA, (d,), N, N - 1).apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +322,12 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    tmap = LocalMap(dA, [_trace_local(d, q.N, 1) for d in dBs])
+    tmap = TraceMap(dA, dBs, q.N)
     cuts = []
     if q.ppt:
         cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
     # N=1 has an empty transposed side; the PPT block is then X itself
-    pmaps = [LocalMap(dA, [_ppt_local(d, q.N, t) for d in dBs]) for t in cuts if t > 0]
+    pmaps = [PptMap(dA, dBs, q.N, t) for t in cuts if t > 0]
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     codec = _Codec(q, tmap, pmaps, not any(np.imag(op.entries).any() for op in data))
     weight = codec.weight
@@ -355,7 +350,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     y_sides = [dA * p.size_out for p in pmaps]
     block_sizes = [weight * nx] + [weight * n for n in y_sides]
     m = len(state) + sum(codec.basis_size(n) for n in y_sides)
-    sense = "maximize" if q.mode == "cone_optimize" else "feasibility"
+    sense = "feasibility" if q.objective is None else "maximize"
     problem = SdpProblem(
         block_sizes, [None] * len(block_sizes),
         np.zeros((m, sum(n * n for n in block_sizes))), np.zeros(m), sense,
@@ -373,7 +368,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
             codec.embed_rows(x_rows[rows], pmap.adjoint(g))
             codec.embed_rows(y_block[rows], -g)
         start += codec.basis_size(n)
-    if q.mode == "cone_optimize":
+    if q.objective is not None:
         problem.objective[0] = codec.embed(tmap.adjoint(q.objective.entries))
     return problem, codec
 
@@ -427,8 +422,8 @@ def check_membership(
     ship the dual entanglement witness.  States sitting numerically on the
     cone boundary may come back "undecided".
     """
-    if q.mode != "membership":
-        raise ValueError("check_membership requires a membership-mode query")
+    if q.reduced_constraint != "trace_match":
+        raise ValueError("check_membership requires a trace_match query")
     problem, codec = _compile(q)
     try:
         sol = solve(problem, tol=tol, max_iter=max_iter)
@@ -469,7 +464,6 @@ def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
         rho=q.rho,
         N=q.N,
         ppt=q.ppt,
-        mode="cone_optimize",
         objective=HermitianOperator(w.factor_dims, -w.entries),
         reduced_constraint="unit_trace",
         ppt_cuts=q.ppt_cuts,
@@ -494,8 +488,8 @@ def optimize_over_cone(
     ``value`` is the optimum and ``optimizer`` the reduced optimizer Lambda
     (the partial trace of the optimal extension ``extension``).
     """
-    if q.mode != "cone_optimize":
-        raise ValueError("optimize_over_cone requires a cone_optimize query")
+    if q.reduced_constraint == "trace_match":
+        raise ValueError("optimize_over_cone needs an identity_marginal or unit_trace query")
     problem, codec = _compile(q)
     sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status == "dual_infeasible":

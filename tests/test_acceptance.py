@@ -204,7 +204,7 @@ def test_criterion_05_disentangling_property_suite():
     worst_frob = 0.0
     for n in (2, 3):
         basis = build_basis(2, n)
-        tmap = TraceMap(2, basis)
+        tmap = TraceMap(2, (2,), n)
         size = 2 * basis.size
         for _ in range(50):
             g = rng.standard_normal((size, size)) + 1j * rng.standard_normal(

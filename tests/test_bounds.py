@@ -372,17 +372,17 @@ class TestRequiredN:
 
 class TestComplexity:
     def test_pinned_sym_value(self):
-        sym_ops, _, _, _ = complexity_estimate(2, 2, 0.1)
+        _, _, sym_ops, _, _, _ = complexity_estimate(2, 2, 0.1)
         assert sym_ops == pytest.approx(np.log10(64.0 * 20.0**6), abs=1e-9)
 
     def test_ppt_below_sym_small_delta(self):
-        sym_ops, ppt_ops, _, _ = complexity_estimate(2, 3, 0.01)
+        _, _, sym_ops, ppt_ops, _, _ = complexity_estimate(2, 3, 0.01)
         assert ppt_ops < sym_ops
 
     def test_simplified_monotone_in_inverse_delta(self):
         prev = None
         for delta in (0.5, 0.2, 0.1, 0.05):
-            _, _, s, p = complexity_estimate(2, 2, delta)
+            _, _, _, _, s, p = complexity_estimate(2, 2, delta)
             if prev is not None:
                 assert s > prev[0] and p > prev[1]
             prev = (s, p)
@@ -484,7 +484,7 @@ class TestMembersOfSN:
     def test_disentangled_members_are_ppt(self, n):
         rng = np.random.default_rng(n)
         basis = build_basis(2, n)
-        tmap = TraceMap(2, basis)
+        tmap = TraceMap(2, (2,), n)
         size = 2 * basis.size
         for _ in range(20):
             g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))

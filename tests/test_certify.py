@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dpskit.certify import (
     rank_loop_check,
     rank_min_heuristic,
 )
-from dpskit.extensions import ExtensionQuery
+from dpskit.extensions import ExtensionQuery, PptMap, TraceMap, check_membership
 from dpskit.operators import (
     HermitianOperator,
     identity,
@@ -38,11 +39,18 @@ class TestNumericalRank:
 
 class TestRankLoop:
     def test_pure_product_extension(self):
-        basis = build_basis(2, 2)
         # |0><0|_A (x) |00><00| compressed: occupation (2,0) is column 0
         x = np.zeros((6, 6), dtype=complex)
         x[0, 0] = 1.0
-        loop, profile = rank_loop_check(x, 2, basis, K=1)
+        loop, profile = rank_loop_check(x, 2, 2, 2, K=1)
+        assert loop
+        assert (profile.rank_full, profile.rank_left, profile.rank_right) == (1, 1, 1)
+
+    def test_pure_product_beyond_isometry_cap(self):
+        # d^N = 2^13 exceeds build_basis's space cap; the maps never need it
+        x = np.zeros((2 * 14, 2 * 14), dtype=complex)
+        x[0, 0] = 1.0
+        loop, profile = rank_loop_check(x, 2, 2, 13, K=7)
         assert loop
         assert (profile.rank_full, profile.rank_left, profile.rank_right) == (1, 1, 1)
 
@@ -56,59 +64,50 @@ class TestRankLoop:
         i111 = basis.index((0, 3))
         x[0 * s + i000, 0 * s + i000] = 0.5  # |0><0| (x) |000><000|
         x[1 * s + i111, 1 * s + i111] = 0.5  # |1><1| (x) |111><111|
-        loop, profile = rank_loop_check(x, 2, basis, K=2)
+        loop, profile = rank_loop_check(x, 2, 2, 3, K=2)
         assert profile.rank_full == 2
         assert loop
 
     def test_generic_full_rank_no_loop(self):
-        basis = build_basis(2, 2)
         x = random_state([2, 3], 6, 3).entries  # full-rank compressed operator
-        loop, profile = rank_loop_check(x, 2, basis, K=1)
+        loop, profile = rank_loop_check(x, 2, 2, 2, K=1)
         assert profile.rank_full == 6
         assert not loop
 
     def test_dimension_mismatch(self):
-        basis = build_basis(2, 2)
         with pytest.raises(ValueError):
-            rank_loop_check(np.eye(5, dtype=complex), 2, basis, K=1)
+            rank_loop_check(np.eye(5, dtype=complex), 2, 2, 2, K=1)
 
 
 class TestRankMinHeuristic:
     def test_pure_product_reaches_rank_one(self):
         q = ExtensionQuery(rho=PRODUCT, N=2, ppt=True)
-        x = rank_min_heuristic(q, rounds=3)
+        x = rank_min_heuristic(q, check_membership(q).extension, rounds=3)
         assert numerical_rank(x) == 1
 
     def test_feasibility_always_maintained(self):
-        from dpskit.extensions import PptMap, TraceMap
-
         rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
         q = ExtensionQuery(rho=rho, N=2, ppt=True)
-        x = rank_min_heuristic(q, rounds=4)
-        basis = build_basis(2, 2)
-        tmap = TraceMap(2, basis)
+        x = rank_min_heuristic(q, check_membership(q).extension, rounds=4)
+        tmap = TraceMap(2, (2,), 2)
         assert np.max(np.abs(tmap.apply(x) - rho.entries)) < 1e-7
         assert np.linalg.eigvalsh(x)[0] > -1e-7
         # the query's PPT block at the ceil/floor cut
-        pmap = PptMap(2, basis, 1)
+        pmap = PptMap(2, (2,), 2, 1)
         assert np.linalg.eigvalsh(pmap.apply(x))[0] > -1e-7
 
-    def test_infeasible_query_raises(self):
-        q = ExtensionQuery(rho=BELL, N=2, ppt=True)
+    def test_infeasible_extension_raises(self):
+        q = ExtensionQuery(rho=PRODUCT, N=2, ppt=True)
+        bad = check_membership(q).extension.copy()
+        # |0><0|_A (x) |00><00| maps onto |00><00| with coefficient 1, so the
+        # reduced state is off by 1e-3 there
+        bad[0, 0] += 1e-3
         with pytest.raises(ValueError, match="not feasible"):
-            rank_min_heuristic(q, rounds=2)
-
-    def test_objective_floor_respected(self):
-        from dpskit.extensions import TraceMap
-
-        mix = identity((2, 2)) * 0.25
-        # floor on tr(Lambda rho_obj) with rho_obj = mix: feasible since 0.25 > 0.2
-        q = ExtensionQuery(rho=mix, N=2, ppt=True, objective=mix)
-        x = rank_min_heuristic(q, objective_floor=0.2, rounds=2)
-        basis = build_basis(2, 2)
-        tmap = TraceMap(2, basis)
-        val = float(np.real(np.vdot(mix.entries, tmap.apply(x))))
-        assert val >= 0.2 - 1e-7
+            rank_min_heuristic(q, bad, rounds=2)
+        cone = ExtensionQuery(rho=PRODUCT, N=2, ppt=True, objective=PRODUCT,
+                              reduced_constraint="unit_trace")
+        with pytest.raises(ValueError, match="trace_match"):
+            rank_min_heuristic(cone, bad, rounds=2)
 
 
 class TestCertify:
@@ -158,6 +157,24 @@ class TestCertify:
             res = certify(rho, maxN=2, rounds=3)
             assert res.verdict in ("separable", "undecided")
         assert found >= 2
+
+    def test_feasible_level_solved_once(self, monkeypatch):
+        # the log-det search starts from check_membership's extension; a
+        # rank-1 start needs no further solve
+        calls = []
+
+        def counting(solve):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        # the package re-exports the function certify under the module's name
+        for module in (sys.modules["dpskit.certify"], sys.modules["dpskit.extensions"]):
+            monkeypatch.setattr(module, "solve", counting(module.solve))
+        res = certify(PRODUCT, maxN=2)
+        assert res.verdict == "separable"
+        assert len(calls) == 1
 
     def test_json_payload(self):
         res = certify(PRODUCT, maxN=2)

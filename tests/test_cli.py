@@ -399,3 +399,49 @@ def test_complexity_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["required_N_sym"] == 19
     assert payload["log10_ops_sym"] == pytest.approx(np.log10(64.0 * 20.0**6))
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    import dpskit.cli as cli
+
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    table, cx = tmp_path / "table.csv", tmp_path / "cx.json"
+    assert main(["bounds", "--dA", "3", "--N", "4", "--out", str(table)]) == 0
+    assert main(["complexity", "--dB", "2", "--delta", "0.1", "--out", str(cx)]) == 0
+    assert len(built) == 1
+    # the second parse sees none of the first call's options
+    assert table.read_text().splitlines()[1].startswith("3,2,4,")
+    payload = json.loads(cx.read_text())
+    assert (payload["dA"], payload["required_N_sym"]) == (2, 19)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--N", "1..3", "--delta", "0.1"], ["complexity", "--delta", "0.1"]],
+    ids=["bounds", "complexity"],
+)
+def test_required_N_once_per_query(argv, tmp_path, monkeypatch):
+    import dpskit.bounds as bounds
+    import dpskit.cli as cli
+
+    calls = []
+    original = bounds.required_N
+
+    def counting(delta, d_B, ppt):
+        calls.append(ppt)
+        return original(delta, d_B, ppt)
+
+    # wherever the name is bound: a direct call from cli counts too
+    for module in (bounds, cli):
+        if hasattr(module, "required_N"):
+            monkeypatch.setattr(module, "required_N", counting)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [False, True]

@@ -12,7 +12,6 @@ from dpskit.extensions import (
     _compile,
     build_bse_sdp,
     check_membership,
-    compressed_maps,
     optimize_over_cone,
     reduce_extension,
     verify_witness,
@@ -70,17 +69,19 @@ def naive_ppt(x, dA, basis, n2):
 def test_maps_match_naive_pipeline(d, N, dA):
     basis = build_basis(d, N)
     x = rand_psd(dA * basis.size, seed=d * 100 + N * 10 + dA)
-    tmap, pmap = compressed_maps(dA, basis, ppt=True)
+    tmap = TraceMap(dA, (d,), N)
     assert np.max(np.abs(tmap.apply(x) - naive_trace(x, dA, basis))) < 1e-10
-    if pmap is not None and pmap.n2 > 0:
-        assert np.max(np.abs(pmap.apply(x) - naive_ppt(x, dA, basis, pmap.n2))) < 1e-10
+    n2 = N // 2
+    if n2 > 0:
+        pmap = PptMap(dA, (d,), N, n2)
+        assert np.max(np.abs(pmap.apply(x) - naive_ppt(x, dA, basis, n2))) < 1e-10
 
 
 def test_trace_map_of_compressed_identity():
     # pinned by the naive oracle: tr_{B^{N-1}}(I_A (x) P_sym)
     for d, N in [(2, 2), (2, 3), (3, 2)]:
         basis = build_basis(d, N)
-        tmap = TraceMap(2, basis)
+        tmap = TraceMap(2, (d,), N)
         got = tmap.apply(np.eye(2 * basis.size, dtype=complex))
         want = naive_trace(np.eye(2 * basis.size, dtype=complex), 2, basis)
         assert_allclose(got, want, atol=1e-12)
@@ -90,7 +91,7 @@ def test_adjoint_identity():
     rng = np.random.default_rng(3)
     basis = build_basis(2, 3)
     dA = 2
-    tmap, pmap = compressed_maps(dA, basis, ppt=True)
+    tmap, pmap = TraceMap(dA, (2,), 3), PptMap(dA, (2,), 3, 1)
     nx = dA * basis.size
     x = rand_psd(nx, 5)
     e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -109,7 +110,7 @@ def test_adjoint_identity():
 def test_batched_adjoint_matches_per_element():
     basis = build_basis(3, 2)
     dA = 2
-    tmap, pmap = compressed_maps(dA, basis, ppt=True)
+    tmap, pmap = TraceMap(dA, (3,), 2), PptMap(dA, (3,), 2, 1)
     rng = np.random.default_rng(8)
     for m in (tmap, pmap):
         side = dA * m.size_out
@@ -137,9 +138,25 @@ def test_reduce_extension_matches_naive_pipeline(d, N, dA):
     assert np.max(np.abs(got - naive_reduce(x, dA, d, N))) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("dA", [1, 2])
+def test_trace_map_keeping_k_copies_matches_chain(d, N, dA):
+    # one map for any number of kept copies, against one copy at a time
+    x = rand_psd(dA * sym_dim(d, N), seed=d * 100 + N * 10 + dA)
+    chain = x
+    for level in range(N, -1, -1):
+        got = TraceMap(dA, (d,), N, level).apply(x)
+        assert np.max(np.abs(got - chain)) <= 1e-14 * np.max(np.abs(x))
+        if level > 1:
+            chain = reduce_extension(chain, dA, d, level)
+        elif level == 1:  # Sym^0 is one-dimensional: the trace over B
+            s = chain.shape[0] // dA
+            chain = np.einsum("asbs->ab", chain.reshape(dA, s, dA, s))
+
+
 def test_ppt_map_block_side_n2_d2():
-    basis = build_basis(2, 2)
-    pmap = PptMap(1, basis, 1)
+    pmap = PptMap(1, (2,), 2, 1)
     assert pmap.size_out == 4  # Sym^1 (x) Sym^1 = 2 * 2
 
 
@@ -178,8 +195,14 @@ def test_query_validation():
     with pytest.raises(ValueError, match="two factors"):
         ExtensionQuery(rho=random_state([4], 4, 3), N=2)
     with pytest.raises(ValueError, match="objective"):
-        ExtensionQuery(rho=BELL, N=2, mode="cone_optimize",
-                       reduced_constraint="identity_marginal")
+        ExtensionQuery(rho=BELL, N=2, reduced_constraint="identity_marginal")
+    # a membership query has no objective; the cone optimizations need one
+    with pytest.raises(ValueError, match="trace_match"):
+        ExtensionQuery(rho=BELL, N=2, objective=BELL)
+    with pytest.raises(ValueError, match="unit_trace requires an objective"):
+        ExtensionQuery(rho=BELL, N=2, reduced_constraint="unit_trace")
+    with pytest.raises(ValueError, match="unknown reduced_constraint"):
+        ExtensionQuery(rho=BELL, N=2, objective=BELL, reduced_constraint="trace")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +214,7 @@ def test_maximally_mixed_feasible_with_explicit_extension():
     mix = identity((2, 2)) * 0.25
     res = check_membership(ExtensionQuery(rho=mix, N=4, ppt=True))
     assert res.verdict == "feasible"
-    basis = build_basis(2, 4)
-    tmap, pmap = compressed_maps(2, basis, ppt=True)
+    tmap, pmap = TraceMap(2, (2,), 4), PptMap(2, (2,), 4, 2)
     assert np.max(np.abs(tmap.apply(res.extension) - mix.entries)) < 1e-7
     assert np.linalg.eigvalsh(res.extension)[0] > -1e-7
     assert np.linalg.eigvalsh(pmap.apply(res.extension))[0] > -1e-7
@@ -247,8 +269,7 @@ def test_nesting_by_reduction():
     rho = rho_family(2)
     res = check_membership(ExtensionQuery(rho=rho, N=3, ppt=False))
     x2 = reduce_extension(res.extension, dA=2, d=2, N=3)
-    basis2 = build_basis(2, 2)
-    tmap2 = TraceMap(2, basis2)
+    tmap2 = TraceMap(2, (2,), 2)
     assert np.max(np.abs(tmap2.apply(x2) - rho.entries)) < 1e-7
     assert np.linalg.eigvalsh(x2)[0] > -1e-8
 
@@ -300,7 +321,7 @@ def test_isotropic_qutrit_threshold():
 def test_identity_objective_pinned_constant():
     # Lambda_A = I forces tr Lambda = d_A, so the value is d_A/(d_A d_B) = 1/2
     obj = identity((2, 2)) * 0.25
-    q = ExtensionQuery(rho=obj, N=2, ppt=False, mode="cone_optimize",
+    q = ExtensionQuery(rho=obj, N=2, ppt=False,
                        objective=obj, reduced_constraint="identity_marginal")
     opt = optimize_over_cone(q)
     assert opt.value == pytest.approx(0.5, abs=1e-6)
@@ -313,7 +334,7 @@ def test_pure_product_objective_is_one(N):
     psi = pure_state([0.6, 0.8], (2,))
     phi = pure_state([1, 0], (2,))
     obj = kron(psi, phi)
-    q = ExtensionQuery(rho=obj, N=N, ppt=False, mode="cone_optimize",
+    q = ExtensionQuery(rho=obj, N=N, ppt=False,
                        objective=obj, reduced_constraint="identity_marginal")
     assert optimize_over_cone(q).value == pytest.approx(1.0, abs=1e-6)
 
@@ -323,7 +344,7 @@ def test_monotone_in_N_random_objectives():
         obj = random_state([2, 2], 4, seed)
         values = []
         for n in (1, 2, 3):
-            q = ExtensionQuery(rho=obj, N=n, ppt=False, mode="cone_optimize",
+            q = ExtensionQuery(rho=obj, N=n, ppt=False,
                                objective=obj, reduced_constraint="identity_marginal")
             values.append(optimize_over_cone(q).value)
         assert values[0] >= values[1] - 1e-7
@@ -332,7 +353,7 @@ def test_monotone_in_N_random_objectives():
 
 def test_unit_trace_constraint():
     obj = BELL
-    q = ExtensionQuery(rho=obj, N=2, ppt=True, mode="cone_optimize",
+    q = ExtensionQuery(rho=obj, N=2, ppt=True,
                        objective=obj, reduced_constraint="unit_trace")
     opt = optimize_over_cone(q)
     assert opt.optimizer.trace() == pytest.approx(1.0, abs=1e-6)
@@ -451,7 +472,7 @@ def _phase_rotation(op):
 def _rotated(q):
     obj = None if q.objective is None else _phase_rotation(q.objective)
     return ExtensionQuery(
-        rho=_phase_rotation(q.rho), N=q.N, ppt=q.ppt, mode=q.mode, objective=obj,
+        rho=_phase_rotation(q.rho), N=q.N, ppt=q.ppt, objective=obj,
         reduced_constraint=q.reduced_constraint, ppt_cuts=q.ppt_cuts,
     )
 
@@ -460,12 +481,12 @@ def _fidelity_query(problem, N):
     from dpskit.applications import estimation_operator
 
     rho = estimation_operator(problem)
-    return ExtensionQuery(rho=rho, N=N, ppt=True, mode="cone_optimize",
+    return ExtensionQuery(rho=rho, N=N, ppt=True,
                           objective=rho, reduced_constraint="identity_marginal")
 
 
 def _unit_trace_query(rho, objective, N):
-    return ExtensionQuery(rho=rho, N=N, ppt=True, mode="cone_optimize",
+    return ExtensionQuery(rho=rho, N=N, ppt=True,
                           objective=objective, reduced_constraint="unit_trace")
 
 
@@ -525,7 +546,7 @@ def test_complex_data_keeps_doubled_sides():
 def test_complex_objective_alone_selects_complex_path():
     q = _bb84(2)
     complex_obj = ExtensionQuery(
-        rho=q.rho, N=2, ppt=True, mode="cone_optimize",
+        rho=q.rho, N=2, ppt=True,
         objective=_phase_rotation(q.objective), reduced_constraint="identity_marginal",
     )
     assert _compile(q)[1].real
@@ -558,7 +579,7 @@ def test_real_witness_stays_valid_on_complex_path():
     assert not _compile(q_rot)[1].real
     w_rot = _phase_rotation(w)
     assert float(np.vdot(w_rot.entries, q_rot.rho.entries).real) < -1e-7
-    aux = ExtensionQuery(rho=q_rot.rho, N=2, ppt=True, mode="cone_optimize",
+    aux = ExtensionQuery(rho=q_rot.rho, N=2, ppt=True,
                          objective=w_rot * -1.0, reduced_constraint="unit_trace")
     assert not _compile(aux)[1].real
     assert verify_witness(q_rot, w_rot) >= -1e-7
