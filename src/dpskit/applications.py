@@ -82,13 +82,26 @@ class BoundPair:
             )
 
 
-def _lower_bound(upper: float, N: int, d: int, ppt: bool, tail: float) -> float:
-    """Image of the upper bound under the disentangling map; ``tail`` is the
-    coefficient of the noise term (1 for fidelity/purity, lambda_A for E)."""
+def _bound_pair(
+    rho: HermitianOperator, objective: HermitianOperator, reduced_constraint: str,
+    N: int, ppt: bool, tail: float, tol: float, max_iter: int,
+) -> BoundPair:
+    """The cone optimum of ``objective`` as the upper bound, and its image
+    under the disentangling map, with d = dim H_B of ``rho``, as the lower
+    bound; ``tail`` is the coefficient of the noise term (1 for
+    fidelity/purity, lambda_A for E)."""
+    query = ExtensionQuery(
+        rho=rho, N=N, ppt=ppt, objective=objective,
+        reduced_constraint=reduced_constraint,
+    )
+    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
+    d = rho.factor_dims[1]
     if ppt:
         w = g_N(d, N) / (2.0 * (d - 1))
-        return (1.0 - d * w) * upper + w * tail
-    return (N / (N + d)) * upper + tail / (N + d)
+        lower = (1.0 - d * w) * opt.value + w * tail
+    else:
+        lower = (N / (N + d)) * opt.value + tail / (N + d)
+    return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
 
 def estimation_operator(problem: EstimationProblem) -> HermitianOperator:
@@ -108,17 +121,7 @@ def fidelity_bounds(
 ) -> BoundPair:
     """F^N (or F_p^N) and its matching measure-and-prepare lower bound."""
     rho = estimation_operator(problem)
-    d = rho.factor_dims[1]
-    query = ExtensionQuery(
-        rho=rho,
-        N=N,
-        ppt=ppt,
-        objective=rho,
-        reduced_constraint="identity_marginal",
-    )
-    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
-    lower = _lower_bound(opt.value, N, d, ppt, tail=1.0)
-    return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
+    return _bound_pair(rho, rho, "identity_marginal", N, ppt, 1.0, tol, max_iter)
 
 
 _BB84_VECTORS = (
@@ -176,20 +179,12 @@ def output_purity_bounds(
     max_iter: int = 200,
 ) -> BoundPair:
     """nu^N and its lower bound for a channel given by its Choi operator."""
-    d_a, d_b = choi.factor_dims
     marg = partial_trace(choi, [1]).entries
-    if np.max(np.abs(marg - np.eye(d_a))) > 1e-8:
+    if np.max(np.abs(marg - np.eye(choi.factor_dims[0]))) > 1e-8:
         raise ValueError("Choi operator must have identity A-marginal")
-    query = ExtensionQuery(
-        rho=choi * (1.0 / choi.trace()),
-        N=N,
-        ppt=ppt,
-        objective=choi,
-        reduced_constraint="unit_trace",
+    return _bound_pair(
+        choi * (1.0 / choi.trace()), choi, "unit_trace", N, ppt, 1.0, tol, max_iter
     )
-    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
-    lower = _lower_bound(opt.value, N, d_b, ppt, tail=1.0)
-    return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
 
 def ghz_state() -> HermitianOperator:
@@ -215,16 +210,5 @@ def geometric_entanglement_bounds(
     if abs(purity - 1.0) > 1e-8:
         raise ValueError("geometric entanglement bounds need a pure state")
     rho_ab = partial_trace(psi, [2])
-    d_b = rho_ab.factor_dims[1]
-    rho_a = partial_trace(psi, [1, 2])
-    lam_a = float(np.linalg.eigvalsh(rho_a.entries)[0])
-    query = ExtensionQuery(
-        rho=rho_ab,
-        N=N,
-        ppt=ppt,
-        objective=rho_ab,
-        reduced_constraint="unit_trace",
-    )
-    opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
-    lower = _lower_bound(opt.value, N, d_b, ppt, tail=lam_a)
-    return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
+    lam_a = float(np.linalg.eigvalsh(partial_trace(psi, [1, 2]).entries)[0])
+    return _bound_pair(rho_ab, rho_ab, "unit_trace", N, ppt, lam_a, tol, max_iter)

@@ -24,7 +24,7 @@ from .extensions import (
     _verify_feasible,
     check_membership,
 )
-from .operators import HermitianOperator, operator_to_json
+from .operators import HermitianOperator, operator_to_dict
 from .solver import SolverBreakdown, solve
 from .symmetric import sym_dim
 
@@ -47,12 +47,16 @@ class RankProfile:
     tol: float
 
 
+def _rank(w: np.ndarray, tol: float = 1e-7) -> int:
+    """The rank rule on an ascending spectrum: eigenvalues above
+    tol * max(lambda_max, 1) count."""
+    return int(np.sum(w > tol * max(float(w[-1]), 1.0)))
+
+
 def numerical_rank(x, tol: float = 1e-7) -> int:
     """Eigenvalues above tol * max(lambda_max, 1) count toward the rank."""
     m = x.entries if isinstance(x, HermitianOperator) else np.asarray(x)
-    w = np.linalg.eigvalsh(m)
-    thresh = tol * max(float(w[-1]), 1.0)
-    return int(np.sum(w > thresh))
+    return _rank(np.linalg.eigvalsh(m), tol)
 
 
 def rank_loop_check(
@@ -94,13 +98,15 @@ def rank_min_heuristic(
     """Search the feasible set for a low-rank extension by log-det reweighting.
 
     Round k minimizes <W_k, X> over the feasible set of the membership query
-    ``q`` with W_{k+1} = (X_k + eps I)^{-1}; the lowest-rank feasible iterate
-    wins.  The first pass starts from ``extension``, a feasible extension of
-    ``q`` (the one :func:`check_membership` returns), which is re-verified
-    here (ValueError if it fails) and is round 1's iterate.  Further passes
-    reseed with random positive weights, which breaks the symmetry that can
-    trap the reweighting at the analytic center (highly symmetric inputs
-    like the maximally mixed state need this).
+    ``q`` with W_{k+1} = (X_k + eps max(lambda_max, 1) I)^{-1}; the
+    lowest-rank feasible iterate wins.  One ``eigh`` of each iterate gives
+    both its rank and the next weight.  The first pass starts from
+    ``extension``, a feasible extension of ``q`` (the one
+    :func:`check_membership` returns), which is re-verified here (ValueError
+    if it fails) and is round 1's iterate.  Further passes reseed with random
+    positive weights, which breaks the symmetry that can trap the
+    reweighting at the analytic center (highly symmetric inputs like the
+    maximally mixed state need this).
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("rank_min_heuristic requires a trace_match query")
@@ -111,14 +117,15 @@ def rank_min_heuristic(
     problem.sense = "minimize"
     nx = codec.tmap.dA * codec.tmap.size_in
     rng = np.random.default_rng(seed)
-    best_x, best_rank = extension, numerical_rank(extension)
 
-    def reweight(x):
-        scale = max(float(np.linalg.eigvalsh(x)[-1]), 1.0)
+    def rank_and_weight(x):
         w, v = np.linalg.eigh(x)
-        w = np.maximum(w, 0.0) + eps * scale
-        weight = (v / w) @ v.conj().T
-        return 0.5 * (weight + weight.conj().T)
+        shifted = np.maximum(w, 0.0) + eps * max(float(w[-1]), 1.0)
+        weight = (v / shifted) @ v.conj().T
+        return _rank(w), 0.5 * (weight + weight.conj().T)
+
+    best_rank, first_weight = rank_and_weight(extension)
+    best_x = extension
 
     def run_pass(weight, solves):
         nonlocal best_x, best_rank
@@ -135,12 +142,11 @@ def rank_min_heuristic(
             x = codec.unembed(sol.primal_blocks[0])
             if not _verify_feasible(x, codec)[0]:
                 return
-            r = numerical_rank(x)
+            r, weight = rank_and_weight(x)
             if r < best_rank:
                 best_x, best_rank = x, r
-            weight = reweight(x)
 
-    run_pass(reweight(extension), max(rounds, 1) - 1)
+    run_pass(first_weight, max(rounds, 1) - 1)
     for _ in range(max(restarts, 0)):
         if best_rank == 1:
             break
@@ -171,7 +177,7 @@ class CertifyResult:
             ]
             payload["K"] = self.profile.K
         if self.witness is not None:
-            payload["witness"] = json.loads(operator_to_json(self.witness))
+            payload["witness"] = operator_to_dict(self.witness)
         return json.dumps(payload)
 
 

@@ -25,6 +25,7 @@ from .extensions import BudgetExceeded, ExtensionQuery, budget_dim, check_member
 from .operators import (
     HermitianOperator,
     complex_from_json,
+    operator_from_dict,
     operator_from_json,
     pure_state,
 )
@@ -52,20 +53,22 @@ class RunConfig:
     n_values: tuple[int, ...]
     ppt: str | bool
     delta: float | None
-    tol: float
-    max_iter: int
+    tol: float | None  # membership and the bound sweeps only
+    max_iter: int | None
     out: str | None
-    seed: int
+    seed: int | None  # certify only
     jobs: int
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         n_raw = getattr(args, "N", None)
         n_values = tuple(_parse_range(n_raw)) if n_raw is not None else ()
-        if not args.tol > 0.0:
-            raise _InputError(f"--tol must be positive, got {args.tol}")
-        if args.max_iter < 1:
-            raise _InputError(f"--max-iter must be >= 1, got {args.max_iter}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not tol > 0.0:
+            raise _InputError(f"--tol must be positive, got {tol}")
+        max_iter = getattr(args, "max_iter", None)
+        if max_iter is not None and max_iter < 1:
+            raise _InputError(f"--max-iter must be >= 1, got {max_iter}")
         delta = getattr(args, "delta", None)
         if delta is not None and not 0.0 < delta < 2.0:
             raise _InputError(f"delta {delta} outside (0, 2)")
@@ -79,10 +82,10 @@ class RunConfig:
             n_values=n_values,
             ppt=getattr(args, "ppt", False),
             delta=delta,
-            tol=args.tol,
-            max_iter=args.max_iter,
+            tol=tol,
+            max_iter=max_iter,
             out=args.out,
-            seed=args.seed,
+            seed=getattr(args, "seed", None),
             jobs=args.jobs,
         )
 
@@ -160,8 +163,8 @@ def _read_ensemble(path: str) -> apps.EstimationProblem:
     def parse(text):
         entries = []
         for item in json.loads(text)["ensemble"]:
-            enc = operator_from_json(json.dumps(item["encoded"]))
-            src = operator_from_json(json.dumps(item["source"]))
+            enc = operator_from_dict(item["encoded"])
+            src = operator_from_dict(item["source"])
             entries.append((float(item["p"]), enc, src))
         return apps.EstimationProblem(tuple(entries))
 
@@ -362,17 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_n=True):
+    def common(p, needs_n=True, solves=False):
+        # --out and --jobs on every command, even where --jobs has no sweep to
+        # spread: bench/workloads.py passes "--jobs 1 --out FILE" to every query
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if solves:
+            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
         if needs_n:
             p.add_argument("--N", default="2", help="a value, range 2..4, or list 2,3")
 
     p = sub.add_parser("membership", help="(PPT) Bose symmetric extension tests")
-    common(p)
+    common(p, solves=True)
     p.add_argument("--input", required=True, help="operator JSON file")
     p.add_argument("--ppt", action="store_true")
     p.set_defaults(func=cmd_membership)
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("fidelity", cmd_fidelity), ("purity", cmd_purity),
                      ("geometric", cmd_geometric)):
         p = sub.add_parser(name, help=f"{name} bound sweep")
-        common(p)
+        common(p, solves=True)
         p.add_argument("--ppt", choices=["both", "true", "false"], default="both")
         if name == "fidelity":
             p.add_argument("--bb84", type=float, default=None,
@@ -410,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="rank-loop separability certification")
     common(p, needs_n=False)
     p.add_argument("--input", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the rank search's random restarts")
     p.add_argument("--maxN", type=int, default=4)
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_certify)

@@ -31,6 +31,8 @@ __all__ = [
     "pure_state",
     "operator_to_json",
     "operator_from_json",
+    "operator_to_dict",
+    "operator_from_dict",
     "complex_from_json",
 ]
 
@@ -253,15 +255,17 @@ def random_state(dims, rank: int, seed: int) -> HermitianOperator:
     return HermitianOperator(dims, m / np.trace(m).real)
 
 
+def operator_to_dict(x: HermitianOperator) -> dict:
+    """The JSON-ready form {"dims": [...], "re": [[...]], "im": [[...]]}."""
+    return {
+        "dims": list(x.factor_dims),
+        "re": x.entries.real.tolist(),
+        "im": x.entries.imag.tolist(),
+    }
+
+
 def operator_to_json(x: HermitianOperator) -> str:
-    """Serialize as {"dims": [...], "re": [[...]], "im": [[...]]}."""
-    return json.dumps(
-        {
-            "dims": list(x.factor_dims),
-            "re": x.entries.real.tolist(),
-            "im": x.entries.imag.tolist(),
-        }
-    )
+    return json.dumps(operator_to_dict(x))
 
 
 def complex_from_json(data) -> tuple[tuple[int, ...], np.ndarray]:
@@ -275,10 +279,14 @@ def complex_from_json(data) -> tuple[tuple[int, ...], np.ndarray]:
     return dims, re + 1j * im
 
 
-def operator_from_json(text: str) -> HermitianOperator:
-    data = json.loads(text)
+def operator_from_dict(data) -> HermitianOperator:
+    """The operator of a parsed {"dims", "re", "im"} payload."""
     try:
         dims, m = complex_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator JSON: {exc}") from exc
     return HermitianOperator(dims, m)
+
+
+def operator_from_json(text: str) -> HermitianOperator:
+    return operator_from_dict(json.loads(text))

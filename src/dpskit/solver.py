@@ -20,7 +20,8 @@ consistent dependent rows only make the Schur complement singular, which
 its jittered Cholesky absorbs.  Each solve runs every product with A on one
 CSR copy, including the Schur complement, which is formed the sparse way of
 Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored densely.
-Step lengths reuse one Cholesky factor per block and iteration.
+The step back-off tests definiteness by Cholesky factoring each new
+block; the step lengths and Z^{-1} reuse the factors it accepted.
 
 Complex Hermitian data enters through the real embedding
 ``[[Re H, -Im H], [Im H, Re H]]``; note Hilbert-Schmidt inner products
@@ -241,19 +242,8 @@ def _inverse_cholesky(x: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(ell, np.eye(len(x)), lower=True, check_finite=False)
 
 
-def _inverse_factor(x: np.ndarray) -> np.ndarray:
-    """R with R x R^T = I: the inverse Cholesky factor, or, when x is not
-    numerically PD, the eigen-route root with eigenvalues clipped away from 0."""
-    try:
-        return _inverse_cholesky(x)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(x)
-        w = np.maximum(w, 1e-14 * max(float(w[-1]), 1.0))
-        return (v / np.sqrt(w)).T
-
-
 def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx >= 0, for r = _inverse_factor(x)
+    """Largest alpha with x + alpha*dx >= 0, for r = _inverse_cholesky(x)
     (inf if unconstrained)."""
     mid = r @ dx @ r.T
     mid = 0.5 * (mid + mid.T)
@@ -294,6 +284,8 @@ def solve(
 
     X = _flat(np.eye(n) for n in sizes)
     Z = X.copy()
+    # inverse Cholesky factors of the blocks of X and Z; those of I are I
+    Rx = Rz = [np.eye(n) for n in sizes]
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -341,14 +333,7 @@ def solve(
 
         best = (X, y, Z, tau, pres, dres, gap)
 
-        # one factor per block and iteration serves the step lengths; Z's
-        # inverse Cholesky factor also gives Z^{-1}
         Xb = split(X)
-        Rx = [_inverse_factor(xb) for xb in Xb]
-        try:
-            Rz = [_inverse_cholesky(zb) for zb in split(Z)]
-        except np.linalg.LinAlgError as exc:
-            raise SolverBreakdown(f"Z block lost definiteness: {exc}") from exc
         Zinv = [r.T @ r for r in Rz]
 
         M = _schur(parts, Zinv, Xb, m)
@@ -425,21 +410,28 @@ def solve(
         if not np.isfinite(alpha) or alpha <= 1e-12:
             break
 
-        # back off if rounding in the max-step estimate overshot the cone
+        # back off until every block of the new X and Z has a Cholesky factor
+        # (rounding in the max-step estimate can overshoot the cone); the
+        # factors accepted serve the next iteration's step lengths and Z^{-1}
         for _ in range(40):
-            ok = all(
-                np.linalg.eigvalsh(xb)[0] > 0.0 and np.linalg.eigvalsh(zb)[0] > 0.0
-                for xb, zb in zip(split(X + alpha * dX), split(Z + alpha * dZ))
-            )
-            if ok and tau + alpha * dtau > 0.0 and kappa + alpha * dkappa > 0.0:
-                break
+            if tau + alpha * dtau > 0.0 and kappa + alpha * dkappa > 0.0:
+                X_new, Z_new = X + alpha * dX, Z + alpha * dZ
+                try:
+                    Rx, Rz = (
+                        [_inverse_cholesky(xb) for xb in split(X_new)],
+                        [_inverse_cholesky(zb) for zb in split(Z_new)],
+                    )
+                    break
+                except np.linalg.LinAlgError:
+                    pass
             alpha *= 0.8
-        X = X + alpha * dX
-        Z = Z + alpha * dZ
+        else:
+            raise SolverBreakdown("step back-off found no positive definite iterate")
+        X, Z = X_new, Z_new
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
-        if not np.isfinite(tau) or tau <= 0.0 or kappa < 0.0:
+        if not np.isfinite(tau):  # the back-off kept tau and kappa positive
             raise SolverBreakdown("homogeneous variables left the cone")
 
     if status == "primal_infeasible":

@@ -109,6 +109,46 @@ class TestRankMinHeuristic:
         with pytest.raises(ValueError, match="trace_match"):
             rank_min_heuristic(cone, bad, rounds=2)
 
+    def test_one_eigh_per_round(self, monkeypatch):
+        # the rank and the next weight of each accepted iterate (and of the
+        # starting extension) come from one eigh; eigvalsh runs only inside
+        # the solver and the feasibility check
+        rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
+        q = ExtensionQuery(rho=rho, N=2, ppt=True)
+        extension = check_membership(q).extension
+        module = sys.modules["dpskit.certify"]
+        counts = {"eigh": 0, "eigvalsh": 0, "accepted": 0}
+        inside = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                if not inside:
+                    counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def shielded(fn):
+            def wrapper(*args, **kwargs):
+                inside.append(1)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        verify = module._verify_feasible
+
+        def counting_verify(*args):
+            ok, detail = shielded(verify)(*args)
+            counts["accepted"] += ok
+            return ok, detail
+
+        monkeypatch.setattr(module, "solve", shielded(module.solve))
+        monkeypatch.setattr(module, "_verify_feasible", counting_verify)
+        rank_min_heuristic(q, extension, rounds=4)
+        assert counts["accepted"] > 1
+        assert counts["eigh"] == counts["accepted"]
+        assert counts["eigvalsh"] == 0
+
 
 class TestCertify:
     def test_product_separable_via_rank_loop(self):

@@ -331,6 +331,24 @@ class TestInputHardening:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--input", "STATE", "--max-iter", "5"],
+            ["bounds", "--tol", "1e-3"],
+            ["complexity", "--delta", "0.1", "--seed", "1"],
+        ],
+        ids=["certify --max-iter", "bounds --tol", "complexity --seed"],
+    )
+    def test_flag_the_command_would_ignore_exit_2(self, argv, mixed_file, capsys):
+        argv = [mixed_file if a == "STATE" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
         "argv", [["membership", "--ppt"], ["certify"]], ids=["membership", "certify"]
     )
     def test_non_psd_state_exit_2(self, argv, tmp_path, capsys):

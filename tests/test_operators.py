@@ -13,7 +13,9 @@ from dpskit.operators import (
     kron,
     negativity,
     norm,
+    operator_from_dict,
     operator_from_json,
+    operator_to_dict,
     operator_to_json,
     partial_trace,
     partial_transpose,
@@ -264,3 +266,13 @@ def test_json_roundtrip():
 def test_json_malformed():
     with pytest.raises(ValueError):
         operator_from_json(json.dumps({"re": [[1.0]]}))
+
+
+def test_dict_form_is_the_parsed_json():
+    x = rand_herm([2, 2], 21)
+    assert operator_to_dict(x) == json.loads(operator_to_json(x))
+    y = operator_from_dict(operator_to_dict(x))
+    assert y.factor_dims == x.factor_dims
+    assert np.array_equal(y.entries, x.entries)
+    with pytest.raises(ValueError, match="malformed operator JSON"):
+        operator_from_dict({"re": [[1.0]]})

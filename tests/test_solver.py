@@ -6,9 +6,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from dpskit.operators import HermitianOperator
+import dpskit.solver
+from dpskit.extensions import ExtensionQuery, check_membership
+from dpskit.operators import HermitianOperator, pure_state
 from dpskit.solver import (
     SdpProblem,
+    SolverBreakdown,
     _asymmetric,
     embed_complex,
     hermitian_basis,
@@ -205,6 +208,57 @@ class TestSolve:
         assert all(np.isfinite(r) for r in s.residuals)
         # the tau-scaled iterate is still PSD and roughly feasible
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-9
+
+    def test_one_definiteness_test_per_block_and_step(self, monkeypatch):
+        # per block and step: the predictor's and the corrector's max-step
+        # spectra of X and Z, and the back-off's two Cholesky factors, which
+        # the next iteration reuses
+        counts = {"eigvalsh": 0, "cholesky": 0}
+        for name, fn in [(name, getattr(np.linalg, name)) for name in counts]:
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        s = solve(SdpProblem([3], [None], vecs(np.eye(3)), [1.0], "feasibility"))
+        assert (s.status, s.iterations) == ("optimal", 7)
+        assert counts == {"eigvalsh": 24, "cholesky": 12}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_back_off_on_failed_factor(self, seed, monkeypatch):
+        # min <C, X> over unit-trace X: the smallest eigenvalue of C
+        c = sym(np.random.default_rng(seed), 4)
+        problem = SdpProblem([4], [c], vecs(np.eye(4)), [1.0], "minimize")
+        plain = solve(problem)
+        factor = dpskit.solver._inverse_cholesky
+        calls = []
+
+        def fails_once(x):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("injected")
+            return factor(x)
+
+        monkeypatch.setattr(dpskit.solver, "_inverse_cholesky", fails_once)
+        s = solve(problem)
+        assert len(calls) > 3
+        assert s.status == "optimal"
+        assert abs(s.objective_value - plain.objective_value) <= 1e-8
+        assert abs(s.objective_value - np.linalg.eigvalsh(c)[0]) <= 1e-8
+
+    def test_exhausted_back_off_breaks_down(self, monkeypatch):
+        def never(x):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(dpskit.solver, "_inverse_cholesky", never)
+        problem, _ = constructed_optimum(4, 3, 0)
+        with pytest.raises(SolverBreakdown, match="back-off"):
+            solve(problem)
+        bell = pure_state([1, 0, 0, 1], (2, 2))
+        res = check_membership(ExtensionQuery(rho=bell, N=2, ppt=False))
+        assert res.verdict == "undecided"
+        assert res.detail == (
+            "solver breakdown: step back-off found no positive definite iterate"
+        )
 
     def test_schur_formation_independent_of_chunk_size(self, monkeypatch):
         problem, _ = constructed_optimum(8, 6, 5)
