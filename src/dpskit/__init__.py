@@ -28,6 +28,7 @@ from .bounds import (
     bound_report,
     complexity_estimate,
     disentangle_ppt,
+    disentangle_preimage,
     disentangle_sym,
     example_state,
     frobenius_distance_exact,

@@ -49,6 +49,7 @@ __all__ = [
     "bessel_zero_first",
     "disentangle_sym",
     "disentangle_ppt",
+    "disentangle_preimage",
     "bound_report",
     "frobenius_distance_exact",
     "required_N",
@@ -295,18 +296,38 @@ def _marginal_noise(rho: HermitianOperator):
     return kron(rho_a, identity([dB])), dB
 
 
+def _noise_weight(d: int, N: int, ppt: bool) -> float:
+    """The weight w of the disentangling map (1 - d w) rho + w rho_A (x) I_B:
+    1/(N+d) for S^N, g_N/(2(d-1)) for S_p^N."""
+    return g_N(d, N) / (2.0 * (d - 1)) if ppt else 1.0 / (N + d)
+
+
 def disentangle_sym(rho: HermitianOperator, N: int) -> HermitianOperator:
     """N/(N+d) rho + 1/(N+d) rho_A (x) I_B; separable for any rho in S^N."""
     noise, d = _marginal_noise(rho)
-    return (N / (N + d)) * rho + (1.0 / (N + d)) * noise
+    w = _noise_weight(d, N, False)
+    return (1.0 - d * w) * rho + w * noise
 
 
 def disentangle_ppt(rho: HermitianOperator, N: int) -> HermitianOperator:
-    """(1 - d g_N/(2(d-1))) rho + (g_N/(2(d-1))) rho_A (x) I_B."""
+    """(1 - d g_N/(2(d-1))) rho + (g_N/(2(d-1))) rho_A (x) I_B; separable for
+    any rho in S_p^N."""
     noise, d = _marginal_noise(rho)
-    g = g_N(d, N)
-    w = g / (2.0 * (d - 1))
+    w = _noise_weight(d, N, True)
     return (1.0 - d * w) * rho + w * noise
+
+
+def disentangle_preimage(rho: HermitianOperator, N: int, ppt: bool) -> HermitianOperator:
+    """The sigma that ``disentangle_ppt`` (``ppt``) or ``disentangle_sym``
+    maps to rho: (rho - w rho_A (x) I_B) / (1 - d w), with sigma_A = rho_A.
+
+    Both maps send their cone into the separable set, so rho is separable
+    whenever sigma is a state in S^N (S_p^N).  For S^N this is
+    ((N+d) rho - rho_A (x) I_B) / N.
+    """
+    noise, d = _marginal_noise(rho)
+    w = _noise_weight(d, N, ppt)
+    return (1.0 / (1.0 - d * w)) * (rho - w * noise)
 
 
 @dataclass(frozen=True)

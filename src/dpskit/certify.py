@@ -1,12 +1,24 @@
-"""Rank-loop separability certification.
+"""Separability certification: disentangling preimages and rank loops.
 
-A PPT Bose-symmetric extension whose rank does not exceed the larger of its
-two marginal ranks across the transposed cut certifies separability of the
-reduced state outright.  Generic solver output is max-rank, so a log-det
-reweighting heuristic searches the feasible region for low-rank extensions,
-starting from the extension that :func:`check_membership` found and
-re-verified; the heuristic carries no guarantee of finding a loop, and
-``certify`` reports "undecided" honestly when none shows up.
+Two kinds of evidence certify a PPT state rho as separable:
+
+* The disentangling theorems: the map (1 - d w) sigma + w sigma_A (x) I_B
+  sends every sigma in S^N (w = 1/(N+d)) or S_p^N (w = g_N/(2(d-1))) into
+  the separable set.  The map is affine and keeps sigma_A, so its explicit
+  preimage sigma of rho (:func:`dpskit.bounds.disentangle_preimage`) being a
+  state with a re-verified (PPT) N-extension proves rho separable.  This
+  decides interior states with one membership solve.
+* The rank loop: a PPT Bose-symmetric extension whose rank does not exceed
+  the larger of its two marginal ranks across the transposed cut certifies
+  separability of the reduced state outright.  Generic solver output is
+  max-rank, so a log-det reweighting heuristic searches the feasible region
+  for low-rank extensions, starting from the extension that
+  :func:`check_membership` found and re-verified.  Boundary states, whose
+  preimage is never PSD (a pure product state is one), need this route.
+
+Neither route carries a guarantee of deciding a given separable state, and
+``certify`` reports "undecided" honestly, with each route's outcome, when
+none does.
 """
 
 from __future__ import annotations
@@ -16,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import disentangle_preimage
 from .extensions import (
+    FEAS_PSD_SLACK,
     ExtensionQuery,
     PptMap,
     TraceMap,
@@ -160,6 +174,15 @@ def rank_min_heuristic(
 
 @dataclass
 class CertifyResult:
+    """A certification verdict and its evidence.
+
+    "entangled" carries ``witness``.  "separable" carries ``extension``: from
+    the rank loop, an extension of rho with its rank ``profile``; from a
+    disentangling route (``profile`` None), an extension of the preimage
+    ``disentangle_preimage(rho, N, ppt)``, with ``ppt`` true for the S_p^N
+    route that ``detail`` names.
+    """
+
     verdict: str  # entangled | separable | undecided
     N: int | None = None
     witness: HermitianOperator | None = None
@@ -181,18 +204,28 @@ class CertifyResult:
         return json.dumps(payload)
 
 
+# the disentangling routes in the order certify tries them: the S^N solve
+# has no PPT block, so it is the cheaper one
+ROUTES = ((False, "S^N"), (True, "S_p^N"))
+
+
 def certify(
     rho: HermitianOperator, maxN: int = 4, delta: float = 1e-7,
     rounds: int = 8, seed: int = 0,
 ) -> CertifyResult:
-    """PPT-hierarchy sweep with rank-loop detection, N = 2..maxN.
+    """PPT-hierarchy sweep, N = 2..maxN, with separability evidence.
 
-    "entangled" comes with a dual witness, "separable" with an explicit
-    (extension, K, rank profile) evidence object; ``delta`` sets the rank
-    tolerance used for loop detection.
+    At each N, one PPT membership solve decides "entangled" (with a dual
+    witness) or finds an extension.  Then, for a feasible level, the two
+    disentangling routes (S^N, then S_p^N) each test rho's preimage: one
+    ``eigvalsh`` rejects a preimage that is not PSD, and one membership
+    solve tests the rest.  Only when both fail does the log-det rank search
+    look for a rank loop; ``delta`` sets its rank tolerance.  An
+    "undecided" verdict names each route's outcome at maxN.
     """
     tol_rank = max(delta, 1e-9)
     dA, dB = rho.factor_dims
+    outcomes = []
     for n in range(2, maxN + 1):
         q = ExtensionQuery(rho=rho, N=n, ppt=True)
         res = check_membership(q, refine_witness=True)
@@ -203,6 +236,23 @@ def certify(
             )
         if res.verdict != "feasible":
             return CertifyResult(verdict="undecided", N=n, detail=res.detail)
+        outcomes = []
+        for ppt, name in ROUTES:
+            sigma = disentangle_preimage(rho, n, ppt)
+            lam = float(np.linalg.eigvalsh(sigma.entries)[0])
+            if lam < -FEAS_PSD_SLACK * 100:  # _verify_feasible's PSD slack
+                outcomes.append(f"{name} preimage not PSD (lambda_min {lam:.2e})")
+                continue
+            pre = check_membership(ExtensionQuery(rho=sigma, N=n, ppt=ppt))
+            if pre.verdict == "feasible":
+                return CertifyResult(
+                    verdict="separable", N=n, extension=pre.extension,
+                    detail=f"disentangling theorem ({name}) at N={n}: "
+                    "preimage extension re-verified to 1e-7",
+                )
+            outcomes.append(
+                f"{name} preimage not {n}-extendable ({pre.verdict}: {pre.detail})"
+            )
         x = rank_min_heuristic(q, res.extension, rounds=rounds, seed=seed)
         k_default = (n + 1) // 2
         loop, profile = rank_loop_check(x, dA, dB, n, k_default, tol_rank)
@@ -219,12 +269,16 @@ def certify(
             lam = float(np.linalg.eigvalsh(pmap.apply(x))[0])
             if lam < -1e-7:
                 continue
-            loop, profile = rank_loop_check(x, dA, dB, n, k_alt, tol_rank)
+            loop, alt = rank_loop_check(x, dA, dB, n, k_alt, tol_rank)
             if loop:
                 return CertifyResult(
-                    verdict="separable", N=n, profile=profile, extension=x,
+                    verdict="separable", N=n, profile=alt, extension=x,
                     detail=f"rank loop at K={k_alt}",
                 )
+        outcomes.append(
+            f"no rank loop (lowest-rank extension: ranks {profile.rank_full}, "
+            f"{profile.rank_left}, {profile.rank_right} at K={k_default})"
+        )
     return CertifyResult(
-        verdict="undecided", N=maxN, detail=f"no verdict up to N={maxN}"
+        verdict="undecided", N=maxN, detail=f"at N={maxN}: " + "; ".join(outcomes)
     )

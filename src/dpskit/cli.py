@@ -66,6 +66,8 @@ class RunConfig:
         tol = getattr(args, "tol", None)
         if tol is not None and not tol > 0.0:
             raise _InputError(f"--tol must be positive, got {tol}")
+        if args.jobs < 1:
+            raise _InputError(f"--jobs must be >= 1, got {args.jobs}")
         max_iter = getattr(args, "max_iter", None)
         if max_iter is not None and max_iter < 1:
             raise _InputError(f"--max-iter must be >= 1, got {max_iter}")
@@ -412,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default=None, help="pure-state JSON file")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("certify", help="rank-loop separability certification")
+    p = sub.add_parser("certify", help="separability certification: witness, "
+                       "disentangling preimage or rank loop")
     common(p, needs_n=False)
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=0,

@@ -9,6 +9,7 @@ from dpskit.bounds import (
     bound_report,
     complexity_estimate,
     disentangle_ppt,
+    disentangle_preimage,
     disentangle_sym,
     example_state,
     frobenius_distance_exact,
@@ -277,6 +278,27 @@ class TestDisentangle:
         rho = identity((2, 2)) * 0.25
         out = disentangle_ppt(rho, 2)
         assert_allclose(out.entries, rho.entries, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("ppt", [False, True])
+    def test_preimage_inverts_the_map(self, dims, ppt):
+        forward = disentangle_ppt if ppt else disentangle_sym
+        for seed in range(3):
+            rho = random_state(list(dims), 3, seed)
+            for n in range(2, 7):
+                sigma = disentangle_preimage(rho, n, ppt)
+                assert_allclose(forward(sigma, n).entries, rho.entries, atol=1e-12)
+                assert_allclose(
+                    partial_trace(sigma, [1]).entries,
+                    partial_trace(rho, [1]).entries, atol=1e-12,
+                )
+
+    def test_preimage_sym_closed_form(self):
+        # ((N+d) rho - rho_A (x) I_B) / N
+        rho = random_state([2, 3], 4, 5)
+        noise = np.kron(partial_trace(rho, [1]).entries, np.eye(3))
+        expect = ((4 + 3) * rho.entries - noise) / 4
+        assert_allclose(disentangle_preimage(rho, 4, False).entries, expect, atol=1e-12)
 
     def test_ppt_weight_below_sym_weight(self):
         for d in (2, 3, 4, 6):

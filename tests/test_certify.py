@@ -1,16 +1,25 @@
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
+from dpskit.bounds import disentangle_preimage
 from dpskit.certify import (
     certify,
     numerical_rank,
     rank_loop_check,
     rank_min_heuristic,
 )
-from dpskit.extensions import ExtensionQuery, PptMap, TraceMap, check_membership
+from dpskit.extensions import (
+    ExtensionQuery,
+    PptMap,
+    TraceMap,
+    _compile,
+    _verify_feasible,
+    check_membership,
+)
 from dpskit.operators import (
     HermitianOperator,
     identity,
@@ -22,6 +31,9 @@ from dpskit.symmetric import build_basis
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))
+MIXED = identity((2, 2)) * 0.25
+# at N = 2 the S^N preimage is not PSD; the S_p^N one has a PPT 2-extension
+SP_ONLY = 0.4 * random_state((2, 2), 2, 0) + 0.6 * MIXED
 
 
 class TestNumericalRank:
@@ -180,13 +192,53 @@ class TestCertify:
 
     def test_maximally_mixed_rank_loop(self):
         # the symmetric analytic-center iterate has no loop; the randomized
-        # reweighting restarts find the rank-4 orthogonal-product extension
-        res = certify(identity((2, 2)) * 0.25, maxN=2)
+        # reweighting restarts find the rank-4 orthogonal-product extension.
+        # certify decides I/4 by the disentangling theorem before the rank
+        # search runs, so the search is driven directly here
+        q = ExtensionQuery(rho=MIXED, N=2, ppt=True)
+        x = rank_min_heuristic(q, check_membership(q).extension, rounds=8)
+        loop, profile = rank_loop_check(x, 2, 2, 2, K=1)
+        assert loop
+        assert profile.rank_full <= max(profile.rank_left, profile.rank_right)
+
+    def test_maximally_mixed_disentangling(self):
+        # the S^N preimage of I/4 at N = 2 is I/4 itself
+        res = certify(MIXED, maxN=2)
         assert res.verdict == "separable"
-        assert res.profile.rank_full <= max(res.profile.rank_left, res.profile.rank_right)
+        assert res.N == 2
+        assert res.profile is None
+        assert res.detail == (
+            "disentangling theorem (S^N) at N=2: preimage extension re-verified to 1e-7"
+        )
+        assert "ranks" not in json.loads(res.to_json())
+
+    def test_ppt_route_decides_what_the_sym_route_cannot(self):
+        sigma = disentangle_preimage(SP_ONLY, 2, False)
+        assert np.linalg.eigvalsh(sigma.entries)[0] < -1e-3
+        res = certify(SP_ONLY, maxN=2)
+        assert res.verdict == "separable"
+        assert res.detail.startswith("disentangling theorem (S_p^N) at N=2")
+
+    @pytest.mark.parametrize(
+        "rho",
+        [MIXED, SP_ONLY, 0.3 * BELL + 0.7 * MIXED,
+         0.25 * random_state((2, 2), 2, 3) + 0.75 * MIXED,
+         0.3 * random_state((2, 3), 6, 1) + 0.7 * identity((2, 3)) * (1 / 6)],
+        ids=["maximally-mixed", "sp-only", "isotropic-0.3", "random-2x2", "random-2x3"],
+    )
+    def test_route_extension_reverifies_against_preimage(self, rho):
+        res = certify(rho, maxN=3)
+        assert res.verdict == "separable"
+        assert res.detail.startswith("disentangling theorem")
+        ppt = "(S_p^N)" in res.detail
+        sigma = disentangle_preimage(rho, res.N, ppt)
+        _, codec = _compile(ExtensionQuery(rho=sigma, N=res.N, ppt=ppt))
+        ok, detail = _verify_feasible(res.extension, codec)
+        assert ok, detail
 
     def test_random_separable_never_entangled(self):
-        # interior 2x2 PPT states are separable; certify must not contradict
+        # interior 2x2 PPT states are separable; the disentangling routes
+        # decide every one of these
         found = 0
         for seed in range(4):
             raw = random_state([2, 2], 4, seed)
@@ -195,7 +247,7 @@ class TestCertify:
                 continue
             found += 1
             res = certify(rho, maxN=2, rounds=3)
-            assert res.verdict in ("separable", "undecided")
+            assert res.verdict == "separable"
         assert found >= 2
 
     def test_feasible_level_solved_once(self, monkeypatch):
@@ -215,6 +267,82 @@ class TestCertify:
         res = certify(PRODUCT, maxN=2)
         assert res.verdict == "separable"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "rho, verdict, solves",
+        [
+            # membership, then the witness's aux SDP; no route runs
+            (BELL, "entangled", 2),
+            # membership, then the S^N preimage's membership
+            (MIXED, "separable", 2),
+        ],
+        ids=["bell", "maximally-mixed"],
+    )
+    def test_solve_count(self, rho, verdict, solves, monkeypatch):
+        # the product state's single solve is test_feasible_level_solved_once
+        calls = []
+
+        def counting(solve):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for module in (sys.modules["dpskit.certify"], sys.modules["dpskit.extensions"]):
+            monkeypatch.setattr(module, "solve", counting(module.solve))
+        assert certify(rho, maxN=2).verdict == verdict
+        assert len(calls) == solves
+
+    def test_non_psd_preimages_cost_no_solve(self, monkeypatch):
+        for ppt in (False, True):
+            sigma = disentangle_preimage(PRODUCT, 2, ppt)
+            assert np.linalg.eigvalsh(sigma.entries)[0] < -0.1
+        module = sys.modules["dpskit.certify"]
+        queried = []
+
+        def recording(q, *args, **kwargs):
+            queried.append(q.rho)
+            return check_membership(q, *args, **kwargs)
+
+        monkeypatch.setattr(module, "check_membership", recording)
+        assert certify(PRODUCT, maxN=2).verdict == "separable"
+        assert queried == [PRODUCT]
+
+    @pytest.mark.parametrize(
+        "case, routes",
+        [
+            # neither preimage is PSD
+            ("products", r"S\^N preimage not PSD \(lambda_min -\S+\); "
+                         r"S_p\^N preimage not PSD \(lambda_min -\S+\)"),
+            # both preimages are PSD and have no (PPT) 2-extension
+            ("rank-2+noise", r"S\^N preimage not 2-extendable \(infeasible: dual certificate\); "
+                             r"S_p\^N preimage not 2-extendable \(infeasible: dual certificate\)"),
+        ],
+    )
+    def test_undecided_names_each_route(self, case, routes):
+        # 2x2 PPT states near the boundary, where the rank search finds no
+        # loop at N = 2
+        if case == "products":
+            # an even mixture of five random product states
+            rng = np.random.default_rng(1)
+            mix = np.zeros((4, 4), dtype=complex)
+            for _ in range(5):
+                a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+                mix += np.outer(v, v.conj()) / 5
+            rho = HermitianOperator((2, 2), mix)
+        else:
+            rho = 0.5 * random_state((2, 2), 2, 9) + 0.5 * MIXED
+        assert is_ppt(rho, [1])
+        res = certify(rho, maxN=2)
+        assert res.verdict == "undecided"
+        assert re.fullmatch(
+            r"at N=2: " + routes + r"; "
+            r"no rank loop \(lowest-rank extension: ranks \d+, \d+, \d+ at K=1\)",
+            res.detail,
+        ), res.detail
+        assert set(json.loads(res.to_json())) == {"verdict", "N", "detail"}
 
     def test_json_payload(self):
         res = certify(PRODUCT, maxN=2)

@@ -330,6 +330,31 @@ class TestInputHardening:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["membership", "--input", "STATE"],
+            ["bounds"],
+            ["fidelity", "--bb84", "0.1", "--N", "2", "--ppt", "false"],
+            ["purity", "--channel", "depolarizing-qubit", "--p", "0.2"],
+            ["geometric", "--state", "ghz"],
+            ["certify", "--input", "STATE"],
+            ["complexity", "--delta", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_below_one_exit_2(self, argv, jobs, mixed_file, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr("dpskit.cli.ThreadPoolExecutor", no_pool)
+        argv = [mixed_file if a == "STATE" else a for a in argv]
+        assert main(argv + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
