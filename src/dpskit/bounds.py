@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import cos, e, lgamma, log10, pi, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .operators import (
@@ -157,6 +156,8 @@ def _largest_root_bisect(alpha: int, beta: int, deg: int) -> float:
     It costs one vectorized recurrence per chunk of grid points up to the
     bracket, plus one scalar recurrence per Brent step.
     """
+    from scipy.optimize import brentq  # imported on use: it costs ~0.2 s
+
     rec = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
     # P(1) = C(deg+alpha, deg) > 0; roots are ~uniform in theta
     steps = 40 * deg + 40
@@ -267,6 +268,8 @@ def g_N_via_pencil(d: int, N: int) -> float:
 
 def bessel_zero_first(nu: float) -> float:
     """First positive zero of J_nu, bracketing scan plus Brent refinement."""
+    from scipy.optimize import brentq  # imported on use: it costs ~0.2 s
+
     if nu < 0 or nu > 50:
         raise ValueError("order must lie in [0, 50]")
     x = max(float(nu), 1e-6)

@@ -128,8 +128,6 @@ def rank_min_heuristic(
     ok, detail = _verify_feasible(extension, codec)
     if not ok:
         raise ValueError(f"extension is not feasible: {detail}")
-    problem.sense = "minimize"
-    nx = codec.tmap.dA * codec.tmap.size_in
     rng = np.random.default_rng(seed)
 
     def rank_and_weight(x):
@@ -146,14 +144,14 @@ def rank_min_heuristic(
         for _ in range(solves):
             if best_rank == 1:
                 return
-            problem.objective[0] = codec.embed(weight)
+            codec.set_objective(problem, weight, "minimize")
             try:
                 sol = solve(problem, tol=tol)
             except SolverBreakdown:
                 return
             if sol.status not in ("optimal", "max_iter"):
                 return
-            x = codec.unembed(sol.primal_blocks[0])
+            x = codec.extension(sol)
             if not _verify_feasible(x, codec)[0]:
                 return
             r, weight = rank_and_weight(x)
@@ -164,9 +162,9 @@ def rank_min_heuristic(
     for _ in range(max(restarts, 0)):
         if best_rank == 1:
             break
-        g = rng.standard_normal((nx, nx))
+        g = rng.standard_normal((codec.nx, codec.nx))
         if not codec.real:
-            g = g + 1j * rng.standard_normal((nx, nx))
+            g = g + 1j * rng.standard_normal((codec.nx, codec.nx))
         w0 = g @ g.conj().T
         run_pass(w0 / np.trace(w0).real, max(rounds, 1))
     return best_x
@@ -215,17 +213,18 @@ def certify(
 ) -> CertifyResult:
     """PPT-hierarchy sweep, N = 2..maxN, with separability evidence.
 
-    At each N, one PPT membership solve decides "entangled" (with a dual
-    witness) or finds an extension.  Then, for a feasible level, the two
+    First, at each N, one PPT membership solve decides "entangled" (with a
+    dual witness) or finds an extension.  For a feasible level, the two
     disentangling routes (S^N, then S_p^N) each test rho's preimage: one
     ``eigvalsh`` rejects a preimage that is not PSD, and one membership
-    solve tests the rest.  Only when both fail does the log-det rank search
-    look for a rank loop; ``delta`` sets its rank tolerance.  An
-    "undecided" verdict names each route's outcome at maxN.
+    solve tests the rest.  Only when no level's routes decide does the
+    log-det rank search look for a rank loop, at each feasible level from
+    the lowest N up; ``delta`` sets its rank tolerance.  An "undecided"
+    verdict names each route's outcome at the last level searched.
     """
     tol_rank = max(delta, 1e-9)
     dA, dB = rho.factor_dims
-    outcomes = []
+    levels, stop, outcomes = [], None, []
     for n in range(2, maxN + 1):
         q = ExtensionQuery(rho=rho, N=n, ppt=True)
         res = check_membership(q, refine_witness=True)
@@ -235,7 +234,8 @@ def certify(
                 detail="no PPT Bose-symmetric extension",
             )
         if res.verdict != "feasible":
-            return CertifyResult(verdict="undecided", N=n, detail=res.detail)
+            stop = CertifyResult(verdict="undecided", N=n, detail=res.detail)
+            break
         outcomes = []
         for ppt, name in ROUTES:
             sigma = disentangle_preimage(rho, n, ppt)
@@ -253,7 +253,10 @@ def certify(
             outcomes.append(
                 f"{name} preimage not {n}-extendable ({pre.verdict}: {pre.detail})"
             )
-        x = rank_min_heuristic(q, res.extension, rounds=rounds, seed=seed)
+        levels.append((q, res.extension, outcomes))
+    for q, extension, outcomes in levels:
+        n = q.N
+        x = rank_min_heuristic(q, extension, rounds=rounds, seed=seed)
         k_default = (n + 1) // 2
         loop, profile = rank_loop_check(x, dA, dB, n, k_default, tol_rank)
         if loop:
@@ -279,6 +282,8 @@ def certify(
             f"no rank loop (lowest-rank extension: ranks {profile.rank_full}, "
             f"{profile.rank_left}, {profile.rank_right} at K={k_default})"
         )
+    if stop is not None:
+        return stop
     return CertifyResult(
         verdict="undecided", N=maxN, detail=f"at N={maxN}: " + "; ".join(outcomes)
     )

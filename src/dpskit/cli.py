@@ -1,7 +1,8 @@
 """Command-line front end: JSON problem ingestion, CSV/JSON emission.
 
 Commands: membership, bounds, fidelity, purity, geometric, certify,
-complexity.  Exit codes: 0 success, 2 input error, 3 resource/budget,
+complexity.  Exit codes: 0 success, 2 input error, 3 resource/budget
+(the dimension budget, or running out of memory while compiling or solving),
 4 solver breakdown or linear-algebra failure.  All outputs are
 deterministic given the inputs and tolerances, apart from the wall_time_s
 column.
@@ -206,7 +207,8 @@ def _bound_sweep_command(config, make_pair):
             pair = make_pair(n, ppt)
             wall = time.perf_counter() - t0
             return (n, ppt, _fmt(pair.upper), _fmt(pair.lower), pair.status, wall)
-        except BudgetExceeded:
+        except BudgetExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return (n, ppt, "", "", "budget_exceeded", time.perf_counter() - t0)
 
     rows = _sweep_rows(points, worker, config.jobs)
@@ -231,7 +233,8 @@ def cmd_membership(config, args) -> int:
                 max_iter=config.max_iter,
             )
             verdicts[str(n)] = res.verdict
-        except BudgetExceeded:
+        except BudgetExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
             verdicts[str(n)] = "budget_exceeded"
             budget_hit = True
     _emit(json.dumps(verdicts, sort_keys=True) + "\n", config.out)

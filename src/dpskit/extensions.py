@@ -21,11 +21,27 @@ downstream needs the d^N isometry of :mod:`dpskit.symmetric`.
 A multiparty L is the Kronecker product of the per-party matrices.  All
 coefficients are exact occupation-number combinatorics; the naive
 lift/operate/compress pipeline is kept in the test suite as an oracle only.
+
+A query compiles to one of two SDP forms (``_compile``):
+
+* without a PPT block, X is the solver's primal block, tied to the data by
+  its few state rows (trace_match: Lambda = rho; identity_marginal:
+  Lambda_A = I; unit_trace: tr X = 1);
+* with a PPT block, X = X0 + sum_k y_k F_k runs over the solutions of the
+  state rows (F_k a sparse orthonormal kernel basis, one occupation-
+  difference sector at a time), and X(y) >= 0, Gamma_t(X(y)) >= 0 are LMIs
+  in the solver's dual form (Lofberg, "Dualize it", Optim. Methods Softw.
+  24, 2009).  The rows are X's free parameters, and a PPT block costs no
+  row: BB84 PPT N=7 has 518 rows instead of 3250 with a primal PPT block
+  and its link rows.
+
+``_Codec`` reads either form back: the extension, the witness, the objective.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod, sqrt
@@ -40,6 +56,7 @@ from .solver import (
     SolverBreakdown,
     embed_complex,
     hermitian_basis,
+    hermitian_vecs,
     solve,
     unembed_real,
 )
@@ -221,6 +238,19 @@ class LocalMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._act(self.L, x, self.size_in, self.size_out)
 
+    def matrix(self) -> sp.csr_matrix:
+        """I_A (x) L as a sparse matrix on the row-major vec of the operator."""
+        dA, s_in, s_out = self.dA, self.size_in, self.size_out
+        L = self.L.tocoo()
+        (oi, oj), (ki, kj) = np.divmod(L.row, s_out), np.divmod(L.col, s_in)
+        a, b = (c[:, None] for c in np.divmod(np.arange(dA * dA), dA))
+        rows = ((a * s_out + oi) * dA + b) * s_out + oj
+        cols = ((a * s_in + ki) * dA + b) * s_in + kj
+        return sp.csr_matrix(
+            (np.tile(L.data, dA * dA), (rows.ravel(), cols.ravel())),
+            shape=((dA * s_out) ** 2, (dA * s_in) ** 2),
+        )
+
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._act(self.L.T, y, self.size_out, self.size_in)
 
@@ -277,17 +307,44 @@ class _Codec:
     real and the cone is invariant under conjugation, so (X + conj X)/2 is
     feasible whenever X is and has the same value.  The rows then run over
     the real symmetric members of the basis, and ``weight`` is 1.
+
+    ``state`` holds the query's state rows <state_i, X> = r_i.  A query with
+    a PPT block is compiled to the free form, and then ``x0`` and ``kernel``
+    parameterize X = x0 + sum_k y_k F_k (row k of ``kernel`` is vec F_k);
+    otherwise both are None and X is the solver's primal block 0.
     """
 
     query: ExtensionQuery
     tmap: LocalMap
     pmaps: list
     real: bool
+    state: np.ndarray | None = None
+    x0: np.ndarray | None = None
+    kernel: sp.csr_matrix | None = None
 
     @property
     def weight(self) -> int:
         """Factor on block sides and on inner products under ``embed``."""
         return 1 if self.real else 2
+
+    @property
+    def nx(self) -> int:
+        """The side of the compressed extension X."""
+        return self.tmap.dA * self.tmap.size_in
+
+    @property
+    def m(self) -> int:
+        """The equality rows the query compiles to: X's free parameters when
+        a PPT block is present, else the state rows."""
+        q = self.query
+        n = {"trace_match": q.rho.dim, "identity_marginal": self.tmap.dA}
+        s = self.basis_size(n[q.reduced_constraint]) if q.reduced_constraint in n else 1
+        return self.basis_size(self.nx) - s if self.pmaps else s
+
+    @property
+    def infeasible(self) -> str:
+        """The solver status that proves the query's own constraints infeasible."""
+        return "primal_infeasible" if self.kernel is None else "dual_infeasible"
 
     def embed(self, h: np.ndarray) -> np.ndarray:
         return np.real(h) if self.real else embed_complex(h)
@@ -295,9 +352,9 @@ class _Codec:
     def unembed(self, r: np.ndarray) -> np.ndarray:
         return r.astype(complex) if self.real else unembed_real(r)
 
-    def basis(self, n: int, members: slice = slice(None)) -> np.ndarray:
+    def basis(self, n: int) -> np.ndarray:
         """The Hermitian basis members on side n that rows run over."""
-        return hermitian_basis(n, self.real, members)
+        return hermitian_basis(n, self.real)
 
     def basis_size(self, n: int) -> int:
         return n * (n + 1) // 2 if self.real else n * n
@@ -309,12 +366,74 @@ class _Codec:
         rows += rows.swapaxes(1, 2)
         rows *= 0.5
 
+    def state_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, r): the state rows <R_i, X> = r_i of the query, R Hermitian."""
+        q, tmap = self.query, self.tmap
+        if q.reduced_constraint == "trace_match":
+            h = self.basis(q.rho.dim)
+            return tmap.adjoint(h), np.real(np.sum(h.conj() * q.rho.entries, axis=(1, 2)))
+        if q.reduced_constraint == "identity_marginal":
+            # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
+            f = self.basis(tmap.dA)
+            rows = tmap.adjoint(np.kron(f, np.eye(q.rho.dim // tmap.dA)))
+            return rows, np.real(np.trace(f, axis1=1, axis2=2))
+        return np.eye(self.nx, dtype=complex)[None], np.ones(1)  # unit_trace
 
-# Complex entries per chunk of PPT-link basis members (4 MiB).
-LINK_CHUNK = 1 << 18
+    def set_objective(self, problem: SdpProblem, w: np.ndarray, sense: str):
+        """Make ``problem`` minimize or maximize <w, X> over the query's set.
+
+        In the free form <w, X(y)> = <w, x0> + sum_k y_k <w, F_k>, and the
+        solver maximizes b.y over its dual, so b_k = <w, F_k> to maximize
+        and -<w, F_k> to minimize (scaled like the embedded inner product).
+        """
+        if self.kernel is None:
+            problem.objective[0] = self.embed(w)
+            problem.sense = sense
+            return
+        sign = 1.0 if sense == "maximize" else -1.0
+        problem.rhs[:] = sign * self.weight * np.real(self.kernel.conj() @ np.ravel(w))
+
+    def extension(self, sol: SdpSolution) -> np.ndarray:
+        """The compressed extension X that a solution encodes."""
+        if self.kernel is None:
+            return self.unembed(sol.primal_blocks[0])
+        x = self.x0 + (self.kernel.T @ sol.dual_multipliers).reshape(self.x0.shape)
+        return 0.5 * (x + x.conj().T)
+
+    def witness(self, sol: SdpSolution) -> HermitianOperator | None:
+        """The unit-norm witness W of a trace_match query from the
+        certificate of a ``self.infeasible`` solution: tr(W Lambda) >= 0 on
+        the tested cone and tr(W rho) < 0.
+
+        In the rows form W = -sum_i y_i h_i over the state rows' basis.  In
+        the free form the certificate is a ray (W_X, W_t) of the LMIs with
+        <W_X, F_k> + sum_t <W_t, Gamma_t(F_k)> = 0, so
+        W_X + sum_t Gamma_t^dag(W_t) = L^dag(W) lies in the span of the
+        state rows L^dag(h_i), and W's coefficients solve for it.
+        """
+        q = self.query
+        if q.reduced_constraint != "trace_match":
+            return None
+        if self.kernel is None:
+            coef = -sol.dual_multipliers[: len(self.state)]
+        else:
+            wx, *wy = sol.certificate
+            g = self.unembed(wx)
+            for pmap, w_t in zip(self.pmaps, wy):
+                g = g + pmap.adjoint(self.unembed(w_t))
+            rows = self.state.reshape(len(self.state), -1)
+            gram = np.real(rows.conj() @ rows.T)
+            coef = np.linalg.solve(gram, np.real(rows.conj() @ g.ravel()))
+        w = np.tensordot(coef, self.basis(q.rho.dim), axes=1)
+        w = 0.5 * (w + w.conj().T)
+        scale = float(np.linalg.norm(w))
+        if scale == 0.0:
+            return None
+        return HermitianOperator(q.rho.factor_dims, w / scale)
 
 
-def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
+def _codec(q: ExtensionQuery) -> _Codec:
+    """The maps and arithmetic of a query, after the dimension budget check."""
     dA, *dBs = q.rho.factor_dims
     nx = dA * prod(sym_dim(d, q.N) for d in dBs)
     if nx > budget_dim():
@@ -322,55 +441,146 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    tmap = TraceMap(dA, dBs, q.N)
     cuts = []
     if q.ppt:
         cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
     # N=1 has an empty transposed side; the PPT block is then X itself
     pmaps = [PptMap(dA, dBs, q.N, t) for t in cuts if t > 0]
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
-    codec = _Codec(q, tmap, pmaps, not any(np.imag(op.entries).any() for op in data))
-    weight = codec.weight
+    real = not any(np.imag(op.entries).any() for op in data)
+    return _Codec(q, TraceMap(dA, dBs, q.N), pmaps, real)
 
-    if q.reduced_constraint == "trace_match":
-        herm_ab = codec.basis(q.rho.dim)
-        state = tmap.adjoint(herm_ab)
-        state_rhs = weight * np.real(np.sum(herm_ab.conj() * q.rho.entries, axis=(1, 2)))
-    elif q.reduced_constraint == "identity_marginal":
-        # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
-        f = codec.basis(dA)
-        state = tmap.adjoint(np.kron(f, np.eye(q.rho.dim // dA)))
-        state_rhs = weight * np.real(np.trace(f, axis1=1, axis2=2))
-    else:  # unit_trace
-        state = np.eye(nx, dtype=complex)[None]
-        state_rhs = weight
 
-    # rows: the state constraints, then per PPT block Y one row
-    # <adj(G), X> - <G, Y> = 0 for each G of a Hermitian basis of Y's space
-    y_sides = [dA * p.size_out for p in pmaps]
-    block_sizes = [weight * nx] + [weight * n for n in y_sides]
-    m = len(state) + sum(codec.basis_size(n) for n in y_sides)
-    sense = "feasibility" if q.objective is None else "maximize"
+def _kernel(rows: np.ndarray) -> sp.csc_matrix:
+    """An orthonormal basis of the null space of a real matrix of full row
+    rank, as the columns of a sparse matrix.
+
+    Rows that share no column, directly or through other rows, decouple.
+    Each group of linked rows is reduced on the columns it touches, so every
+    null vector lives on one group's columns (for the trace map, one sector
+    of equal occupation difference), and an untouched column is a null
+    vector by itself.
+    """
+    touch = (rows != 0).astype(float)
+    link = (touch @ touch.T > 0).astype(float)
+    while True:  # transitive closure: each row reaches its whole group
+        wider = (link @ link > 0).astype(float)
+        if np.array_equal(wider, link):
+            break
+        link = wider
+    group = link.argmax(axis=1)  # the first row of each row's group
+    touched = touch.any(axis=0)
+    col_group = np.where(touched, group[touch.argmax(axis=0)], -1)
+    free = np.flatnonzero(~touched)
+    entries = [(free, np.arange(len(free)), np.ones(len(free)))]
+    count = len(free)
+    for g in np.unique(group):
+        r, c = np.flatnonzero(group == g), np.flatnonzero(col_group == g)
+        null = np.linalg.svd(rows[np.ix_(r, c)])[2][len(r):]
+        entries.append((np.tile(c, len(null)), np.repeat(count + np.arange(len(null)), len(c)),
+                        null.ravel()))
+        count += len(null)
+    i, j, v = (np.concatenate(e) for e in zip(*entries))
+    return sp.csc_matrix((v, (i, j)), shape=(rows.shape[1], count))
+
+
+def _hermitize(v: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """Rows of vecs of side-n matrices, each made exactly Hermitian."""
+    return 0.5 * (v + v[:, np.arange(n * n).reshape(n, n).T.ravel()].conj())
+
+
+def _embed_into(dest: np.ndarray, v: sp.spmatrix, n: int, real: bool):
+    """Write into row k of ``dest`` the vec of ``embed_complex`` (``real``:
+    of the real part) of the Hermitian matrix whose side-n row-major vec is
+    row k of v."""
+    v = v.tocoo()
+    if real:
+        dest[v.row, v.col] = v.data.real
+        return
+    (p, q), w = np.divmod(v.col, n), 2 * n
+    for col, val in (
+        (p * w + q, v.data.real), ((p + n) * w + q + n, v.data.real),
+        (p * w + q + n, -v.data.imag), ((p + n) * w + q, v.data.imag),
+    ):
+        dest[v.row, col] = val
+
+
+def _free_form(codec: _Codec, rhs: np.ndarray) -> SdpProblem:
+    """The LMIs X(y) >= 0 and Gamma_t(X(y)) >= 0 over X(y) = x0 + sum_k y_k F_k,
+    as the dual slack C - sum_k y_k A_k of the solver's standard form:
+    C = (x0, Gamma_t(x0)) and A_k = -(F_k, Gamma_t(F_k)).
+
+    x0 is the least-norm solution of the state rows and the F_k an
+    orthonormal, sparse basis of their kernel, so X(y) meets the state rows
+    for every y and no PPT block costs an equality row (Lofberg, "Dualize
+    it", Optim. Methods Softw. 24, 2009).  b = 0 makes the solve a
+    feasibility test; ``set_objective`` fills b for an objective.
+    """
+    n, real = codec.nx, codec.real
+    basis = hermitian_vecs(n, real)
+    state = codec.state.reshape(len(codec.state), -1)
+    codec.kernel = (_kernel(np.real(basis.conj() @ state.T).T).T @ basis).tocsr()
+    # the least-norm solution lies in the span of the rows
+    gram = np.real(state.conj() @ state.T)
+    x0 = np.tensordot(np.linalg.solve(gram, rhs), codec.state, axes=1)
+    codec.x0 = 0.5 * (x0 + x0.conj().T)
+    sides = [n] + [codec.tmap.dA * p.size_out for p in codec.pmaps]
+    vecs = [codec.kernel] + [
+        _hermitize(codec.kernel @ p.matrix().T, side)
+        for p, side in zip(codec.pmaps, sides[1:])
+    ]
+    offsets = [codec.x0] + [p.apply(codec.x0) for p in codec.pmaps]
+    block_sizes = [codec.weight * side for side in sides]
+    m = vecs[0].shape[0]
     problem = SdpProblem(
-        block_sizes, [None] * len(block_sizes),
-        np.zeros((m, sum(n * n for n in block_sizes))), np.zeros(m), sense,
+        block_sizes,
+        [codec.embed(0.5 * (c + c.conj().T)) for c in offsets],
+        np.zeros((m, sum(b * b for b in block_sizes))),
+        np.zeros(m),
+        "minimize",
     )
-    x_rows, *y_rows = problem.blocks(problem.constraints)
-    start = len(state)
-    codec.embed_rows(x_rows[:start], state)
-    problem.rhs[:start] = state_rhs
-    for pmap, n, y_block in zip(pmaps, y_sides, y_rows):
-        # a chunk of basis members at a time bounds the complex temporaries
-        step = max(1, LINK_CHUNK // (n * n))
-        for lo in range(0, codec.basis_size(n), step):
-            g = codec.basis(n, slice(lo, lo + step))
-            rows = slice(start + lo, start + lo + len(g))
-            codec.embed_rows(x_rows[rows], pmap.adjoint(g))
-            codec.embed_rows(y_block[rows], -g)
-        start += codec.basis_size(n)
+    start = 0
+    for v, side, b in zip(vecs, sides, block_sizes):
+        _embed_into(problem.constraints[:, start:start + b * b], v, side, real)
+        start += b * b
+    np.negative(problem.constraints, out=problem.constraints)
+    return problem
+
+
+def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
+    """The query's block SDP and the codec that reads its solutions.
+
+    A query with a PPT block compiles to the free form (``_free_form``),
+    whose rows are X's free parameters; any other keeps X as the primal
+    block with one equality row per state row, far fewer than X's
+    parameters.
+    """
+    codec = _codec(q)
+    codec.state, rhs = codec.state_rows()
+    if codec.pmaps:
+        problem = _free_form(codec, rhs)
+    else:
+        n = codec.weight * codec.nx
+        problem = SdpProblem(
+            [n], [None], np.zeros((len(rhs), n * n)), codec.weight * rhs, "feasibility"
+        )
+        codec.embed_rows(problem.blocks(problem.constraints)[0], codec.state)
     if q.objective is not None:
-        problem.objective[0] = codec.embed(tmap.adjoint(q.objective.entries))
+        codec.set_objective(problem, codec.tmap.adjoint(q.objective.entries), "maximize")
     return problem, codec
+
+
+@contextmanager
+def _memory_budget(q: ExtensionQuery):
+    """Report running out of memory as BudgetExceeded, naming the query and m."""
+    try:
+        yield
+    except MemoryError as exc:
+        ppt = " PPT" if q.ppt else ""
+        raise BudgetExceeded(
+            f"out of memory on the N={q.N}{ppt} {q.reduced_constraint} query "
+            f"on factors {q.rho.factor_dims} (m = {_codec(q).m} equality rows)"
+        ) from exc
 
 
 def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
@@ -397,20 +607,6 @@ def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
     return True, f"residual {eq:.2e}"
 
 
-def _decode_witness(sol: SdpSolution, codec: _Codec) -> HermitianOperator | None:
-    q = codec.query
-    if q.reduced_constraint != "trace_match":
-        return None
-    herm_ab = codec.basis(q.rho.dim)  # the basis of the state rows
-    y = sol.dual_multipliers[: len(herm_ab)]
-    w = np.tensordot(y, herm_ab, axes=1)
-    w = -0.5 * (w + w.conj().T)
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0:
-        return None
-    return HermitianOperator(q.rho.factor_dims, w / scale)
-
-
 def check_membership(
     q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200,
     refine_witness: bool = False,
@@ -424,21 +620,22 @@ def check_membership(
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("check_membership requires a trace_match query")
-    problem, codec = _compile(q)
-    try:
-        sol = solve(problem, tol=tol, max_iter=max_iter)
-    except SolverBreakdown as exc:
-        return MembershipResult("undecided", detail=f"solver breakdown: {exc}")
+    with _memory_budget(q):
+        problem, codec = _compile(q)
+        try:
+            sol = solve(problem, tol=tol, max_iter=max_iter)
+        except SolverBreakdown as exc:
+            return MembershipResult("undecided", detail=f"solver breakdown: {exc}")
     if sol.status in ("optimal", "max_iter"):
-        x = codec.unembed(sol.primal_blocks[0])
+        x = codec.extension(sol)
         ok, detail = _verify_feasible(x, codec)
         if ok:
             return MembershipResult("feasible", extension=x, detail=detail)
         if sol.status == "max_iter":
             return MembershipResult("undecided", detail=f"max_iter; {detail}")
         return MembershipResult("undecided", detail=detail)
-    if sol.status == "primal_infeasible":
-        w = _decode_witness(sol, codec)
+    if sol.status == codec.infeasible:
+        w = codec.witness(sol)
         if w is None:
             return MembershipResult("undecided", detail="certificate decode failed")
         if refine_witness:
@@ -490,16 +687,17 @@ def optimize_over_cone(
     """
     if q.reduced_constraint == "trace_match":
         raise ValueError("optimize_over_cone needs an identity_marginal or unit_trace query")
-    problem, codec = _compile(q)
-    sol = solve(problem, tol=tol, max_iter=max_iter)
-    if sol.status == "dual_infeasible":
-        raise SolverBreakdown("cone optimization is unbounded; check constraints")
-    if sol.status == "primal_infeasible":
+    with _memory_budget(q):
+        problem, codec = _compile(q)
+        sol = solve(problem, tol=tol, max_iter=max_iter)
+    if sol.status == codec.infeasible:
         raise SolverBreakdown("cone constraints are infeasible")
-    x = codec.unembed(sol.primal_blocks[0])
+    if sol.status not in ("optimal", "max_iter"):
+        raise SolverBreakdown("cone optimization is unbounded; check constraints")
+    x = codec.extension(sol)
     lam = codec.tmap.apply(x)
     return ConeOptimum(
-        value=sol.objective_value / codec.weight,
+        value=float(np.real(np.vdot(q.objective.entries, lam))),
         optimizer=HermitianOperator(q.rho.factor_dims, lam, hermitian_tol=1e-6),
         status=sol.status,
         iterations=sol.iterations,

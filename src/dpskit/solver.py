@@ -23,6 +23,12 @@ Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored densely.
 The step back-off tests definiteness by Cholesky factoring each new
 block; the step lengths and Z^{-1} reuse the factors it accepted.
 
+The dual, max b.y subject to Z = C - sum_i y_i A_i >= 0, is an LMI in the
+free variables y.  ``dpskit.extensions`` poses its PPT queries that way,
+with b = 0 for a feasibility test: ``dual_multipliers`` and
+``dual_slacks`` then carry the solution, and an infeasible LMI ends
+"dual_infeasible" with the primal ray as its certificate.
+
 Complex Hermitian data enters through the real embedding
 ``[[Re H, -Im H], [Im H, Re H]]``; note Hilbert-Schmidt inner products
 double under the embedding, so right-hand sides and objective values carry
@@ -50,6 +56,7 @@ __all__ = [
     "embed_complex",
     "unembed_real",
     "hermitian_basis",
+    "hermitian_vecs",
     "solve",
 ]
 
@@ -173,25 +180,31 @@ def unembed_real(r: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def hermitian_basis(n: int, real: bool = False, members: slice = slice(None)) -> np.ndarray:
-    """Orthonormal Hermitian basis of C^{n x n}, as a (k, n, n) stack.
+def hermitian_vecs(n: int, real: bool = False) -> sp.csr_matrix:
+    """Orthonormal Hermitian basis of C^{n x n}, one row-major vec per row of
+    a sparse complex (k, n^2) matrix.
 
     The order is the n diagonal units, then for each pair i < j in row-major
     order (E_ij + E_ji)/sqrt2 followed by i(E_ji - E_ij)/sqrt2.  ``real``
-    keeps only the n(n+1)/2 real symmetric members.  ``members`` slices that
-    sequence before any matrix is built, so a chunk costs k n^2 entries.
+    keeps only the n(n+1)/2 real symmetric members.
     """
     s = 1.0 / np.sqrt(2.0)
     iu, ju = np.triu_indices(n, 1)
     kinds = 1 if real else 2
-    rows = np.concatenate([np.arange(n), np.repeat(iu, kinds)])[members]
-    cols = np.concatenate([np.arange(n), np.repeat(ju, kinds)])[members]
-    vals = np.concatenate([np.ones(n), np.tile([s, -1j * s][:kinds], len(iu))])[members]
-    basis = np.zeros((len(vals), n, n), dtype=complex)
+    rows = np.concatenate([np.arange(n), np.repeat(iu, kinds)])
+    cols = np.concatenate([np.arange(n), np.repeat(ju, kinds)])
+    vals = np.concatenate([np.ones(n), np.tile([s, -1j * s][:kinds], len(iu))]).astype(complex)
     k = np.arange(len(vals))
-    basis[k, rows, cols] = vals
-    basis[k, cols, rows] = vals.conj()
-    return basis
+    return sp.csr_matrix(
+        (np.concatenate([vals, vals[n:].conj()]),
+         (np.concatenate([k, k[n:]]), np.concatenate([rows * n + cols, cols[n:] * n + rows[n:]]))),
+        shape=(len(vals), n * n),
+    )
+
+
+def hermitian_basis(n: int, real: bool = False) -> np.ndarray:
+    """``hermitian_vecs`` as a dense (k, n, n) stack."""
+    return hermitian_vecs(n, real).toarray().reshape(-1, n, n)
 
 
 # Entries of the dense (k, n, n) temporaries per chunk of Schur formation:

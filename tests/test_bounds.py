@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -518,3 +523,14 @@ class TestMembersOfSN:
             report = bound_report(2, 2, n)
             assert norm(rho - tilde, "trace") <= report.dist_trace_sym + 1e-9
             assert norm(rho - tilde, "operator") <= report.dist_op_sym + 1e-9
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # brentq is imported where g_N and the Bessel zero use it
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    code = "import sys, dpskit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -293,6 +293,26 @@ class TestCertify:
         assert certify(rho, maxN=2).verdict == verdict
         assert len(calls) == solves
 
+    @pytest.mark.parametrize("seed", [9, 13, 21])
+    def test_cheap_routes_of_every_level_before_rank_search(self, seed, monkeypatch):
+        # the S^N route decides these at N=3; a rank search at N=2 first
+        # cost 23 more solves
+        rho = 0.5 * random_state((2, 2), 2, seed) + 0.5 * MIXED
+        calls = []
+
+        def counting(solve):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for module in (sys.modules["dpskit.certify"], sys.modules["dpskit.extensions"]):
+            monkeypatch.setattr(module, "solve", counting(module.solve))
+        res = certify(rho, maxN=3)
+        assert (res.verdict, res.N) == ("separable", 3)
+        assert res.detail.startswith("disentangling theorem (S^N) at N=3")
+        assert len(calls) <= 5
+
     def test_non_psd_preimages_cost_no_solve(self, monkeypatch):
         for ppt in (False, True):
             sigma = disentangle_preimage(PRODUCT, 2, ppt)

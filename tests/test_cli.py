@@ -179,14 +179,14 @@ class TestSweeps:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[4] == "max_iter"
 
-    @pytest.mark.xfail(strict=True, reason="both bounds come from the primal objective "
-                       "of the last iterate, which a max_iter solve need not bound "
-                       "(ROADMAP item 1); remove this marker once it passes")
+    @pytest.mark.xfail(strict=True, reason="both bounds come from the objective at the "
+                       "extension decoded from the last iterate, which a max_iter solve "
+                       "need not bound (ROADMAP item 1); remove this marker once it passes")
     @pytest.mark.parametrize(
         "argv, max_iter",
         [
-            (["fidelity", "--bb84", "0.1"], 2),  # upper 0.6787, optimum 0.8182
-            # lower 1.943, above the optimum 0.9
+            (["fidelity", "--bb84", "0.1"], 2),  # upper 0.5628, optimum 0.8182
+            # upper 0.5, below the optimum 0.9
             (["purity", "--channel", "depolarizing-qubit", "--p", "0.2"], 1),
         ],
         ids=["fidelity", "purity"],
@@ -431,6 +431,48 @@ def test_linalg_error_exit_4(argv, mixed_file, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "positive definite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [(["membership", "--input", "STATE", "--N", "2", "--ppt"], "m = 11 "),
+     (["fidelity", "--bb84", "0.1", "--N", "2", "--ppt", "true"], "m = 68 "),
+     (["certify", "--input", "STATE", "--maxN", "2"], "m = 11 ")],
+    ids=["membership", "fidelity", "certify"],
+)
+def test_memory_error_exit_3(argv, expect, mixed_file, monkeypatch, capsys, tmp_path):
+    def exhausted(q):
+        raise MemoryError("Unable to allocate 1.6 GiB")
+
+    monkeypatch.setattr("dpskit.extensions._compile", exhausted)
+    out = tmp_path / "out"
+    argv = [mixed_file if a == "STATE" else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory on the N=2 PPT ")
+    assert expect in err
+    assert "Traceback" not in err
+    if argv[0] == "membership":
+        assert json.loads(out.read_text()) == {"2": "budget_exceeded"}
+    elif argv[0] == "fidelity":
+        assert out.read_text().splitlines()[1].split(",")[4] == "budget_exceeded"
+
+
+def _reference_ppt_keys():
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    upper = json.loads(path.read_text())["upper"]
+    return {key: value for key, value in upper.items() if key.endswith("--ppt true")}
+
+
+@pytest.mark.parametrize("key, value", sorted(_reference_ppt_keys().items()))
+def test_reference_ppt_upper_bounds_replayed(key, value, tmp_path):
+    """Every PPT sweep query of the committed benchmark reference (computed
+    by the link-row compiler) gives the same upper bound on the free form."""
+    out = tmp_path / "row.csv"
+    assert main(key.split() + ["--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[4] == "optimal"
+    assert abs(float(row[2]) - value) <= 1e-6
 
 
 def test_complexity_command(tmp_path):

@@ -25,6 +25,7 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
+from dpskit.solver import solve
 from dpskit.symmetric import build_basis, compress, dicke_overlap_state, lift, sym_dim
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
@@ -397,7 +398,7 @@ def test_tripartite_ppt_variant_verdicts():
 
 def test_tripartite_maps_match_naive_pipeline():
     # oracle: lift with I (x) V2 (x) V3, operate on the full space, compress
-    from dpskit.solver import hermitian_basis, unembed_real
+    from dpskit.solver import unembed_real
 
     d1 = d2 = d3 = 2
     n = 2
@@ -421,11 +422,11 @@ def test_tripartite_maps_match_naive_pipeline():
     res = check_membership(ExtensionQuery(rho=rho_probe, N=n, ppt=False))
     assert res.verdict == "feasible"
 
-    # validate the PPT adjoint against the naive forward pipeline:
-    # <G, P_naive(x)> must equal <P_adj(G), x> for random Hermitian G
+    # validate the compiled PPT map against the naive forward pipeline: row k
+    # of the free form is -(F_k, Gamma(F_k)), F_k a kernel member of the
+    # state rows, so Gamma can be read off every row
     n1, n2 = n - n // 2, n // 2
     pt_factors = list(range(1 + n1, 1 + n)) + list(range(1 + n + n1, 1 + 2 * n))
-    pt_full = partial_transpose(full, pt_factors)
     b2a, b2b = build_basis(d2, n1), build_basis(d2, n2)
     b3a, b3b = build_basis(d3, n1), build_basis(d3, n2)
     wiso = np.kron(
@@ -433,22 +434,15 @@ def test_tripartite_maps_match_naive_pipeline():
         np.kron(np.kron(b2a.isometry, b2b.isometry),
                 np.kron(b3a.isometry, b3b.isometry)),
     )
-    p_naive = wiso.conj().T @ pt_full.entries @ wiso
-    ny = p_naive.shape[0]
-    # reach the compiled adjoint through the problem's PPT-link constraints:
-    # the state rows come first, then constraint j couples <adj(G_j), X>
-    # with -<G_j, Y>
-    gs = hermitian_basis(ny)
-    n_state = (d1 * d2 * d3) ** 2
-    assert len(problem.constraints) == n_state + ny * ny
+    assert not codec.real
+    assert len(problem.constraints) == nx * nx - (d1 * d2 * d3) ** 2
     x_cols, y_cols = problem.blocks(problem.constraints)
-    assert not y_cols[:n_state].any()
-
-    for j in (0, 5, ny * ny - 1):
-        adj_g = unembed_real(x_cols[n_state + j])
-        lhs = complex(np.vdot(gs[j], p_naive))
-        rhs_val = complex(np.vdot(adj_g, x))
-        assert abs(lhs - rhs_val) < 1e-9
+    for k in (0, 5, len(problem.constraints) - 1):
+        f = unembed_real(-x_cols[k])
+        lifted = HermitianOperator(full.factor_dims, viso @ f @ viso.conj().T)
+        pt_full = partial_transpose(lifted, pt_factors)
+        p_naive = wiso.conj().T @ pt_full.entries @ wiso
+        assert np.max(np.abs(unembed_real(-y_cols[k]) - p_naive)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +513,10 @@ def _w_geometric(N):
 @pytest.mark.parametrize(
     "make, N, m, sides",
     [
-        (_bb84, 2, 146, [12, 16]),
-        (_bb84, 3, 310, [16, 24]),
-        (_bb84, 4, 676, [20, 36]),
-        (_qutrit, 2, 384, [18, 27]),
+        (_bb84, 2, 68, [12, 16]),
+        (_bb84, 3, 126, [16, 24]),
+        (_bb84, 4, 200, [20, 36]),
+        (_qutrit, 2, 165, [18, 27]),
     ],
     ids=["bb84-N2", "bb84-N3", "bb84-N4", "qutrit-N2"],
 )
@@ -531,16 +525,17 @@ def test_real_data_compiles_to_real_sizes(make, N, m, sides):
     problem, codec = _compile(q)
     assert codec.real
     assert (len(problem.rhs), problem.block_sizes) == (m, sides)
-    # m = n(n+1)/2 state rows for Lambda_A = I, plus n_y(n_y+1)/2 PPT links
+    # m = n_x(n_x+1)/2 parameters of X less d_A(d_A+1)/2 state rows for
+    # Lambda_A = I; the PPT block costs no row
     d_a = q.rho.factor_dims[0]
-    n_y = sides[1]
-    assert m == d_a * (d_a + 1) // 2 + n_y * (n_y + 1) // 2
+    n_x = sides[0]
+    assert m == n_x * (n_x + 1) // 2 - d_a * (d_a + 1) // 2
 
 
 def test_complex_data_keeps_doubled_sides():
     problem, codec = _compile(_rotated(_bb84(2)))
     assert not codec.real
-    assert (len(problem.rhs), problem.block_sizes) == (272, [24, 32])
+    assert (len(problem.rhs), problem.block_sizes) == (128, [24, 32])
 
 
 def test_complex_objective_alone_selects_complex_path():
@@ -636,7 +631,8 @@ _WERNER = BELL * 0.3 + identity((2, 2)) * (0.7 / 4)
 def test_compiled_rows_full_rank(make, path):
     """The solver prunes no rows, so the compiler must emit independent ones.
     They are: product states span Herm(AB), so L^T is injective on the state
-    rows, and each PPT-link row carries its own basis member -G on Y."""
+    rows, and with a PPT block row k carries -F_k on X, the F_k an
+    orthonormal basis of the state rows' kernel."""
     q = make() if path == "real" else _rotated(make())
     problem, codec = _compile(q)
     assert codec.real == (path == "real")
@@ -646,8 +642,8 @@ def test_compiled_rows_full_rank(make, path):
 
 
 def test_compile_memory_bounded_by_constraint_matrix():
-    """BB84 PPT N=5 (real path, m = 1186): the link rows are built a chunk of
-    basis members at a time, never from the full dense Hermitian basis."""
+    """BB84 PPT N=5 (real path, m = 290): the kernel basis and its PPT images
+    are built sparse, and written once into the dense constraint matrix."""
     q = _bb84(5)
     tracemalloc.start()
     try:
@@ -655,15 +651,15 @@ def test_compile_memory_bounded_by_constraint_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert codec.real and len(problem.rhs) == 1186
+    assert codec.real and len(problem.rhs) == 290
     assert peak <= 3 * problem.constraints.nbytes
 
 
 def test_validate_memory_bounded_by_constraint_matrix():
-    """BB84 PPT N=6 (m = 2090, sides 28 and 64): the symmetry check runs on
-    the sparse rows (8248 nonzeros), not on dense (m, n, n) stacks of A."""
+    """BB84 PPT N=6 (m = 396, sides 28 and 64): the symmetry check runs on
+    the sparse rows, not on dense (m, n, n) stacks of A."""
     problem, _ = _compile(_bb84(6))
-    assert len(problem.rhs) == 2090
+    assert len(problem.rhs) == 396
     tracemalloc.start()
     try:
         problem.validate()
@@ -673,20 +669,98 @@ def test_validate_memory_bounded_by_constraint_matrix():
     assert peak <= 0.5 * problem.constraints.nbytes
 
 
-@pytest.mark.parametrize("row", [0, 57, 145])
+@pytest.mark.parametrize("row", [0, 57, 67])
 def test_validate_names_asymmetric_row_in_second_block(row):
     problem, _ = _compile(_bb84(2))
     n0, n1 = problem.block_sizes
-    assert len(problem.rhs) == 146
+    assert len(problem.rhs) == 68
     problem.constraints[row, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
     with pytest.raises(ValueError, match=rf"^constraint {row}: block 1 not symmetric$"):
         problem.validate()
 
 
+# ---------------------------------------------------------------------------
+# the free (LMI) form: a PPT block costs no equality row
+# ---------------------------------------------------------------------------
+
+
+def _qubit_membership(N):
+    rho = random_state((2, 2), 2, 0) * 0.5 + identity((2, 2)) * (0.5 / 4)
+    return ExtensionQuery(rho=rho, N=N, ppt=True)
+
+
+@pytest.mark.parametrize(
+    "make, N, real, m",
+    [(_bb84, 4, True, 200), (_bb84, 7, True, 518), (_qutrit, 2, True, 165),
+     (_qubit_membership, 11, False, 560)],
+    ids=["bb84-N4", "bb84-N7", "qutrit-N2", "qubit-membership-N11"],
+)
+def test_free_form_sizes(make, N, real, m):
+    # m = the free parameters of X: 676, 3250, 384 and 7072 rows with a
+    # primal PPT block and its link rows
+    problem, codec = _compile(make(N))
+    assert codec.real == real
+    assert len(problem.rhs) == codec.m == m
+
+
 @pytest.mark.parametrize("path", ["real", "complex"])
-def test_link_rows_independent_of_chunk_size(path, monkeypatch):
-    q = _bb84(3) if path == "real" else _rotated(_bb84(3))
-    whole, _ = _compile(q)
-    monkeypatch.setattr("dpskit.extensions.LINK_CHUNK", 1)  # one member a chunk
-    chunked, _ = _compile(q)
-    assert np.array_equal(whole.constraints, chunked.constraints)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExtensionQuery(rho=_WERNER, N=3, ppt=True),
+        lambda: _bb84(3),
+        lambda: _depolarizing_purity(3),
+        lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True),
+    ],
+    ids=["trace_match", "identity_marginal", "unit_trace", "tripartite"],
+)
+def test_kernel_spans_state_row_kernel(make, path):
+    q = make() if path == "real" else _rotated(make())
+    problem, codec = _compile(q)
+    assert codec.real == (path == "real")
+    rows, rhs = codec.state_rows()
+    kernel = codec.kernel.toarray()
+    # every F_k meets the state rows with zero, x0 meets them exactly
+    flat = rows.reshape(len(rows), -1).conj()
+    assert np.max(np.abs(np.real(flat @ kernel.T))) < 1e-12
+    assert np.max(np.abs(np.real(flat @ codec.x0.ravel()) - rhs)) < 1e-12
+    # and the F_k span the whole kernel: rank = parameters - state rows
+    as_real = np.hstack([kernel.real, kernel.imag])
+    assert np.linalg.matrix_rank(as_real) == len(kernel)
+    assert len(kernel) == codec.basis_size(codec.nx) - len(rows)
+    # F_k is Hermitian (real symmetric on the real path)
+    f = kernel.reshape(len(kernel), codec.nx, codec.nx)
+    assert np.array_equal(f, f.conj().swapaxes(1, 2))
+
+
+def test_extension_decoded_from_free_parameters():
+    q = ExtensionQuery(rho=_WERNER, N=3, ppt=True)
+    problem, codec = _compile(q)
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    x = codec.extension(sol)
+    # X(y) meets the state rows to rounding; the dual slack is X(y) itself
+    assert np.max(np.abs(codec.tmap.apply(x) - _WERNER.entries)) < 1e-13
+    assert np.max(np.abs(sol.dual_slacks[0] - x.real)) < 1e-7
+
+
+def test_infeasible_free_form_ends_dual_infeasible_with_witness():
+    rho = BELL * 0.6 + identity((2, 2)) * (0.4 / 4)
+    q = ExtensionQuery(rho=rho, N=2, ppt=True)
+    problem, codec = _compile(q)
+    sol = solve(problem)
+    assert sol.status == codec.infeasible == "dual_infeasible"
+    w = codec.witness(sol)
+    assert float(np.vdot(w.entries, rho.entries).real) < -1e-3
+    assert verify_witness(q, w) >= -1e-7
+
+
+def test_memory_error_reported_as_budget(monkeypatch):
+    def exhausted(q):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr("dpskit.extensions._compile", exhausted)
+    with pytest.raises(BudgetExceeded, match=r"N=7 PPT identity_marginal .*m = 518 "):
+        optimize_over_cone(_bb84(7))
+    with pytest.raises(BudgetExceeded, match=r"N=11 PPT trace_match .*m = 560 "):
+        check_membership(_qubit_membership(11))
