@@ -227,7 +227,7 @@ def certify(
     levels, stop, outcomes = [], None, []
     for n in range(2, maxN + 1):
         q = ExtensionQuery(rho=rho, N=n, ppt=True)
-        res = check_membership(q, refine_witness=True)
+        res = check_membership(q)
         if res.verdict == "infeasible":
             return CertifyResult(
                 verdict="entangled", N=n, witness=res.witness,

@@ -35,7 +35,8 @@ A query compiles to one of two SDP forms (``_compile``):
   row: BB84 PPT N=7 has 518 rows instead of 3250 with a primal PPT block
   and its link rows.
 
-``_Codec`` reads either form back: the extension, the witness, the objective.
+``_Codec`` reads either form back: the extension, the witness with its
+certified cone floor, the objective.
 """
 
 from __future__ import annotations
@@ -400,27 +401,41 @@ class _Codec:
         x = self.x0 + (self.kernel.T @ sol.dual_multipliers).reshape(self.x0.shape)
         return 0.5 * (x + x.conj().T)
 
-    def witness(self, sol: SdpSolution) -> HermitianOperator | None:
+    def witness(self, sol: SdpSolution) -> tuple[HermitianOperator, float] | None:
         """The unit-norm witness W of a trace_match query from the
-        certificate of a ``self.infeasible`` solution: tr(W Lambda) >= 0 on
-        the tested cone and tr(W rho) < 0.
+        certificate of a ``self.infeasible`` solution, and its certified
+        cone floor: a lower bound on min tr(W Lambda) over unit-trace
+        members Lambda of the tested cone.  W separates rho when the floor
+        is >= 0 and tr(W rho) < 0.
 
         In the rows form W = -sum_i y_i h_i over the state rows' basis.  In
         the free form the certificate is a ray (W_X, W_t) of the LMIs with
         <W_X, F_k> + sum_t <W_t, Gamma_t(F_k)> = 0, so
         W_X + sum_t Gamma_t^dag(W_t) = L^dag(W) lies in the span of the
         state rows L^dag(h_i), and W's coefficients solve for it.
+
+        The floor needs no second SDP (after Jansson, Chaykin & Keil,
+        "Rigorous error bounds for the optimal value in semidefinite
+        programming", SIAM J. Numer. Anal. 46, 2007).  For a cone member
+        Lambda = L(X) with tr X = 1 and any What_t >= 0,
+        tr(W Lambda) = <L^dag(W) - sum_t Gamma_t^dag(What_t), X>
+        + sum_t <What_t, Gamma_t(X)> >= lambda_min(L^dag(W) - sum_t
+        Gamma_t^dag(What_t)).  What_t is the PSD part of the ray's block t,
+        scaled like W, so the bound holds whatever the ray's residual.
+        Without a PPT block it is lambda_min(L^dag(W)), the exact minimum.
         """
         q = self.query
         if q.reduced_constraint != "trace_match":
             return None
+        blocks = []
         if self.kernel is None:
             coef = -sol.dual_multipliers[: len(self.state)]
         else:
             wx, *wy = sol.certificate
+            blocks = [self.unembed(w_t) for w_t in wy]
             g = self.unembed(wx)
-            for pmap, w_t in zip(self.pmaps, wy):
-                g = g + pmap.adjoint(self.unembed(w_t))
+            for pmap, w_t in zip(self.pmaps, blocks):
+                g = g + pmap.adjoint(w_t)
             rows = self.state.reshape(len(self.state), -1)
             gram = np.real(rows.conj() @ rows.T)
             coef = np.linalg.solve(gram, np.real(rows.conj() @ g.ravel()))
@@ -429,7 +444,13 @@ class _Codec:
         scale = float(np.linalg.norm(w))
         if scale == 0.0:
             return None
-        return HermitianOperator(q.rho.factor_dims, w / scale)
+        w /= scale
+        floor_map = self.tmap.adjoint(w)
+        for pmap, w_t in zip(self.pmaps, blocks):
+            lam, vec = np.linalg.eigh(w_t)
+            floor_map -= pmap.adjoint((vec * (np.maximum(lam, 0.0) / scale)) @ vec.conj().T)
+        floor = float(np.linalg.eigvalsh(0.5 * (floor_map + floor_map.conj().T))[0])
+        return HermitianOperator(q.rho.factor_dims, w), floor
 
 
 def _codec(q: ExtensionQuery) -> _Codec:
@@ -608,15 +629,18 @@ def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
 
 
 def check_membership(
-    q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200,
-    refine_witness: bool = False,
+    q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200
 ) -> MembershipResult:
     """Does rho admit an N (PPT) Bose-symmetric extension?
 
     Feasible verdicts always ship an explicit compressed extension that has
-    been re-verified against the defining conditions; infeasible verdicts
-    ship the dual entanglement witness.  States sitting numerically on the
-    cone boundary may come back "undecided".
+    been re-verified against the defining conditions.  Infeasible verdicts
+    ship the dual entanglement witness W, checked against the solver's own
+    certificate: tr(W rho) < 0, and the certified cone floor (a lower bound
+    on tr(W Lambda) over the tested cone, see ``_Codec.witness``) is >= 0,
+    after at most a small c*I shift (``_refine_witness``).  No second SDP
+    runs.  States sitting numerically on the cone boundary may come back
+    "undecided".
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("check_membership requires a trace_match query")
@@ -635,28 +659,49 @@ def check_membership(
             return MembershipResult("undecided", detail=f"max_iter; {detail}")
         return MembershipResult("undecided", detail=detail)
     if sol.status == codec.infeasible:
-        w = codec.witness(sol)
-        if w is None:
+        certified = codec.witness(sol)
+        if certified is None:
             return MembershipResult("undecided", detail="certificate decode failed")
-        if refine_witness:
-            w = _refine_witness(q, w)
-        return MembershipResult("infeasible", witness=w, detail="dual certificate")
+        return _refine_witness(q.rho, *certified)
     return MembershipResult("undecided", detail=f"solver status {sol.status}")
 
 
-def _refine_witness(q: ExtensionQuery, w: HermitianOperator) -> HermitianOperator:
-    """Shift the witness by c*I when the cone-side sign condition is slightly
-    violated by solver roundoff; the margin on tr(W rho) < 0 dwarfs c."""
-    floor = verify_witness(q, w)
-    if floor >= 0.0:
-        return w
-    margin = abs(float(np.vdot(w.entries, q.rho.entries).real))
-    shift = min(-floor * 1.5, 0.25 * margin)
-    return w.replace_entries(w.entries + shift * np.eye(w.dim))
+def _refine_witness(
+    rho: HermitianOperator, w: HermitianOperator, floor: float
+) -> MembershipResult:
+    """The verdict on witness W with certified cone floor ``floor``.
+
+    A floor slightly below 0 (solver roundoff) is lifted by shifting W to
+    W + c*I, c = 1.5 |floor|, which raises the floor by c; the shift is
+    capped at a quarter of the margin |tr(W rho)| so that tr(W rho) stays
+    negative.  A witness that the capped shift cannot certify, or that does
+    not separate rho, leaves the verdict "undecided".
+    """
+    value = float(np.vdot(w.entries, rho.entries).real)
+    if value >= 0.0:
+        return MembershipResult("undecided", detail=f"witness value tr(W rho) {value:.2e} >= 0")
+    shift = min(-1.5 * floor, -0.25 * value) if floor < 0.0 else 0.0
+    if floor + shift < 0.0:
+        return MembershipResult(
+            "undecided",
+            detail=f"witness cone floor {floor:.2e} below -{shift:.2e}, the largest "
+            f"shift that keeps tr(W rho) {value:.2e} negative",
+        )
+    if shift:
+        w = w.replace_entries(w.entries + shift * np.eye(w.dim))
+    return MembershipResult(
+        "infeasible", witness=w,
+        detail=f"dual certificate; certified cone floor {floor + shift:.2e}",
+    )
 
 
 def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
-    """min tr(W sigma) over unit-trace members of the tested cone (aux SDP)."""
+    """min tr(W sigma) over unit-trace members of the tested cone, by an
+    auxiliary cone optimization (one more SDP).
+
+    ``check_membership`` reads a certified lower bound on this number off
+    the solver's certificate instead; this is the independent oracle for it.
+    """
     aux = ExtensionQuery(
         rho=q.rho,
         N=q.N,

@@ -34,6 +34,8 @@ PRODUCT = pure_state([1, 0, 0, 0], (2, 2))
 MIXED = identity((2, 2)) * 0.25
 # at N = 2 the S^N preimage is not PSD; the S_p^N one has a PPT 2-extension
 SP_ONLY = 0.4 * random_state((2, 2), 2, 0) + 0.6 * MIXED
+# partial-transpose minimum eigenvalue about -0.09
+QUBIT_QUTRIT_NPT = 0.7 * random_state((2, 3), 3, 1) + 0.3 * (identity((2, 3)) * (1 / 6))
 
 
 class TestNumericalRank:
@@ -271,12 +273,13 @@ class TestCertify:
     @pytest.mark.parametrize(
         "rho, verdict, solves",
         [
-            # membership, then the witness's aux SDP; no route runs
-            (BELL, "entangled", 2),
+            # membership only: the witness is checked against its certificate
+            (BELL, "entangled", 1),
+            (QUBIT_QUTRIT_NPT, "entangled", 1),
             # membership, then the S^N preimage's membership
             (MIXED, "separable", 2),
         ],
-        ids=["bell", "maximally-mixed"],
+        ids=["bell", "qubit-qutrit", "maximally-mixed"],
     )
     def test_solve_count(self, rho, verdict, solves, monkeypatch):
         # the product state's single solve is test_feasible_level_solved_once
@@ -288,8 +291,13 @@ class TestCertify:
                 return solve(*args, **kwargs)
             return wrapper
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certify ran an auxiliary cone optimization")
+
         for module in (sys.modules["dpskit.certify"], sys.modules["dpskit.extensions"]):
             monkeypatch.setattr(module, "solve", counting(module.solve))
+        for name in ("optimize_over_cone", "verify_witness"):
+            monkeypatch.setattr(sys.modules["dpskit.extensions"], name, forbidden)
         assert certify(rho, maxN=2).verdict == verdict
         assert len(calls) == solves
 
@@ -357,6 +365,8 @@ class TestCertify:
         assert is_ppt(rho, [1])
         res = certify(rho, maxN=2)
         assert res.verdict == "undecided"
+        # an infeasible preimage's detail ends with its witness's cone floor
+        routes = routes.replace(r"dual certificate\)", r"dual certificate; certified cone floor \S+\)")
         assert re.fullmatch(
             r"at N=2: " + routes + r"; "
             r"no rank loop \(lowest-rank extension: ranks \d+, \d+, \d+ at K=1\)",

@@ -10,6 +10,7 @@ from dpskit.extensions import (
     PptMap,
     TraceMap,
     _compile,
+    _refine_witness,
     build_bse_sdp,
     check_membership,
     optimize_over_cone,
@@ -240,6 +241,8 @@ def test_witness_cone_floor_via_aux_sdp():
     res = check_membership(q)
     floor = verify_witness(q, res.witness)
     assert floor >= -1e-7
+    # the verdict's floor, read off the certificate, is the aux optimum here
+    assert res.detail == f"dual certificate; certified cone floor {floor:.2e}"
 
 
 @pytest.mark.parametrize(
@@ -750,9 +753,110 @@ def test_infeasible_free_form_ends_dual_infeasible_with_witness():
     problem, codec = _compile(q)
     sol = solve(problem)
     assert sol.status == codec.infeasible == "dual_infeasible"
-    w = codec.witness(sol)
+    w, floor = codec.witness(sol)
     assert float(np.vdot(w.entries, rho.entries).real) < -1e-3
-    assert verify_witness(q, w) >= -1e-7
+    assert 0.0 <= floor <= verify_witness(q, w) + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the witness's cone floor, read off the certificate, against the aux SDP
+# ---------------------------------------------------------------------------
+
+_NPT_2X3 = 0.7 * random_state((2, 3), 3, 1) + 0.3 * (identity((2, 3)) * (1 / 6))
+
+
+def _certified_witness(q):
+    problem, codec = _compile(q)
+    sol = solve(problem)
+    assert sol.status == codec.infeasible
+    return codec.witness(sol)
+
+
+_FLOOR_CASES = [
+    (state, N, "half", path)
+    for state in ("2x2", "2x3", "2x2x2")
+    for N in (2, 3)
+    for path in ("real", "complex")
+    # the complex tripartite N=3 aux SDP alone takes about 6 s
+    if (state, N, path) != ("2x2x2", 3, "complex")
+] + [
+    # "all" adds cuts to "half" only from N = 4 on
+    ("2x2", 4, "all", path) for path in ("real", "complex")
+]
+
+
+@pytest.mark.parametrize("state, N, cuts, path", _FLOOR_CASES)
+def test_certified_floor_bounds_aux_sdp_floor(state, N, cuts, path):
+    # a valid lower bound on the aux SDP's optimum, whatever the ray's residual
+    rho = {
+        "2x2": BELL * 0.6 + identity((2, 2)) * (0.4 / 4),
+        "2x3": _NPT_2X3,
+        "2x2x2": _ghz_mixed(),
+    }[state]
+    q = ExtensionQuery(rho=rho, N=N, ppt=True, ppt_cuts=cuts)
+    if path == "complex":
+        q = _rotated(q)
+    w, floor = _certified_witness(q)
+    assert floor <= verify_witness(q, w) + 1e-7
+    assert floor > 0.0
+    assert float(np.vdot(w.entries, q.rho.entries).real) < 0.0
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize(
+    "rho, N", [(BELL, 2), (rho_family(2), 4), (random_state((2, 3), 1, 0), 2)],
+    ids=["bell", "overlap-k2", "2x3-pure"],
+)
+def test_certified_floor_exact_without_ppt(rho, N, path):
+    # without a PPT block the floor is lambda_min(L^dag(W)), the aux optimum
+    q = ExtensionQuery(rho=rho, N=N, ppt=False)
+    if path == "complex":
+        q = _rotated(q)
+    w, floor = _certified_witness(q)
+    assert floor == pytest.approx(verify_witness(q, w), abs=1e-7)
+
+
+def test_refine_witness_shift_certifies_a_negative_floor():
+    q = ExtensionQuery(rho=BELL, N=2, ppt=True)
+    w, _ = _certified_witness(q)
+    # lower W until its true cone floor is -1e-3, and report exactly that
+    bad = w.replace_entries(w.entries - (verify_witness(q, w) + 1e-3) * np.eye(w.dim))
+    res = _refine_witness(BELL, bad, -1e-3)
+    assert res.verdict == "infeasible"
+    assert res.detail == "dual certificate; certified cone floor 5.00e-04"
+    assert float(np.vdot(res.witness.entries, BELL.entries).real) < 0.0
+    assert verify_witness(q, res.witness) >= -1e-9
+
+
+def test_refine_witness_undecided_when_cap_binds():
+    w, floor = _certified_witness(ExtensionQuery(rho=BELL, N=2, ppt=True))
+    value = float(np.vdot(w.entries, BELL.entries).real)
+    res = _refine_witness(BELL, w, -1.0)
+    assert res.verdict == "undecided" and res.witness is None
+    cap = -0.25 * value
+    assert res.detail == (
+        f"witness cone floor -1.00e+00 below -{cap:.2e}, the largest shift "
+        f"that keeps tr(W rho) {value:.2e} negative"
+    )
+    # a witness that does not separate rho is no verdict either
+    flipped = _refine_witness(BELL, w * -1.0, floor)
+    assert flipped.verdict == "undecided"
+    assert flipped.detail.startswith("witness value tr(W rho) ")
+
+
+def test_membership_undecided_when_floor_cannot_be_certified(monkeypatch):
+    from dpskit.extensions import _Codec
+
+    witness = _Codec.witness
+
+    def sunk(self, sol):
+        w, floor = witness(self, sol)
+        return w, floor - 10.0
+
+    monkeypatch.setattr(_Codec, "witness", sunk)
+    res = check_membership(ExtensionQuery(rho=BELL, N=2, ppt=True))
+    assert res.verdict == "undecided"
+    assert res.detail.startswith("witness cone floor ")
 
 
 def test_memory_error_reported_as_budget(monkeypatch):
