@@ -8,6 +8,12 @@ members).  Upper bounds are the ``value`` of the ConeOptimum that
 the lower bounds are the affine images of the upper bounds under the
 disentangling maps, using d = dim H_B of the optimization bipartition.
 
+A purity or geometric point without PPT (or with PPT at N = 1) runs no
+solve: its cone is the partial-trace image L(X) of the density operators X
+on H_A (x) Sym^N, so its upper bound is exactly lambda_max(L^dag(objective)),
+status "optimal" whatever ``max_iter`` says; ``tol`` sets the threshold of
+the top eigenspace whose normalized projector is the optimal extension.
+
 Choi convention: Omega_AB = sum_ij |i><j|_A (x) omega(|i><j|)_B, so that a
 trace-preserving channel has tr_B(Omega) = I_A and the purity functional is
 tr(Omega . sigma (x) rho).  (The source formula tr_A(Omega . I (x) rho)

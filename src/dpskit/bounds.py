@@ -5,7 +5,8 @@ complexity estimates, the PPT-only bounds, and the tightness example family.
 g_N is one minus the largest root of a designated Jacobi polynomial.  Three
 independent routes compute it:
 
-* the tridiagonal eigenvalue route (primary; numerically stable),
+* the tridiagonal eigenvalue route (primary; numerically stable; O(deg)
+  memory, on the recurrence's diagonals),
 * bisection root-refinement of the polynomial recurrence (internal check,
   run on every call: a sign scan that evaluates the recurrence over a chunk
   of grid points at once, then Brent's method on the bracket it finds),
@@ -25,6 +26,7 @@ from fractions import Fraction
 from math import cos, e, lgamma, log10, pi, sqrt
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import jv
 
 from .operators import (
@@ -186,7 +188,9 @@ def g_N_via_root(d: int, N: int) -> float:
 def g_N(d: int, N: int, cross_check_tol: float = 1e-7) -> float:
     """One minus the largest root of the designated Jacobi polynomial.
 
-    Primary route: smallest eigenvalue of the tridiagonal recurrence matrix.
+    Primary route: smallest eigenvalue of the tridiagonal recurrence matrix,
+    by bisection on its diagonals alone (O(deg) memory; the dense matrix at
+    N = 34007, which a delta of 1e-8 needs, would take 2.2 GiB).
     A bisection root-refinement of the raw recurrence cross-checks every
     call; disagreement raises (it indicates a recurrence bug, not noise).
 
@@ -195,7 +199,8 @@ def g_N(d: int, N: int, cross_check_tol: float = 1e-7) -> float:
     relative error is about 2(d+1)/N, i.e. 3-5% at N = 200 for d = 2..4.
     """
     alpha, beta, deg = _gn_params(d, N)
-    val = float(np.linalg.eigvalsh(tridiagonal_C(d, N))[0])
+    rec = jacobi_recurrence(alpha, beta, deg)
+    val = float(eigvalsh_tridiagonal(rec.diag, rec.off, select="i", select_range=(0, 0))[0])
     check = 1.0 - _largest_root_bisect(alpha, beta, deg)
     if abs(val - check) > cross_check_tol:
         raise ArithmeticError(
@@ -405,20 +410,38 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
     return pref * sqrt(excess)
 
 
+# The largest N whose g_N ``required_N`` evaluates.  Each g_N costs O(N)
+# time and memory in the root-route cross-check, and the bisection takes
+# about 20 of them: delta = 1e-10 (N = 340091 at d_B = 2) takes ~25 s and
+# ~130 MiB on one core of a 2-core Xeon.
+MAX_REQUIRED_N = 500_000
+
+
 def required_N(delta: float, d_B: int, ppt: bool) -> int:
     """Smallest guaranteed extension size for trace-distance accuracy delta.
 
     With ``ppt`` this is the smallest N >= 2 with g_N(d_B, N) <= delta.
     g_N falls strictly in N, so a bisection below the asymptotic estimate
-    ceil(sqrt(2) j / sqrt(delta)), which overshoots, finds it.
+    ceil(sqrt(2) j / sqrt(delta)), which overshoots, finds it.  A delta
+    whose estimate exceeds ``MAX_REQUIRED_N`` raises ValueError, as does
+    one whose non-PPT answer overflows a float.
     """
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
     if d_B < 2:
         raise ValueError("d_B must be >= 2")
     if not ppt:
-        return int(np.ceil((2.0 - delta) * (d_B - 1) / delta))
-    hi = max(int(np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))), 2)
+        n = np.ceil((2.0 - delta) * (d_B - 1) / delta)
+        if not np.isfinite(n):
+            raise ValueError(f"delta {delta} is too small: the required N overflows")
+        return int(n)
+    estimate = np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))
+    if estimate > MAX_REQUIRED_N:
+        raise ValueError(
+            f"delta {delta} is too small: its PPT estimate N = {estimate:.3g} "
+            f"exceeds the N = {MAX_REQUIRED_N} up to which g_N is evaluated"
+        )
+    hi = max(int(estimate), 2)
     while g_N(d_B, hi) > delta:
         hi += 1
     lo = 1  # invariant: every N <= lo is too small (or below 2), hi is enough

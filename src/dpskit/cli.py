@@ -142,7 +142,8 @@ def _read_state(path: str, command: str) -> HermitianOperator:
 
 
 def _generate(make, *params):
-    """Call an input generator, its parameter-range ValueError as an input error."""
+    """Call an input generator or estimate, its parameter-range ValueError as
+    an input error."""
     try:
         return make(*params)
     except ValueError as exc:
@@ -251,7 +252,7 @@ def cmd_bounds(config, args) -> int:
             ",log10_simpl_sym,log10_simpl_ppt"
         )
     if delta_cols:
-        n_sym, n_ppt, *ops = complexity_estimate(args.dA, args.dB, config.delta)
+        n_sym, n_ppt, *ops = _generate(complexity_estimate, args.dA, args.dB, config.delta)
         delta_tail = ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
     lines = [header]
     j = bessel_zero_first(args.dB - 2)
@@ -345,8 +346,8 @@ def cmd_complexity(config, args) -> int:
     if config.delta is None:
         raise _InputError("complexity requires --delta")
     _check_dims(args)
-    n_sym, n_ppt, sym_ops, ppt_ops, sym_s, ppt_s = complexity_estimate(
-        args.dA, args.dB, config.delta
+    n_sym, n_ppt, sym_ops, ppt_ops, sym_s, ppt_s = _generate(
+        complexity_estimate, args.dA, args.dB, config.delta
     )
     payload = {
         "dA": args.dA,

@@ -22,7 +22,9 @@ A multiparty L is the Kronecker product of the per-party matrices.  All
 coefficients are exact occupation-number combinatorics; the naive
 lift/operate/compress pipeline is kept in the test suite as an oracle only.
 
-A query compiles to one of two SDP forms (``_compile``):
+A unit_trace query without a PPT block needs no SDP: its optimum is the
+top eigenvalue of L^dag(objective) (``optimize_over_cone``).  Any other
+query compiles to one of two SDP forms (``_compile``):
 
 * without a PPT block, X is the solver's primal block, tied to the data by
   its few state rows (trace_match: Lambda = rho; identity_marginal:
@@ -453,6 +455,18 @@ class _Codec:
         return HermitianOperator(q.rho.factor_dims, w), floor
 
 
+def _ppt_cuts(q: ExtensionQuery) -> list[int]:
+    """The transposed copy counts of the query's PPT blocks, one per block.
+
+    N=1 has an empty transposed side; its PPT block would be X itself, so
+    it has none.
+    """
+    if not q.ppt:
+        return []
+    cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
+    return [t for t in cuts if t > 0]
+
+
 def _codec(q: ExtensionQuery) -> _Codec:
     """The maps and arithmetic of a query, after the dimension budget check."""
     dA, *dBs = q.rho.factor_dims
@@ -462,11 +476,7 @@ def _codec(q: ExtensionQuery) -> _Codec:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    cuts = []
-    if q.ppt:
-        cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
-    # N=1 has an empty transposed side; the PPT block is then X itself
-    pmaps = [PptMap(dA, dBs, q.N, t) for t in cuts if t > 0]
+    pmaps = [PptMap(dA, dBs, q.N, t) for t in _ppt_cuts(q)]
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
     return _Codec(q, TraceMap(dA, dBs, q.N), pmaps, real)
@@ -697,7 +707,7 @@ def _refine_witness(
 
 def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
     """min tr(W sigma) over unit-trace members of the tested cone, by an
-    auxiliary cone optimization (one more SDP).
+    auxiliary cone optimization (one more SDP, also without a PPT block).
 
     ``check_membership`` reads a certified lower bound on this number off
     the solver's certificate instead; this is the independent oracle for it.
@@ -710,7 +720,7 @@ def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
         reduced_constraint="unit_trace",
         ppt_cuts=q.ppt_cuts,
     )
-    return -optimize_over_cone(aux).value
+    return -_solve_over_cone(aux).value
 
 
 @dataclass
@@ -729,9 +739,34 @@ def optimize_over_cone(
 
     ``value`` is the optimum and ``optimizer`` the reduced optimizer Lambda
     (the partial trace of the optimal extension ``extension``).
+
+    A unit_trace query without a PPT block optimizes over the image L(X) of
+    the density operators X on H_A (x) Sym^N, so its optimum is exactly
+    lambda_max(L^dag(objective)), whatever ``max_iter`` says: one ``eigh``,
+    no SDP.  Its extension is P/k, the projector onto the eigenspaces within
+    tol*max(1, |lambda_max|) of lambda_max over their dimension k, the
+    analytic centre of the optimal face, where the interior-point path ends;
+    its status is "optimal" after 0 iterations.  Every other query is
+    compiled and solved.
     """
     if q.reduced_constraint == "trace_match":
         raise ValueError("optimize_over_cone needs an identity_marginal or unit_trace query")
+    if q.reduced_constraint != "unit_trace" or _ppt_cuts(q):
+        return _solve_over_cone(q, tol, max_iter)
+    with _memory_budget(q):
+        codec = _codec(q)
+        c = codec.tmap.adjoint(q.objective.entries)
+        c = 0.5 * (c + c.conj().T)
+        lam, vec = np.linalg.eigh(np.real(c) if codec.real else c)
+        top = vec[:, lam >= lam[-1] - tol * max(1.0, abs(lam[-1]))]
+        x = (top @ top.conj().T / top.shape[1]).astype(complex)
+    return _cone_optimum(q, codec.tmap, x, "optimal", 0)
+
+
+def _solve_over_cone(
+    q: ExtensionQuery, tol: float = 1e-8, max_iter: int = 200
+) -> ConeOptimum:
+    """``optimize_over_cone`` by compiling the query and solving its SDP."""
     with _memory_budget(q):
         problem, codec = _compile(q)
         sol = solve(problem, tol=tol, max_iter=max_iter)
@@ -739,12 +774,17 @@ def optimize_over_cone(
         raise SolverBreakdown("cone constraints are infeasible")
     if sol.status not in ("optimal", "max_iter"):
         raise SolverBreakdown("cone optimization is unbounded; check constraints")
-    x = codec.extension(sol)
-    lam = codec.tmap.apply(x)
+    return _cone_optimum(q, codec.tmap, codec.extension(sol), sol.status, sol.iterations)
+
+
+def _cone_optimum(
+    q: ExtensionQuery, tmap: LocalMap, x: np.ndarray, status: str, iterations: int
+) -> ConeOptimum:
+    lam = tmap.apply(x)
     return ConeOptimum(
         value=float(np.real(np.vdot(q.objective.entries, lam))),
         optimizer=HermitianOperator(q.rho.factor_dims, lam, hermitian_tol=1e-6),
-        status=sol.status,
-        iterations=sol.iterations,
+        status=status,
+        iterations=iterations,
         extension=x,
     )

@@ -378,17 +378,19 @@ def solve(
         dZ2 = cost - ATdy2
         dX2 = hkm(ATdy2 - cost)
         zinv = _flat(Zinv)
+        # the predictor and the corrector share these terms
+        hkm_rd = hkm(rd)
+        denom = float(bvec @ dy2) - cost @ dX2 + kappa / tau
+        if abs(denom) < 1e-300:
+            raise SolverBreakdown("degenerate tau equation")
 
         def build(sigma_mu, corr, corr_tk):
-            base = sigma_mu * zinv - X - hkm(rd) - corr
+            base = sigma_mu * zinv - X - hkm_rd - corr
             r1 = rp - A @ base
             dy1 = schur_solve(r1)
             ATdy1 = AT @ dy1
             dX1 = base + hkm(ATdy1)
             dZ1 = rd - ATdy1
-            denom = float(bvec @ dy2) - cost @ dX2 + kappa / tau
-            if abs(denom) < 1e-300:
-                raise SolverBreakdown("degenerate tau equation")
             target = (sigma_mu - tau * kappa - corr_tk) / tau
             dtau = (target - rg - float(bvec @ dy1) + cost @ dX1) / denom
             dX = _flat(0.5 * (d + d.T) for d in split(dX1 + dtau * dX2))

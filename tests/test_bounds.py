@@ -218,13 +218,26 @@ class TestGn:
     def test_routes_disagreeing_raise(self, monkeypatch):
         # a diagonal shift of 1e-6 moves the eigenvalue route by 1e-6, ten
         # times cross_check_tol, and leaves the root route alone
-        def shifted(d, n):
-            c = tridiagonal_C(d, n)
-            return c + 1e-6 * np.eye(len(c))
+        recurrence = bounds.jacobi_recurrence
 
-        monkeypatch.setattr(bounds, "tridiagonal_C", shifted)
+        def shifted(alpha, beta, n):
+            rec = recurrence(alpha, beta, n)
+            return bounds.JacobiRecurrence(alpha, beta, rec.diag + 1e-6, rec.off)
+
+        monkeypatch.setattr(bounds, "jacobi_recurrence", shifted)
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
             g_N(3, 10)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_dense_tridiagonal_eigensolve(self, d):
+        for n in [*range(1, 41), 99, 200, 300]:
+            dense = float(np.linalg.eigvalsh(tridiagonal_C(d, n))[0])
+            assert abs(g_N(d, n) - dense) <= 1e-11 * dense
+
+    def test_large_N_in_linear_memory(self):
+        # the dense (deg x deg) matrix at N = 34007 would take 2.2 GiB
+        g = g_N(2, 34007)
+        assert 0.0 < g <= 1e-8 < g_N(2, 34006)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_sign_scan_independent_of_chunk_size(self, chunk, monkeypatch):
@@ -395,6 +408,17 @@ class TestRequiredN:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             required_N(2.5, 2, ppt=False)
+
+    @pytest.mark.parametrize(
+        "delta, ppt, match",
+        [(1e-300, True, r"PPT estimate N = 3\.4e\+150 exceeds"),
+         (1e-12, True, r"PPT estimate N = 3\.4e\+06 exceeds"),
+         (5e-324, False, "required N overflows")],
+        ids=["ppt-1e-300", "ppt-1e-12", "sym-subnormal"],
+    )
+    def test_rejects_delta_beyond_evaluable_N(self, delta, ppt, match):
+        with pytest.raises(ValueError, match=match):
+            required_N(delta, 2, ppt=ppt)
 
 
 class TestComplexity:

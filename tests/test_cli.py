@@ -204,6 +204,25 @@ class TestSweeps:
         assert float(capped[2]) >= optimum - 1e-6  # upper
         assert float(capped[3]) <= optimum + 1e-6  # lower
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["purity", "--channel", "depolarizing-qubit", "--p", "0.2", "--N", "2"],
+            ["geometric", "--state", "ghz", "--N", "3"],
+        ],
+        ids=["purity", "geometric"],
+    )
+    def test_non_ppt_unit_trace_bound_exact_when_capped(self, argv, tmp_path):
+        # the optimum is a top eigenvalue, so no iteration cap applies
+        def row(*extra):
+            out = tmp_path / "row.csv"
+            assert main(argv + ["--ppt", "false", *extra, "--out", str(out)]) == 0
+            return out.read_text().strip().splitlines()[1].split(",")
+
+        full, capped = row(), row("--max-iter", "1")
+        assert capped[4] == full[4] == "optimal"
+        assert capped[2] == full[2]
+
     def test_budget_partial_csv(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPSKIT_BUDGET_DIM", "14")
         out = tmp_path / "partial.csv"
@@ -484,6 +503,26 @@ def test_complexity_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["required_N_sym"] == 19
     assert payload["log10_ops_sym"] == pytest.approx(np.log10(64.0 * 20.0**6))
+
+
+def test_complexity_small_delta(tmp_path):
+    out = tmp_path / "cx.json"
+    code = main(
+        ["complexity", "--dA", "2", "--dB", "2", "--delta", "1e-8", "--out", str(out)]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert (payload["required_N_sym"], payload["required_N_ppt"]) == (199999999, 34007)
+
+
+@pytest.mark.parametrize("command", ["complexity", "bounds"])
+def test_delta_beyond_evaluable_N_exit_2(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--delta", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 1e-300 is too small: its PPT estimate N = ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_parser_built_once(tmp_path, monkeypatch):

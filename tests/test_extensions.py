@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dpskit.extensions import (
     TraceMap,
     _compile,
     _refine_witness,
+    _solve_over_cone,
     build_bse_sdp,
     check_membership,
     optimize_over_cone,
@@ -868,3 +870,99 @@ def test_memory_error_reported_as_budget(monkeypatch):
         optimize_over_cone(_bb84(7))
     with pytest.raises(BudgetExceeded, match=r"N=11 PPT trace_match .*m = 560 "):
         check_membership(_qubit_membership(11))
+
+
+# ---------------------------------------------------------------------------
+# unit_trace queries without a PPT block: the top eigenspace of L^dag(objective)
+# ---------------------------------------------------------------------------
+
+
+def _ghz_geometric(N):
+    rho_ab = partial_trace(GHZ, [2])
+    return _unit_trace_query(rho_ab, rho_ab, N)
+
+
+def _eigen_route_cases():
+    makes = {"purity": _depolarizing_purity, "ghz": _ghz_geometric, "w": _w_geometric}
+    cases = [
+        pytest.param(replace(make(N), ppt=False), id=f"{name}-N{N}")
+        for name, make in makes.items()
+        for N in (1, 2, 3, 6, 12)
+    ]
+    cases += [
+        pytest.param(_rotated(replace(_depolarizing_purity(3), ppt=False)), id="purity-rotated-N3"),
+        pytest.param(_rotated(replace(_w_geometric(2), ppt=False)), id="w-rotated-N2"),
+        pytest.param(replace(_unit_trace_query(GHZ, GHZ, 2), ppt=False), id="3-factor-ghz-N2"),
+        pytest.param(
+            ExtensionQuery(rho=SEP3, N=2, objective=random_state([2, 2, 2], 3, 4),
+                           reduced_constraint="unit_trace"),
+            id="3-factor-complex-N2",
+        ),
+        pytest.param(_w_geometric(1), id="w-ppt-N1"),
+        pytest.param(replace(_depolarizing_purity(1), ppt_cuts="all"), id="purity-ppt-all-N1"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("q", _eigen_route_cases())
+def test_unit_trace_without_ppt_block_is_top_eigenspace(q, monkeypatch):
+    sdp = _solve_over_cone(q)
+    assert sdp.status == "optimal"
+
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("the top-eigenspace route compiled or solved an SDP")
+
+    monkeypatch.setattr("dpskit.extensions._compile", no_sdp)
+    monkeypatch.setattr("dpskit.extensions.solve", no_sdp)
+    opt = optimize_over_cone(q)
+    assert (opt.status, opt.iterations) == ("optimal", 0)
+    assert abs(opt.value - sdp.value) <= 1e-7
+    assert np.max(np.abs(opt.extension - sdp.extension)) <= 1e-6
+    assert opt.optimizer.trace() == pytest.approx(1.0, abs=1e-12)
+    dA, *dBs = q.rho.factor_dims
+    c = TraceMap(dA, dBs, q.N).adjoint(q.objective.entries)
+    assert opt.value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("tol, rank", [(1e-8, 2), (1e-10, 1)])
+def test_top_eigenspace_threshold_is_tol(tol, rank):
+    # at N = 1 the trace map is the identity, so L^dag(objective) = objective
+    gap = 1e-9
+    obj = HermitianOperator((2, 2), np.diag([1.0, 1.0 - gap, 0.5, 0.0]).astype(complex))
+    q = ExtensionQuery(rho=obj, N=1, objective=obj, reduced_constraint="unit_trace")
+    opt = optimize_over_cone(q, tol=tol)
+    assert np.linalg.matrix_rank(opt.extension, 1e-6) == rank
+    assert_allclose(np.diag(opt.extension).real[:rank], 1.0 / rank, atol=1e-15)
+    assert opt.value == pytest.approx(1.0 - gap * (rank - 1) / rank, abs=1e-15)
+
+
+def _count_solves(monkeypatch) -> list:
+    """A list that gains one entry per ``solve`` call in dpskit.extensions."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("dpskit.extensions.solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "q",
+    [_w_geometric(2), replace(_w_geometric(2), ppt=False, reduced_constraint="identity_marginal")],
+    ids=["ppt-N2", "identity-marginal"],
+)
+def test_other_cone_queries_are_solved(q, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    optimize_over_cone(q)
+    assert len(calls) == 1
+
+
+def test_witness_oracle_solves_without_ppt_block(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    q = ExtensionQuery(rho=BELL, N=2, ppt=False)
+    res = check_membership(q)
+    assert res.verdict == "infeasible" and len(calls) == 1
+    assert verify_witness(q, res.witness) >= -1e-7
+    assert len(calls) == 2
