@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import disentangle_preimage
 from .extensions import (
-    FEAS_PSD_SLACK,
+    FEAS_PSD_TOL,
     ExtensionQuery,
     PptMap,
     TraceMap,
@@ -100,14 +100,23 @@ def rank_loop_check(
     return loop, RankProfile(rank_full, rank_left, rank_right, K, tol)
 
 
+# the log-det search: solver tolerance of each round, the weight's
+# regularization eps, and the number of random restarts after the first pass
+RANK_MIN_SOLVE_TOL = 1e-8
+RANK_MIN_EPS = 1e-4
+RANK_MIN_RESTARTS = 2
+
+
+def _rank_and_weight(x: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of an iterate and its next log-det weight, from one ``eigh``."""
+    w, v = np.linalg.eigh(x)
+    shifted = np.maximum(w, 0.0) + RANK_MIN_EPS * max(float(w[-1]), 1.0)
+    weight = (v / shifted) @ v.conj().T
+    return _rank(w), 0.5 * (weight + weight.conj().T)
+
+
 def rank_min_heuristic(
-    q: ExtensionQuery,
-    extension: np.ndarray,
-    rounds: int = 10,
-    tol: float = 1e-8,
-    eps: float = 1e-4,
-    restarts: int = 2,
-    seed: int = 0,
+    q: ExtensionQuery, extension: np.ndarray, rounds: int = 10, seed: int = 0
 ) -> np.ndarray:
     """Search the feasible set for a low-rank extension by log-det reweighting.
 
@@ -117,10 +126,11 @@ def rank_min_heuristic(
     both its rank and the next weight.  The first pass starts from
     ``extension``, a feasible extension of ``q`` (the one
     :func:`check_membership` returns), which is re-verified here (ValueError
-    if it fails) and is round 1's iterate.  Further passes reseed with random
-    positive weights, which breaks the symmetry that can trap the
-    reweighting at the analytic center (highly symmetric inputs like the
-    maximally mixed state need this).
+    if it fails) and is round 1's iterate.  ``RANK_MIN_RESTARTS`` further
+    passes reseed with random positive weights, which breaks the symmetry
+    that can trap the reweighting at the analytic center (highly symmetric
+    inputs like the maximally mixed state need this).  A pass ends early
+    when a round fails to give a re-verified iterate.
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("rank_min_heuristic requires a trace_match query")
@@ -129,44 +139,35 @@ def rank_min_heuristic(
     if not ok:
         raise ValueError(f"extension is not feasible: {detail}")
     rng = np.random.default_rng(seed)
-
-    def rank_and_weight(x):
-        w, v = np.linalg.eigh(x)
-        shifted = np.maximum(w, 0.0) + eps * max(float(w[-1]), 1.0)
-        weight = (v / shifted) @ v.conj().T
-        return _rank(w), 0.5 * (weight + weight.conj().T)
-
-    best_rank, first_weight = rank_and_weight(extension)
+    rounds = max(rounds, 1)
+    best_rank, weight = _rank_and_weight(extension)
     best_x = extension
-
-    def run_pass(weight, solves):
-        nonlocal best_x, best_rank
-        for _ in range(solves):
-            if best_rank == 1:
-                return
-            codec.set_objective(problem, weight, "minimize")
-            try:
-                sol = solve(problem, tol=tol)
-            except SolverBreakdown:
-                return
-            if sol.status not in ("optimal", "max_iter"):
-                return
-            x = codec.extension(sol)
-            if not _verify_feasible(x, codec)[0]:
-                return
-            r, weight = rank_and_weight(x)
-            if r < best_rank:
-                best_x, best_rank = x, r
-
-    run_pass(first_weight, max(rounds, 1) - 1)
-    for _ in range(max(restarts, 0)):
+    for start in range(RANK_MIN_RESTARTS + 1):
         if best_rank == 1:
             break
-        g = rng.standard_normal((codec.nx, codec.nx))
-        if not codec.real:
-            g = g + 1j * rng.standard_normal((codec.nx, codec.nx))
-        w0 = g @ g.conj().T
-        run_pass(w0 / np.trace(w0).real, max(rounds, 1))
+        if start:
+            g = rng.standard_normal((codec.nx, codec.nx))
+            if not codec.real:
+                g = g + 1j * rng.standard_normal((codec.nx, codec.nx))
+            weight = g @ g.conj().T
+            weight = weight / np.trace(weight).real
+        # the first pass's round 1 is the extension itself
+        for _ in range(rounds - (start == 0)):
+            codec.set_objective(problem, weight, "minimize")
+            try:
+                sol = solve(problem, tol=RANK_MIN_SOLVE_TOL)
+            except SolverBreakdown:
+                break
+            if sol.status not in ("optimal", "max_iter"):
+                break
+            x = codec.extension(sol)
+            if not _verify_feasible(x, codec)[0]:
+                break
+            r, weight = _rank_and_weight(x)
+            if r < best_rank:
+                best_x, best_rank = x, r
+            if best_rank == 1:
+                break
     return best_x
 
 
@@ -240,7 +241,7 @@ def certify(
         for ppt, name in ROUTES:
             sigma = disentangle_preimage(rho, n, ppt)
             lam = float(np.linalg.eigvalsh(sigma.entries)[0])
-            if lam < -FEAS_PSD_SLACK * 100:  # _verify_feasible's PSD slack
+            if lam < -FEAS_PSD_TOL:
                 outcomes.append(f"{name} preimage not PSD (lambda_min {lam:.2e})")
                 continue
             pre = check_membership(ExtensionQuery(rho=sigma, N=n, ppt=ppt))
@@ -270,7 +271,7 @@ def certify(
                 continue
             pmap = PptMap(dA, (dB,), n, n - k_alt)
             lam = float(np.linalg.eigvalsh(pmap.apply(x))[0])
-            if lam < -1e-7:
+            if lam < -FEAS_PSD_TOL:
                 continue
             loop, alt = rank_loop_check(x, dA, dB, n, k_alt, tol_rank)
             if loop:

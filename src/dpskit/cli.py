@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,52 +44,26 @@ class _InputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, resolved from the parsed args."""
-
-    command: str
-    input_path: str | None
-    n_values: tuple[int, ...]
-    ppt: str | bool
-    delta: float | None
-    tol: float | None  # membership and the bound sweeps only
-    max_iter: int | None
-    out: str | None
-    seed: int | None  # certify only
-    jobs: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        n_raw = getattr(args, "N", None)
-        n_values = tuple(_parse_range(n_raw)) if n_raw is not None else ()
-        tol = getattr(args, "tol", None)
-        if tol is not None and not tol > 0.0:
-            raise _InputError(f"--tol must be positive, got {tol}")
-        if args.jobs < 1:
-            raise _InputError(f"--jobs must be >= 1, got {args.jobs}")
-        max_iter = getattr(args, "max_iter", None)
-        if max_iter is not None and max_iter < 1:
-            raise _InputError(f"--max-iter must be >= 1, got {max_iter}")
-        delta = getattr(args, "delta", None)
-        if delta is not None and not 0.0 < delta < 2.0:
-            raise _InputError(f"delta {delta} outside (0, 2)")
-        try:
-            budget_dim()
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        return cls(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            n_values=n_values,
-            ppt=getattr(args, "ppt", False),
-            delta=delta,
-            tol=tol,
-            max_iter=max_iter,
-            out=args.out,
-            seed=getattr(args, "seed", None),
-            jobs=args.jobs,
-        )
+def _check_args(args):
+    """Validate the parsed options that a command shares with others, in
+    place: ``args.N`` becomes its list of values."""
+    if getattr(args, "N", None) is not None:
+        args.N = _parse_range(args.N)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0.0:
+        raise _InputError(f"--tol must be positive, got {tol}")
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be >= 1, got {args.jobs}")
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is not None and max_iter < 1:
+        raise _InputError(f"--max-iter must be >= 1, got {max_iter}")
+    delta = getattr(args, "delta", None)
+    if delta is not None and not 0.0 < delta < 2.0:
+        raise _InputError(f"delta {delta} outside (0, 2)")
+    try:
+        budget_dim()
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _parse_range(text: str) -> list[int]:
@@ -195,9 +168,9 @@ def _sweep_rows(points, worker, jobs: int):
         return list(pool.map(worker, points))
 
 
-def _bound_sweep_command(config, make_pair):
-    ppt_values = [False, True] if config.ppt == "both" else [config.ppt == "true"]
-    points = [(n, ppt) for n in config.n_values for ppt in ppt_values]
+def _bound_sweep_command(args, make_pair):
+    ppt_values = [False, True] if args.ppt == "both" else [args.ppt == "true"]
+    points = [(n, ppt) for n in args.N for ppt in ppt_values]
 
     budget_hit = False
 
@@ -212,51 +185,50 @@ def _bound_sweep_command(config, make_pair):
             print(f"error: {exc}", file=sys.stderr)
             return (n, ppt, "", "", "budget_exceeded", time.perf_counter() - t0)
 
-    rows = _sweep_rows(points, worker, config.jobs)
+    rows = _sweep_rows(points, worker, args.jobs)
     lines = ["N,ppt,upper,lower,status,wall_time_s"]
     for n, ppt, upper, lower, status, wall in rows:
         if status == "budget_exceeded":
             budget_hit = True
         lines.append(f"{n},{str(ppt).lower()},{upper},{lower},{status},{wall:.3f}")
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
-def cmd_membership(config, args) -> int:
-    rho = _read_state(config.input_path, "membership")
+def cmd_membership(args) -> int:
+    rho = _read_state(args.input, "membership")
     verdicts = {}
     budget_hit = False
-    for n in config.n_values:
+    for n in args.N:
         try:
             res = check_membership(
-                ExtensionQuery(rho=rho, N=n, ppt=bool(config.ppt)),
-                tol=config.tol,
-                max_iter=config.max_iter,
+                ExtensionQuery(rho=rho, N=n, ppt=args.ppt),
+                tol=args.tol,
+                max_iter=args.max_iter,
             )
             verdicts[str(n)] = res.verdict
         except BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             verdicts[str(n)] = "budget_exceeded"
             budget_hit = True
-    _emit(json.dumps(verdicts, sort_keys=True) + "\n", config.out)
+    _emit(json.dumps(verdicts, sort_keys=True) + "\n", args.out)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
-def cmd_bounds(config, args) -> int:
+def cmd_bounds(args) -> int:
     _check_dims(args)
     header = "dA,dB,N,gN,pc_sym,pc_ppt,R_sym,R_ppt,dtr_sym,dtr_ppt"
-    delta_cols = config.delta is not None
+    delta_cols = args.delta is not None
     if delta_cols:
         header += (
             ",reqN_sym,reqN_ppt,log10_ops_sym,log10_ops_ppt"
             ",log10_simpl_sym,log10_simpl_ppt"
         )
-    if delta_cols:
-        n_sym, n_ppt, *ops = _generate(complexity_estimate, args.dA, args.dB, config.delta)
+        n_sym, n_ppt, *ops = _generate(complexity_estimate, args.dA, args.dB, args.delta)
         delta_tail = ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
     lines = [header]
     j = bessel_zero_first(args.dB - 2)
-    for n in config.n_values:
+    for n in args.N:
         r = bound_report(args.dA, args.dB, n, j)
         row = ",".join(
             [str(args.dA), str(args.dB), str(n)]
@@ -276,28 +248,28 @@ def cmd_bounds(config, args) -> int:
         if delta_cols:
             row += "," + delta_tail
         lines.append(row)
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_fidelity(config, args) -> int:
+def cmd_fidelity(args) -> int:
     if args.bb84 is not None:
         problem = _generate(apps.bb84_two_copy_problem, args.bb84)
     elif args.qutrit_grid is not None:
         problem = _generate(apps.qutrit_grid_problem, args.qutrit_grid)
-    elif config.input_path:
-        problem = _read_ensemble(config.input_path)
+    elif args.input:
+        problem = _read_ensemble(args.input)
     else:
         raise _InputError("fidelity needs --bb84, --qutrit-grid, or --input")
     return _bound_sweep_command(
-        config,
+        args,
         lambda n, ppt: apps.fidelity_bounds(
-            problem, n, ppt, tol=config.tol, max_iter=config.max_iter
+            problem, n, ppt, tol=args.tol, max_iter=args.max_iter
         ),
     )
 
 
-def cmd_purity(config, args) -> int:
+def cmd_purity(args) -> int:
     if args.channel == "identity-qubit":
         choi = apps.identity_choi(2)
     elif args.channel == "depolarizing-qubit":
@@ -307,52 +279,52 @@ def cmd_purity(config, args) -> int:
     else:
         raise _InputError("purity needs --channel or --choi")
     return _bound_sweep_command(
-        config,
+        args,
         lambda n, ppt: apps.output_purity_bounds(
-            choi, n, ppt, tol=config.tol, max_iter=config.max_iter
+            choi, n, ppt, tol=args.tol, max_iter=args.max_iter
         ),
     )
 
 
-def cmd_geometric(config, args) -> int:
+def cmd_geometric(args) -> int:
     if args.state == "ghz":
         psi = apps.ghz_state()
     elif args.state == "w":
         psi = apps.w_state()
-    elif config.input_path:
-        psi = _read_state_vector(config.input_path)
+    elif args.input:
+        psi = _read_state_vector(args.input)
     else:
         raise _InputError("geometric needs --state ghz|w or --input")
     return _bound_sweep_command(
-        config,
+        args,
         lambda n, ppt: apps.geometric_entanglement_bounds(
-            psi, n, ppt, tol=config.tol, max_iter=config.max_iter
+            psi, n, ppt, tol=args.tol, max_iter=args.max_iter
         ),
     )
 
 
-def cmd_certify(config, args) -> int:
+def cmd_certify(args) -> int:
     if args.maxN < 2:
         raise _InputError(f"--maxN must be >= 2, got {args.maxN}")
-    rho = _read_state(config.input_path, "certify")
+    rho = _read_state(args.input, "certify")
     if rho.nfactors != 2:
         raise _InputError(f"certify input needs exactly two factors, got {rho.nfactors}")
-    result = certify(rho, maxN=args.maxN, delta=config.delta or 1e-7, seed=config.seed)
-    _emit(result.to_json() + "\n", config.out)
+    result = certify(rho, maxN=args.maxN, delta=args.delta or 1e-7, seed=args.seed)
+    _emit(result.to_json() + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_complexity(config, args) -> int:
-    if config.delta is None:
+def cmd_complexity(args) -> int:
+    if args.delta is None:
         raise _InputError("complexity requires --delta")
     _check_dims(args)
     n_sym, n_ppt, sym_ops, ppt_ops, sym_s, ppt_s = _generate(
-        complexity_estimate, args.dA, args.dB, config.delta
+        complexity_estimate, args.dA, args.dB, args.delta
     )
     payload = {
         "dA": args.dA,
         "dB": args.dB,
-        "delta": config.delta,
+        "delta": args.delta,
         "required_N_sym": n_sym,
         "required_N_ppt": n_ppt,
         "log10_ops_sym": sym_ops,
@@ -360,7 +332,7 @@ def cmd_complexity(config, args) -> int:
         "log10_simplified_sym": sym_s,
         "log10_simplified_ppt": ppt_s,
     }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", config.out)
+    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -448,8 +420,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return args.func(config, args)
+        _check_args(args)
+        return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

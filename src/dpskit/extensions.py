@@ -31,11 +31,12 @@ query compiles to one of two SDP forms (``_compile``):
   Lambda_A = I; unit_trace: tr X = 1);
 * with a PPT block, X = X0 + sum_k y_k F_k runs over the solutions of the
   state rows (F_k a sparse orthonormal kernel basis, one occupation-
-  difference sector at a time), and X(y) >= 0, Gamma_t(X(y)) >= 0 are LMIs
+  difference sector at a time), and X(y) >= 0, Gamma(X(y)) >= 0 are LMIs
   in the solver's dual form (Lofberg, "Dualize it", Optim. Methods Softw.
-  24, 2009).  The rows are X's free parameters, and a PPT block costs no
-  row: BB84 PPT N=7 has 518 rows instead of 3250 with a primal PPT block
-  and its link rows.
+  24, 2009).  Gamma is the one ``PptMap`` of S_p^N, across
+  A B^{ceil(N/2)} | B^{floor(N/2)}.  The rows are X's free parameters, and
+  the PPT block costs no row: BB84 PPT N=7 has 518 rows instead of 3250
+  with a primal PPT block and its link rows.
 
 ``_Codec`` reads either form back: the extension, the witness with its
 certified cone floor, the objective.
@@ -112,10 +113,10 @@ class ExtensionQuery:
     operator: "trace_match" (Lambda = rho: a membership query, which takes
     no objective), "identity_marginal" (Lambda_A = I, the state-estimation
     normalization) or "unit_trace" (optimization over normalized cone
-    members); the last two maximize tr(objective . Lambda).  ``ppt_cuts``
-    is "half" for the single ceil(N/2) | floor(N/2) bipartition that defines
-    S_p^N, or "all" for every nontrivial cut (an optional strengthening, not
-    the default).
+    members); the last two maximize tr(objective . Lambda).  ``ppt`` asks
+    for S_p^N: extensions that are also PPT across the single cut
+    A B^{ceil(N/2)} | B^{floor(N/2)}, the last floor(N/2) copies transposed
+    (no cut at N = 1).
     """
 
     rho: HermitianOperator
@@ -123,7 +124,6 @@ class ExtensionQuery:
     ppt: bool = False
     objective: HermitianOperator | None = None
     reduced_constraint: str = "trace_match"
-    ppt_cuts: str = "half"
 
     def __post_init__(self):
         if self.rho.nfactors < 2:
@@ -137,8 +137,6 @@ class ExtensionQuery:
             raise ValueError("a trace_match (membership) query takes no objective")
         if kind != "trace_match" and self.objective is None:
             raise ValueError(f"{kind} requires an objective operator")
-        if self.ppt_cuts not in ("half", "all"):
-            raise ValueError(f"unknown ppt_cuts {self.ppt_cuts!r}")
 
 
 @dataclass
@@ -319,7 +317,7 @@ class _Codec:
 
     query: ExtensionQuery
     tmap: LocalMap
-    pmaps: list
+    pmap: PptMap | None  # Gamma, the PPT block's map; None without one
     real: bool
     state: np.ndarray | None = None
     x0: np.ndarray | None = None
@@ -342,7 +340,7 @@ class _Codec:
         q = self.query
         n = {"trace_match": q.rho.dim, "identity_marginal": self.tmap.dA}
         s = self.basis_size(n[q.reduced_constraint]) if q.reduced_constraint in n else 1
-        return self.basis_size(self.nx) - s if self.pmaps else s
+        return self.basis_size(self.nx) - s if self.pmap is not None else s
 
     @property
     def infeasible(self) -> str:
@@ -411,33 +409,28 @@ class _Codec:
         is >= 0 and tr(W rho) < 0.
 
         In the rows form W = -sum_i y_i h_i over the state rows' basis.  In
-        the free form the certificate is a ray (W_X, W_t) of the LMIs with
-        <W_X, F_k> + sum_t <W_t, Gamma_t(F_k)> = 0, so
-        W_X + sum_t Gamma_t^dag(W_t) = L^dag(W) lies in the span of the
-        state rows L^dag(h_i), and W's coefficients solve for it.
+        the free form the certificate is a ray (W_X, W_Y) of the two LMIs
+        with <W_X, F_k> + <W_Y, Gamma(F_k)> = 0, so
+        W_X + Gamma^dag(W_Y) = L^dag(W) lies in the span of the state rows
+        L^dag(h_i), and W's coefficients solve for it.
 
         The floor needs no second SDP (after Jansson, Chaykin & Keil,
         "Rigorous error bounds for the optimal value in semidefinite
         programming", SIAM J. Numer. Anal. 46, 2007).  For a cone member
-        Lambda = L(X) with tr X = 1 and any What_t >= 0,
-        tr(W Lambda) = <L^dag(W) - sum_t Gamma_t^dag(What_t), X>
-        + sum_t <What_t, Gamma_t(X)> >= lambda_min(L^dag(W) - sum_t
-        Gamma_t^dag(What_t)).  What_t is the PSD part of the ray's block t,
-        scaled like W, so the bound holds whatever the ray's residual.
+        Lambda = L(X) with tr X = 1 and any What >= 0,
+        tr(W Lambda) = <L^dag(W) - Gamma^dag(What), X> + <What, Gamma(X)>
+        >= lambda_min(L^dag(W) - Gamma^dag(What)).  What is the PSD part of
+        W_Y, scaled like W, so the bound holds whatever the ray's residual.
         Without a PPT block it is lambda_min(L^dag(W)), the exact minimum.
         """
         q = self.query
         if q.reduced_constraint != "trace_match":
             return None
-        blocks = []
         if self.kernel is None:
             coef = -sol.dual_multipliers[: len(self.state)]
         else:
-            wx, *wy = sol.certificate
-            blocks = [self.unembed(w_t) for w_t in wy]
-            g = self.unembed(wx)
-            for pmap, w_t in zip(self.pmaps, blocks):
-                g = g + pmap.adjoint(w_t)
+            wx, wy = (self.unembed(block) for block in sol.certificate)
+            g = wx + self.pmap.adjoint(wy)
             rows = self.state.reshape(len(self.state), -1)
             gram = np.real(rows.conj() @ rows.T)
             coef = np.linalg.solve(gram, np.real(rows.conj() @ g.ravel()))
@@ -448,23 +441,18 @@ class _Codec:
             return None
         w /= scale
         floor_map = self.tmap.adjoint(w)
-        for pmap, w_t in zip(self.pmaps, blocks):
-            lam, vec = np.linalg.eigh(w_t)
-            floor_map -= pmap.adjoint((vec * (np.maximum(lam, 0.0) / scale)) @ vec.conj().T)
+        if self.kernel is not None:
+            lam, vec = np.linalg.eigh(wy)
+            floor_map -= self.pmap.adjoint((vec * (np.maximum(lam, 0.0) / scale)) @ vec.conj().T)
         floor = float(np.linalg.eigvalsh(0.5 * (floor_map + floor_map.conj().T))[0])
         return HermitianOperator(q.rho.factor_dims, w), floor
 
 
-def _ppt_cuts(q: ExtensionQuery) -> list[int]:
-    """The transposed copy counts of the query's PPT blocks, one per block.
-
-    N=1 has an empty transposed side; its PPT block would be X itself, so
-    it has none.
-    """
-    if not q.ppt:
-        return []
-    cuts = [q.N // 2] if q.ppt_cuts == "half" else range(1, q.N // 2 + 1)
-    return [t for t in cuts if t > 0]
+def _has_ppt_block(q: ExtensionQuery) -> bool:
+    """Whether the query compiles to a PPT block, which transposes N//2
+    copies.  N=1 has an empty transposed side; its PPT block would be X
+    itself, so it has none."""
+    return q.ppt and q.N > 1
 
 
 def _codec(q: ExtensionQuery) -> _Codec:
@@ -476,10 +464,10 @@ def _codec(q: ExtensionQuery) -> _Codec:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    pmaps = [PptMap(dA, dBs, q.N, t) for t in _ppt_cuts(q)]
+    pmap = PptMap(dA, dBs, q.N, q.N // 2) if _has_ppt_block(q) else None
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
-    return _Codec(q, TraceMap(dA, dBs, q.N), pmaps, real)
+    return _Codec(q, TraceMap(dA, dBs, q.N), pmap, real)
 
 
 def _kernel(rows: np.ndarray) -> sp.csc_matrix:
@@ -537,9 +525,9 @@ def _embed_into(dest: np.ndarray, v: sp.spmatrix, n: int, real: bool):
 
 
 def _free_form(codec: _Codec, rhs: np.ndarray) -> SdpProblem:
-    """The LMIs X(y) >= 0 and Gamma_t(X(y)) >= 0 over X(y) = x0 + sum_k y_k F_k,
+    """The LMIs X(y) >= 0 and Gamma(X(y)) >= 0 over X(y) = x0 + sum_k y_k F_k,
     as the dual slack C - sum_k y_k A_k of the solver's standard form:
-    C = (x0, Gamma_t(x0)) and A_k = -(F_k, Gamma_t(F_k)).
+    C = (x0, Gamma(x0)) and A_k = -(F_k, Gamma(F_k)).
 
     x0 is the least-norm solution of the state rows and the F_k an
     orthonormal, sparse basis of their kernel, so X(y) meets the state rows
@@ -547,7 +535,7 @@ def _free_form(codec: _Codec, rhs: np.ndarray) -> SdpProblem:
     it", Optim. Methods Softw. 24, 2009).  b = 0 makes the solve a
     feasibility test; ``set_objective`` fills b for an objective.
     """
-    n, real = codec.nx, codec.real
+    n, real, pmap = codec.nx, codec.real, codec.pmap
     basis = hermitian_vecs(n, real)
     state = codec.state.reshape(len(codec.state), -1)
     codec.kernel = (_kernel(np.real(basis.conj() @ state.T).T).T @ basis).tocsr()
@@ -555,12 +543,9 @@ def _free_form(codec: _Codec, rhs: np.ndarray) -> SdpProblem:
     gram = np.real(state.conj() @ state.T)
     x0 = np.tensordot(np.linalg.solve(gram, rhs), codec.state, axes=1)
     codec.x0 = 0.5 * (x0 + x0.conj().T)
-    sides = [n] + [codec.tmap.dA * p.size_out for p in codec.pmaps]
-    vecs = [codec.kernel] + [
-        _hermitize(codec.kernel @ p.matrix().T, side)
-        for p, side in zip(codec.pmaps, sides[1:])
-    ]
-    offsets = [codec.x0] + [p.apply(codec.x0) for p in codec.pmaps]
+    sides = [n, codec.tmap.dA * pmap.size_out]
+    vecs = [codec.kernel, _hermitize(codec.kernel @ pmap.matrix().T, sides[1])]
+    offsets = [codec.x0, pmap.apply(codec.x0)]
     block_sizes = [codec.weight * side for side in sides]
     m = vecs[0].shape[0]
     problem = SdpProblem(
@@ -588,7 +573,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     """
     codec = _codec(q)
     codec.state, rhs = codec.state_rows()
-    if codec.pmaps:
+    if codec.pmap is not None:
         problem = _free_form(codec, rhs)
     else:
         n = codec.weight * codec.nx
@@ -620,7 +605,8 @@ def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
 
 
 FEAS_EQUALITY_TOL = 1e-7
-FEAS_PSD_SLACK = 1e-9
+# an eigenvalue above -FEAS_PSD_TOL counts as PSD when a verdict is re-verified
+FEAS_PSD_TOL = 1e-7
 
 
 def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
@@ -629,11 +615,11 @@ def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
     if eq > FEAS_EQUALITY_TOL:
         return False, f"reduced-state residual {eq:.2e}"
     lam = float(np.linalg.eigvalsh(x)[0])
-    if lam < -FEAS_PSD_SLACK * 100:
+    if lam < -FEAS_PSD_TOL:
         return False, f"extension min eigenvalue {lam:.2e}"
-    for pmap in codec.pmaps:
-        lam_p = float(np.linalg.eigvalsh(pmap.apply(x))[0])
-        if lam_p < -FEAS_PSD_SLACK * 100:
+    if codec.pmap is not None:
+        lam_p = float(np.linalg.eigvalsh(codec.pmap.apply(x))[0])
+        if lam_p < -FEAS_PSD_TOL:
             return False, f"PPT block min eigenvalue {lam_p:.2e}"
     return True, f"residual {eq:.2e}"
 
@@ -718,7 +704,6 @@ def verify_witness(q: ExtensionQuery, w: HermitianOperator) -> float:
         ppt=q.ppt,
         objective=HermitianOperator(w.factor_dims, -w.entries),
         reduced_constraint="unit_trace",
-        ppt_cuts=q.ppt_cuts,
     )
     return -_solve_over_cone(aux).value
 
@@ -751,7 +736,7 @@ def optimize_over_cone(
     """
     if q.reduced_constraint == "trace_match":
         raise ValueError("optimize_over_cone needs an identity_marginal or unit_trace query")
-    if q.reduced_constraint != "unit_trace" or _ppt_cuts(q):
+    if q.reduced_constraint != "unit_trace" or _has_ppt_block(q):
         return _solve_over_cone(q, tol, max_iter)
     with _memory_budget(q):
         codec = _codec(q)

@@ -215,18 +215,31 @@ class TestGn:
             want = 1.0 - max(roots_jacobi(deg, alpha, beta)[0])
             assert abs(g_N_via_root(d, n) - want) <= 1e-12
 
-    def test_routes_disagreeing_raise(self, monkeypatch):
-        # a diagonal shift of 1e-6 moves the eigenvalue route by 1e-6, ten
-        # times cross_check_tol, and leaves the root route alone
+    @staticmethod
+    def _shift_eigenvalue_route(monkeypatch, shift):
+        # a diagonal shift moves the eigenvalue route by the shift and
+        # leaves the root route alone
         recurrence = bounds.jacobi_recurrence
 
         def shifted(alpha, beta, n):
             rec = recurrence(alpha, beta, n)
-            return bounds.JacobiRecurrence(alpha, beta, rec.diag + 1e-6, rec.off)
+            return bounds.JacobiRecurrence(alpha, beta, rec.diag + shift, rec.off)
 
         monkeypatch.setattr(bounds, "jacobi_recurrence", shifted)
+
+    def test_routes_disagreeing_raise(self, monkeypatch):
+        # g_N(3, 10) is about 0.1, so a 1e-6 shift is 1e-5 relative
+        self._shift_eigenvalue_route(monkeypatch, 1e-6)
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
             g_N(3, 10)
+
+    def test_routes_disagreeing_raise_below_1e7(self, monkeypatch):
+        # g_N(2, 10750) is 1.0003e-7: a 1e-10 shift (0.1 %) lies far inside
+        # any absolute tolerance of 1e-7, but not inside one that scales
+        assert 1e-7 < g_N(2, 10750) < 1.001e-7
+        self._shift_eigenvalue_route(monkeypatch, 1e-10)
+        with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=2, N=10750\)"):
+            g_N(2, 10750)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_dense_tridiagonal_eigensolve(self, d):

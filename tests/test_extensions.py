@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
@@ -280,14 +281,22 @@ def test_nesting_by_reduction():
     assert np.linalg.eigvalsh(x2)[0] > -1e-8
 
 
-def test_all_cuts_variant():
-    # first level where the option differs from the default: N=4 has cuts t=1,2
-    mix = identity((2, 2)) * 0.25
-    q_all = ExtensionQuery(rho=mix, N=4, ppt=True, ppt_cuts="all")
-    prob = build_bse_sdp(q_all)
-    assert len(prob.block_sizes) == 3  # X plus one PPT block per cut
-    res = check_membership(q_all)
-    assert res.verdict == "feasible"
+def test_ppt_query_has_one_ppt_block():
+    # S_p^N has one cut: a PPT query compiles to the blocks X and Gamma(X),
+    # Gamma transposing the last N//2 copies, and at N = 1 to X alone (real
+    # data, so the sides are not doubled)
+    for rho, n_max in ((_WERNER, 4), (_ghz_mixed(), 3)):
+        dA, *dBs = rho.factor_dims
+        for N in range(1, n_max + 1):
+            for kind in ("trace_match", "identity_marginal", "unit_trace"):
+                obj = None if kind == "trace_match" else rho
+                q = ExtensionQuery(rho=rho, N=N, ppt=True, objective=obj,
+                                   reduced_constraint=kind)
+                sides = [dA * prod(sym_dim(d, N) for d in dBs)]
+                if N > 1:
+                    sides.append(dA * prod(sym_dim(d, N - N // 2) * sym_dim(d, N // 2)
+                                           for d in dBs))
+                assert build_bse_sdp(q).block_sizes == sides, (N, kind)
 
 
 def test_ppt_dominance():
@@ -472,7 +481,7 @@ def _rotated(q):
     obj = None if q.objective is None else _phase_rotation(q.objective)
     return ExtensionQuery(
         rho=_phase_rotation(q.rho), N=q.N, ppt=q.ppt, objective=obj,
-        reduced_constraint=q.reduced_constraint, ppt_cuts=q.ppt_cuts,
+        reduced_constraint=q.reduced_constraint,
     )
 
 
@@ -625,12 +634,12 @@ _WERNER = BELL * 0.3 + identity((2, 2)) * (0.7 / 4)
         lambda: _qutrit(2),
         lambda: _depolarizing_purity(3),
         lambda: ExtensionQuery(rho=_WERNER, N=3, ppt=True),
-        lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True, ppt_cuts="all"),
+        lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True),
         lambda: ExtensionQuery(rho=_ghz_mixed(), N=2),
         lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True),
     ],
     ids=["bb84_ppt_N2", "bb84_ppt_N3", "bb84_ppt_N4", "qutrit_ppt_N2",
-         "purity_unit_trace_N3_ppt", "trace_match_N3_ppt", "trace_match_N4_allcuts",
+         "purity_unit_trace_N3_ppt", "trace_match_N3_ppt", "trace_match_N4_ppt",
          "tri_N2", "tri_N2_ppt"],
 )
 def test_compiled_rows_full_rank(make, path):
@@ -775,27 +784,25 @@ def _certified_witness(q):
 
 
 _FLOOR_CASES = [
-    (state, N, "half", path)
+    # the ids name the PPT block's cut, the half cut of S_p^N
+    pytest.param(state, N, path, id=f"{state}-{N}-half-{path}")
     for state in ("2x2", "2x3", "2x2x2")
     for N in (2, 3)
     for path in ("real", "complex")
     # the complex tripartite N=3 aux SDP alone takes about 6 s
     if (state, N, path) != ("2x2x2", 3, "complex")
-] + [
-    # "all" adds cuts to "half" only from N = 4 on
-    ("2x2", 4, "all", path) for path in ("real", "complex")
 ]
 
 
-@pytest.mark.parametrize("state, N, cuts, path", _FLOOR_CASES)
-def test_certified_floor_bounds_aux_sdp_floor(state, N, cuts, path):
+@pytest.mark.parametrize("state, N, path", _FLOOR_CASES)
+def test_certified_floor_bounds_aux_sdp_floor(state, N, path):
     # a valid lower bound on the aux SDP's optimum, whatever the ray's residual
     rho = {
         "2x2": BELL * 0.6 + identity((2, 2)) * (0.4 / 4),
         "2x3": _NPT_2X3,
         "2x2x2": _ghz_mixed(),
     }[state]
-    q = ExtensionQuery(rho=rho, N=N, ppt=True, ppt_cuts=cuts)
+    q = ExtensionQuery(rho=rho, N=N, ppt=True)
     if path == "complex":
         q = _rotated(q)
     w, floor = _certified_witness(q)
@@ -899,7 +906,6 @@ def _eigen_route_cases():
             id="3-factor-complex-N2",
         ),
         pytest.param(_w_geometric(1), id="w-ppt-N1"),
-        pytest.param(replace(_depolarizing_purity(1), ppt_cuts="all"), id="purity-ppt-all-N1"),
     ]
     return cases
 
