@@ -27,6 +27,7 @@ from .bounds import (
     bessel_zero_first,
     bound_report,
     complexity_estimate,
+    critical_p,
     disentangle_ppt,
     disentangle_preimage,
     disentangle_sym,

@@ -28,7 +28,7 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from .bounds import g_N
+from .bounds import critical_p
 from .extensions import ExtensionQuery, optimize_over_cone
 from .operators import (
     HermitianOperator,
@@ -94,19 +94,17 @@ def _bound_pair(
 ) -> BoundPair:
     """The cone optimum of ``objective`` as the upper bound, and its image
     under the disentangling map, with d = dim H_B of ``rho``, as the lower
-    bound; ``tail`` is the coefficient of the noise term (1 for
-    fidelity/purity, lambda_A for E)."""
+    bound: (1 - p) upper + (p/d) tail with p = ``critical_p(d, N, ppt)``;
+    ``tail`` is the coefficient of the noise term (1 for fidelity/purity,
+    lambda_A for E)."""
     query = ExtensionQuery(
         rho=rho, N=N, ppt=ppt, objective=objective,
         reduced_constraint=reduced_constraint,
     )
     opt = optimize_over_cone(query, tol=tol, max_iter=max_iter)
     d = rho.factor_dims[1]
-    if ppt:
-        w = g_N(d, N) / (2.0 * (d - 1))
-        lower = (1.0 - d * w) * opt.value + w * tail
-    else:
-        lower = (N / (N + d)) * opt.value + tail / (N + d)
+    p = critical_p(d, N, ppt)
+    lower = (1.0 - p) * opt.value + (p / d) * tail
     return BoundPair(upper=opt.value, lower=lower, N=N, ppt=ppt, status=opt.status)
 
 

@@ -29,14 +29,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import jv
 
-from .operators import (
-    HermitianOperator,
-    depolarize,
-    identity,
-    is_ppt,
-    kron,
-    partial_trace,
-)
+from .operators import HermitianOperator, depolarize, is_ppt, partial_trace
 
 __all__ = [
     "JacobiRecurrence",
@@ -48,6 +41,7 @@ __all__ = [
     "g_N_via_root",
     "g_N_via_pencil",
     "bessel_zero_first",
+    "critical_p",
     "disentangle_sym",
     "disentangle_ppt",
     "disentangle_preimage",
@@ -306,44 +300,40 @@ def bessel_zero_first(nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _marginal_noise(rho: HermitianOperator):
-    dA, dB = rho.factor_dims
-    rho_a = partial_trace(rho, [1])
-    return kron(rho_a, identity([dB])), dB
+def _critical_p_ppt(d: int, g: float) -> float:
+    """The S_p^N probability of :func:`critical_p` from g = g_N(d, N)."""
+    return d * g / (2.0 * (d - 1))
 
 
-def _noise_weight(d: int, N: int, ppt: bool) -> float:
-    """The weight w of the disentangling map (1 - d w) rho + w rho_A (x) I_B:
-    1/(N+d) for S^N, g_N/(2(d-1)) for S_p^N."""
-    return g_N(d, N) / (2.0 * (d - 1)) if ppt else 1.0 / (N + d)
+def critical_p(d: int, N: int, ppt: bool) -> float:
+    """The depolarizing probability on B, d = dim H_B, that sends every member
+    of S^N (d/(N+d)) or, with ``ppt``, of S_p^N (d g_N/(2(d-1))) into the
+    separable set."""
+    return _critical_p_ppt(d, g_N(d, N)) if ppt else d / (N + d)
 
 
 def disentangle_sym(rho: HermitianOperator, N: int) -> HermitianOperator:
-    """N/(N+d) rho + 1/(N+d) rho_A (x) I_B; separable for any rho in S^N."""
-    noise, d = _marginal_noise(rho)
-    w = _noise_weight(d, N, False)
-    return (1.0 - d * w) * rho + w * noise
+    """Depolarize B with probability ``critical_p(d_B, N, False)``: separable
+    for any rho in S^N."""
+    return depolarize(rho, critical_p(rho.factor_dims[1], N, False), 1)
 
 
 def disentangle_ppt(rho: HermitianOperator, N: int) -> HermitianOperator:
-    """(1 - d g_N/(2(d-1))) rho + (g_N/(2(d-1))) rho_A (x) I_B; separable for
-    any rho in S_p^N."""
-    noise, d = _marginal_noise(rho)
-    w = _noise_weight(d, N, True)
-    return (1.0 - d * w) * rho + w * noise
+    """Depolarize B with probability ``critical_p(d_B, N, True)``: separable
+    for any rho in S_p^N."""
+    return depolarize(rho, critical_p(rho.factor_dims[1], N, True), 1)
 
 
 def disentangle_preimage(rho: HermitianOperator, N: int, ppt: bool) -> HermitianOperator:
     """The sigma that ``disentangle_ppt`` (``ppt``) or ``disentangle_sym``
-    maps to rho: (rho - w rho_A (x) I_B) / (1 - d w), with sigma_A = rho_A.
+    maps to rho: (rho - p rho_A (x) I_B/d) / (1 - p), with sigma_A = rho_A.
 
     Both maps send their cone into the separable set, so rho is separable
     whenever sigma is a state in S^N (S_p^N).  For S^N this is
     ((N+d) rho - rho_A (x) I_B) / N.
     """
-    noise, d = _marginal_noise(rho)
-    w = _noise_weight(d, N, ppt)
-    return (1.0 / (1.0 - d * w)) * (rho - w * noise)
+    p = critical_p(rho.factor_dims[1], N, ppt)
+    return (1.0 / (1.0 - p)) * (rho - p * depolarize(rho, 1.0, 1))
 
 
 @dataclass(frozen=True)
@@ -388,8 +378,8 @@ def bound_report(
         d_B=d_B,
         N=N,
         g_N=g,
-        p_c_sym=d / (N + d),
-        p_c_ppt=d * g / (2.0 * (d - 1)),
+        p_c_sym=critical_p(d, N, False),
+        p_c_ppt=_critical_p_ppt(d, g),
         robustness_sym=(d - 1) / N,
         robustness_ppt=g / (2.0 - d * g / (d - 1)),
         dist_trace_sym=2.0 * (d - 1) / (N + d - 1),
@@ -410,12 +400,7 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
         np.trace(rho.entries @ rho.entries).real
         - np.trace(rho_a.entries @ rho_a.entries).real / d
     )
-    excess = max(excess, 0.0)
-    if ppt:
-        pref = d * g_N(d, N) / (2.0 * d - 2.0)
-    else:
-        pref = d / (N + d)
-    return pref * sqrt(excess)
+    return critical_p(d, N, ppt) * sqrt(max(excess, 0.0))
 
 
 # The largest N whose g_N ``required_N`` evaluates.  Each g_N costs O(N)
@@ -506,15 +491,9 @@ def ppt_alone(rho: HermitianOperator, tol: float = 1e-9):
 
 def multipartite_probs(dims, N: int, ppt: bool) -> list[float]:
     """Per-party depolarizing probabilities for local Bose-symmetric extensions."""
-    out = []
-    for d in dims:
-        if d < 2:
-            raise ValueError("all local dimensions must be >= 2")
-        if ppt:
-            out.append(d * g_N(d, N) / (2.0 * (d - 1)))
-        else:
-            out.append(d / (N + d))
-    return out
+    if any(d < 2 for d in dims):
+        raise ValueError("all local dimensions must be >= 2")
+    return [critical_p(d, N, ppt) for d in dims]
 
 
 def example_state(K: int) -> HermitianOperator:

@@ -2,19 +2,21 @@
 
 Two kinds of evidence certify a PPT state rho as separable:
 
-* The disentangling theorems: the map (1 - d w) sigma + w sigma_A (x) I_B
-  sends every sigma in S^N (w = 1/(N+d)) or S_p^N (w = g_N/(2(d-1))) into
+* The disentangling theorems: depolarizing B with probability
+  :func:`dpskit.bounds.critical_p` sends every sigma in S^N or S_p^N into
   the separable set.  The map is affine and keeps sigma_A, so its explicit
   preimage sigma of rho (:func:`dpskit.bounds.disentangle_preimage`) being a
   state with a re-verified (PPT) N-extension proves rho separable.  This
   decides interior states with one membership solve.
 * The rank loop: a PPT Bose-symmetric extension whose rank does not exceed
   the larger of its two marginal ranks across the transposed cut certifies
-  separability of the reduced state outright.  Generic solver output is
-  max-rank, so a log-det reweighting heuristic searches the feasible region
-  for low-rank extensions, starting from the extension that
-  :func:`check_membership` found and re-verified.  Boundary states, whose
-  preimage is never PSD (a pure product state is one), need this route.
+  separability of the reduced state outright; eigenvalues above
+  ``RANK_TOL`` times max(lambda_max, 1) count toward a rank.  Generic
+  solver output is max-rank, so a log-det reweighting heuristic searches
+  the feasible region for low-rank extensions, starting from the extension
+  that :func:`check_membership` found and re-verified.  Boundary states,
+  whose preimage is never PSD (a pure product state is one), need this
+  route.
 
 Neither route carries a guarantee of deciding a given separable state, and
 ``certify`` reports "undecided" honestly, with each route's outcome, when
@@ -37,12 +39,14 @@ from .extensions import (
     _compile,
     _verify_feasible,
     check_membership,
+    transposed_copies,
 )
 from .operators import HermitianOperator, operator_to_dict
 from .solver import SolverBreakdown, solve
 from .symmetric import sym_dim
 
 __all__ = [
+    "RANK_TOL",
     "RankProfile",
     "numerical_rank",
     "rank_loop_check",
@@ -58,19 +62,21 @@ class RankProfile:
     rank_left: int  # rank of Lambda_{AB^K}
     rank_right: int  # rank of Lambda_{B^{N-K}}
     K: int
-    tol: float
 
 
-def _rank(w: np.ndarray, tol: float = 1e-7) -> int:
-    """The rank rule on an ascending spectrum: eigenvalues above
-    tol * max(lambda_max, 1) count."""
-    return int(np.sum(w > tol * max(float(w[-1]), 1.0)))
+# the rank rule: eigenvalues above RANK_TOL * max(lambda_max, 1) count
+RANK_TOL = 1e-7
 
 
-def numerical_rank(x, tol: float = 1e-7) -> int:
-    """Eigenvalues above tol * max(lambda_max, 1) count toward the rank."""
+def _rank(w: np.ndarray) -> int:
+    """The rank rule on an ascending spectrum."""
+    return int(np.sum(w > RANK_TOL * max(float(w[-1]), 1.0)))
+
+
+def numerical_rank(x) -> int:
+    """Eigenvalues above RANK_TOL * max(lambda_max, 1) count toward the rank."""
     m = x.entries if isinstance(x, HermitianOperator) else np.asarray(x)
-    return _rank(np.linalg.eigvalsh(m), tol)
+    return _rank(np.linalg.eigvalsh(m))
 
 
 def rank_loop_check(
@@ -79,7 +85,6 @@ def rank_loop_check(
     d: int,
     N: int,
     K: int,
-    tol: float = 1e-7,
 ) -> tuple[bool, RankProfile]:
     """Evaluate the loop inequality rank(full) <= max(rank(AB^K), rank(B^{N-K})).
 
@@ -91,17 +96,19 @@ def rank_loop_check(
     side = dA * sym_dim(d, N)
     if extension.shape != (side, side):
         raise ValueError("extension side does not match dA * sym_dim")
-    rank_full = numerical_rank(extension, tol)
-    rank_left = numerical_rank(TraceMap(dA, (d,), N, K).apply(extension), tol)
+    rank_full = numerical_rank(extension)
+    rank_left = numerical_rank(TraceMap(dA, (d,), N, K).apply(extension))
     # Lambda_{B^{N-K}}: trace A off, then all but N - K copies
     sym = np.einsum("asat->st", extension.reshape(dA, side // dA, dA, side // dA))
-    rank_right = numerical_rank(TraceMap(1, (d,), N, N - K).apply(sym), tol)
+    rank_right = numerical_rank(TraceMap(1, (d,), N, N - K).apply(sym))
     loop = rank_full <= max(rank_left, rank_right)
-    return loop, RankProfile(rank_full, rank_left, rank_right, K, tol)
+    return loop, RankProfile(rank_full, rank_left, rank_right, K)
 
 
-# the log-det search: solver tolerance of each round, the weight's
-# regularization eps, and the number of random restarts after the first pass
+# the log-det search: rounds per pass, solver tolerance of each round, the
+# weight's regularization eps, and the number of random restarts after the
+# first pass
+RANK_MIN_ROUNDS = 8
 RANK_MIN_SOLVE_TOL = 1e-8
 RANK_MIN_EPS = 1e-4
 RANK_MIN_RESTARTS = 2
@@ -116,7 +123,8 @@ def _rank_and_weight(x: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def rank_min_heuristic(
-    q: ExtensionQuery, extension: np.ndarray, rounds: int = 10, seed: int = 0
+    q: ExtensionQuery, extension: np.ndarray, rounds: int = RANK_MIN_ROUNDS,
+    seed: int = 0,
 ) -> np.ndarray:
     """Search the feasible set for a low-rank extension by log-det reweighting.
 
@@ -209,8 +217,8 @@ ROUTES = ((False, "S^N"), (True, "S_p^N"))
 
 
 def certify(
-    rho: HermitianOperator, maxN: int = 4, delta: float = 1e-7,
-    rounds: int = 8, seed: int = 0,
+    rho: HermitianOperator, maxN: int = 4, rounds: int = RANK_MIN_ROUNDS,
+    seed: int = 0,
 ) -> CertifyResult:
     """PPT-hierarchy sweep, N = 2..maxN, with separability evidence.
 
@@ -220,10 +228,10 @@ def certify(
     ``eigvalsh`` rejects a preimage that is not PSD, and one membership
     solve tests the rest.  Only when no level's routes decide does the
     log-det rank search look for a rank loop, at each feasible level from
-    the lowest N up; ``delta`` sets its rank tolerance.  An "undecided"
-    verdict names each route's outcome at the last level searched.
+    the lowest N up: first at the S_p^N cut, then at every other cut where
+    the extension is PPT.  An "undecided" verdict names each route's
+    outcome at the last level searched.
     """
-    tol_rank = max(delta, 1e-9)
     dA, dB = rho.factor_dims
     levels, stop, outcomes = [], None, []
     for n in range(2, maxN + 1):
@@ -258,30 +266,24 @@ def certify(
     for q, extension, outcomes in levels:
         n = q.N
         x = rank_min_heuristic(q, extension, rounds=rounds, seed=seed)
-        k_default = (n + 1) // 2
-        loop, profile = rank_loop_check(x, dA, dB, n, k_default, tol_rank)
-        if loop:
-            return CertifyResult(
-                verdict="separable", N=n, profile=profile, extension=x,
-                detail=f"rank loop at K={k_default}",
-            )
-        # opportunistic checks at other cuts; requires verifying PPT first
-        for k_alt in range(1, n):
-            if k_alt == k_default:
-                continue
-            pmap = PptMap(dA, (dB,), n, n - k_alt)
-            lam = float(np.linalg.eigvalsh(pmap.apply(x))[0])
-            if lam < -FEAS_PSD_TOL:
-                continue
-            loop, alt = rank_loop_check(x, dA, dB, n, k_alt, tol_rank)
+        k_sp = n - transposed_copies(n)
+        for k in [k_sp] + [k for k in range(1, n) if k != k_sp]:
+            # x was re-verified PPT at the S_p^N cut; other cuts need the check
+            if k != k_sp:
+                lam = float(np.linalg.eigvalsh(PptMap(dA, (dB,), n, n - k).apply(x))[0])
+                if lam < -FEAS_PSD_TOL:
+                    continue
+            loop, profile = rank_loop_check(x, dA, dB, n, k)
             if loop:
                 return CertifyResult(
-                    verdict="separable", N=n, profile=alt, extension=x,
-                    detail=f"rank loop at K={k_alt}",
+                    verdict="separable", N=n, profile=profile, extension=x,
+                    detail=f"rank loop at K={k}",
                 )
+            if k == k_sp:
+                sp_profile = profile
         outcomes.append(
-            f"no rank loop (lowest-rank extension: ranks {profile.rank_full}, "
-            f"{profile.rank_left}, {profile.rank_right} at K={k_default})"
+            f"no rank loop (lowest-rank extension: ranks {sp_profile.rank_full}, "
+            f"{sp_profile.rank_left}, {sp_profile.rank_right} at K={k_sp})"
         )
     if stop is not None:
         return stop

@@ -309,7 +309,7 @@ def cmd_certify(args) -> int:
     rho = _read_state(args.input, "certify")
     if rho.nfactors != 2:
         raise _InputError(f"certify input needs exactly two factors, got {rho.nfactors}")
-    result = certify(rho, maxN=args.maxN, delta=args.delta or 1e-7, seed=args.seed)
+    result = certify(rho, maxN=args.maxN, seed=args.seed)
     _emit(result.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the rank search's random restarts")
     p.add_argument("--maxN", type=int, default=4)
-    p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("complexity", help="required N and operation-count estimates")

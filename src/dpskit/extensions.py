@@ -448,10 +448,15 @@ class _Codec:
         return HermitianOperator(q.rho.factor_dims, w), floor
 
 
+def transposed_copies(N: int) -> int:
+    """The copies of B that the PPT block transposes: N//2, the S_p^N cut
+    A B^ceil(N/2) | B^floor(N/2)."""
+    return N // 2
+
+
 def _has_ppt_block(q: ExtensionQuery) -> bool:
-    """Whether the query compiles to a PPT block, which transposes N//2
-    copies.  N=1 has an empty transposed side; its PPT block would be X
-    itself, so it has none."""
+    """Whether the query compiles to a PPT block.  N=1 has an empty
+    transposed side; its PPT block would be X itself, so it has none."""
     return q.ppt and q.N > 1
 
 
@@ -464,7 +469,7 @@ def _codec(q: ExtensionQuery) -> _Codec:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    pmap = PptMap(dA, dBs, q.N, q.N // 2) if _has_ppt_block(q) else None
+    pmap = PptMap(dA, dBs, q.N, transposed_copies(q.N)) if _has_ppt_block(q) else None
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
     return _Codec(q, TraceMap(dA, dBs, q.N), pmap, real)
@@ -480,27 +485,26 @@ def _kernel(rows: np.ndarray) -> sp.csc_matrix:
     of equal occupation difference), and an untouched column is a null
     vector by itself.
     """
-    touch = (rows != 0).astype(float)
-    link = (touch @ touch.T > 0).astype(float)
-    while True:  # transitive closure: each row reaches its whole group
-        wider = (link @ link > 0).astype(float)
-        if np.array_equal(wider, link):
-            break
-        link = wider
-    group = link.argmax(axis=1)  # the first row of each row's group
-    touched = touch.any(axis=0)
-    col_group = np.where(touched, group[touch.argmax(axis=0)], -1)
-    free = np.flatnonzero(~touched)
+    # imported on use: it loads scipy.sparse.linalg, about 2 MiB
+    from scipy.sparse.csgraph import connected_components
+
+    m, n = rows.shape
+    row, col = np.nonzero(rows)
+    # components of the bipartite graph: row i is node i, column j node m + j
+    graph = sp.csr_matrix((np.ones(len(row)), (row, m + col)), shape=(m + n, m + n))
+    _, label = connected_components(graph, directed=False)
+    row_label, col_label = label[:m], label[m:]
+    free = np.flatnonzero(~np.isin(col_label, row_label))  # in no row's component
     entries = [(free, np.arange(len(free)), np.ones(len(free)))]
     count = len(free)
-    for g in np.unique(group):
-        r, c = np.flatnonzero(group == g), np.flatnonzero(col_group == g)
+    for g in dict.fromkeys(row_label.tolist()):  # in order of first row
+        r, c = np.flatnonzero(row_label == g), np.flatnonzero(col_label == g)
         null = np.linalg.svd(rows[np.ix_(r, c)])[2][len(r):]
         entries.append((np.tile(c, len(null)), np.repeat(count + np.arange(len(null)), len(c)),
                         null.ravel()))
         count += len(null)
     i, j, v = (np.concatenate(e) for e in zip(*entries))
-    return sp.csc_matrix((v, (i, j)), shape=(rows.shape[1], count))
+    return sp.csc_matrix((v, (i, j)), shape=(n, count))
 
 
 def _hermitize(v: sp.csr_matrix, n: int) -> sp.csr_matrix:

@@ -65,6 +65,10 @@ class SolverBreakdown(RuntimeError):
     """Numerical failure distinct from plain iteration-limit exhaustion."""
 
 
+# validate's symmetry tolerance, relative to max(1, max |A|)
+SYM_TOL = 1e-12
+
+
 def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
     """Per block, the indices of the rows of a canonical CSR (k, sum n_b^2)
     matrix of vecs whose n_b x n_b matrix A is not symmetric:
@@ -119,7 +123,7 @@ class SdpProblem:
             start += n * n
         return views
 
-    def validate(self, sym_tol: float = 1e-12) -> sp.csr_matrix:
+    def validate(self) -> sp.csr_matrix:
         """Check shapes and symmetry; return the constraint matrix as CSR.
 
         Symmetry is tested on the sparse rows, so the check costs memory in
@@ -136,12 +140,12 @@ class SdpProblem:
         if np.shape(self.rhs) != (len(a),):
             raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({len(a)},)")
         a = sp.csr_matrix(a, dtype=float)  # from a dense array: canonical
-        bad_rows = _asymmetric(a, self.block_sizes, sym_tol)
+        bad_rows = _asymmetric(a, self.block_sizes, SYM_TOL)
         for b, (n, c, bad) in enumerate(zip(self.block_sizes, self.objective, bad_rows)):
             if c is not None:
                 if c.shape != (n, n):
                     raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
-                if np.max(np.abs(c - c.T)) > sym_tol * max(1.0, np.max(np.abs(c))):
+                if np.max(np.abs(c - c.T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
                     raise ValueError(f"objective: block {b} not symmetric")
             if bad.size:
                 raise ValueError(f"constraint {bad[0]}: block {b} not symmetric")

@@ -25,7 +25,8 @@ __all__ = [
     "dicke_overlap_state",
 ]
 
-DEFAULT_SPACE_CAP = 4096
+# the largest d^N whose dense isometry build_basis builds
+SPACE_CAP = 4096
 
 
 def sym_dim(d: int, N: int) -> int:
@@ -79,11 +80,9 @@ class SymmetricBasis:
         return self.isometry @ self.isometry.conj().T
 
 
-def build_basis(d: int, N: int, space_cap: int = DEFAULT_SPACE_CAP) -> SymmetricBasis:
-    if d**N > space_cap:
-        raise MemoryError(
-            f"d^N = {d}**{N} exceeds the configured space cap {space_cap}"
-        )
+def build_basis(d: int, N: int) -> SymmetricBasis:
+    if d**N > SPACE_CAP:
+        raise MemoryError(f"d^N = {d}**{N} exceeds the space cap {SPACE_CAP}")
     occs = occupations(d, N)
     cols = {occ: j for j, occ in enumerate(occs)}
     iso = np.zeros((d**N, len(occs)), dtype=float)

@@ -13,6 +13,7 @@ from dpskit.bounds import (
     bessel_zero_first,
     bound_report,
     complexity_estimate,
+    critical_p,
     disentangle_ppt,
     disentangle_preimage,
     disentangle_sym,
@@ -31,6 +32,7 @@ from dpskit.bounds import (
 from dpskit.extensions import TraceMap
 from dpskit.operators import (
     HermitianOperator,
+    depolarize,
     identity,
     is_ppt,
     kron,
@@ -276,6 +278,33 @@ class TestBesselZero:
         j = bessel_zero_first(nu)
         approx = nu + 1.856 * nu ** (1.0 / 3.0)
         assert abs(j - approx) / approx < 0.05
+
+
+class TestCriticalP:
+    """Every reader of the disentangling probability agrees with critical_p."""
+
+    @pytest.mark.parametrize("ppt", [False, True])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_readers_agree(self, d, ppt):
+        rho = random_state([2, d], 3, d)
+        forward = disentangle_ppt if ppt else disentangle_sym
+        for n in range(1, 7):
+            p = critical_p(d, n, ppt)
+            assert_allclose(
+                forward(rho, n).entries, depolarize(rho, p, 1).entries, rtol=0, atol=1e-12
+            )
+            report = bound_report(2, d, n)
+            assert (report.p_c_ppt if ppt else report.p_c_sym) == pytest.approx(p, abs=1e-12)
+            assert multipartite_probs([d, d], n, ppt) == pytest.approx([p, p], abs=1e-12)
+            spread = norm(rho - depolarize(rho, 1.0, 1), "frobenius")
+            assert frobenius_distance_exact(rho, n, ppt) == pytest.approx(p * spread, abs=1e-12)
+
+    def test_fidelity_lower_bound(self):
+        from dpskit.applications import bb84_two_copy_problem, fidelity_bounds
+
+        pair = fidelity_bounds(bb84_two_copy_problem(0.1), 3, ppt=True)
+        p = critical_p(2, 3, True)
+        assert pair.lower == pytest.approx((1 - p) * pair.upper + p / 2, abs=1e-12)
 
 
 class TestDisentangle:

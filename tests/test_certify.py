@@ -374,6 +374,23 @@ class TestCertify:
         ), res.detail
         assert set(json.loads(res.to_json())) == {"verdict", "N", "detail"}
 
+    def test_rank_loop_at_a_cut_other_than_sp(self, monkeypatch):
+        # with no loop at the S_p^N cut (K = 1 at N = 2, K = 2 at N = 3),
+        # the product state's extension shows one at N = 3's other cut
+        module = sys.modules["dpskit.certify"]
+        checked = []
+
+        def no_loop_at_sp(x, dA, d, N, K):
+            loop, profile = rank_loop_check(x, dA, d, N, K)
+            checked.append((N, K))
+            return (loop and K != N - N // 2), profile
+
+        monkeypatch.setattr(module, "rank_loop_check", no_loop_at_sp)
+        res = certify(PRODUCT, maxN=3)
+        assert (res.verdict, res.N, res.detail) == ("separable", 3, "rank loop at K=1")
+        assert res.profile.K == 1
+        assert checked == [(2, 1), (3, 2), (3, 1)]
+
     def test_json_payload(self):
         res = certify(PRODUCT, maxN=2)
         payload = json.loads(res.to_json())

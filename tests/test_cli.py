@@ -378,10 +378,12 @@ class TestInputHardening:
         "argv",
         [
             ["certify", "--input", "STATE", "--max-iter", "5"],
+            # the rank rule's tolerance is fixed (certify.RANK_TOL)
+            ["certify", "--input", "STATE", "--delta", "0.9"],
             ["bounds", "--tol", "1e-3"],
             ["complexity", "--delta", "0.1", "--seed", "1"],
         ],
-        ids=["certify --max-iter", "bounds --tol", "complexity --seed"],
+        ids=["certify --max-iter", "certify --delta", "bounds --tol", "complexity --seed"],
     )
     def test_flag_the_command_would_ignore_exit_2(self, argv, mixed_file, capsys):
         argv = [mixed_file if a == "STATE" else a for a in argv]

@@ -12,6 +12,7 @@ from dpskit.extensions import (
     PptMap,
     TraceMap,
     _compile,
+    _kernel,
     _refine_witness,
     _solve_over_cone,
     build_bse_sdp,
@@ -653,6 +654,52 @@ def test_compiled_rows_full_rank(make, path):
     s = np.linalg.svd(problem.constraints, compute_uv=False)
     assert len(s) == len(problem.rhs)
     assert s[-1] > 1e-10 * s[0]
+
+
+def _closure_kernel(rows):
+    """``_kernel`` with its row groups found by a dense transitive closure of
+    the rows' column overlaps, kept as the reference for the graph search."""
+    touch = (rows != 0).astype(float)
+    link = (touch @ touch.T > 0).astype(float)
+    while True:
+        wider = (link @ link > 0).astype(float)
+        if np.array_equal(wider, link):
+            break
+        link = wider
+    group = link.argmax(axis=1)  # the first row of each row's group
+    touched = touch.any(axis=0)
+    col_group = np.where(touched, group[touch.argmax(axis=0)], -1)
+    free = np.flatnonzero(~touched)
+    blocks = [np.eye(rows.shape[1])[:, free]]
+    for g in np.unique(group):
+        r, c = np.flatnonzero(group == g), np.flatnonzero(col_group == g)
+        null = np.linalg.svd(rows[np.ix_(r, c)])[2][len(r):]
+        block = np.zeros((rows.shape[1], len(null)))
+        block[c] = null.T
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _bb84(3), lambda: _qutrit(2), lambda: _depolarizing_purity(3),
+     lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True),
+     lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True)],
+    ids=["bb84_ppt_N3", "qutrit_ppt_N2", "purity_unit_trace_N3_ppt",
+         "trace_match_N4_ppt", "tri_N2_ppt"],
+)
+def test_kernel_matches_dense_closure(make, path, monkeypatch):
+    seen = []
+
+    def recording(rows):
+        seen.append(rows)
+        return _kernel(rows)
+
+    monkeypatch.setattr("dpskit.extensions._kernel", recording)
+    _compile(make() if path == "real" else _rotated(make()))
+    (rows,) = seen
+    assert np.array_equal(_kernel(rows).toarray(), _closure_kernel(rows))
 
 
 def test_compile_memory_bounded_by_constraint_matrix():
