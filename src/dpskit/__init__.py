@@ -34,13 +34,9 @@ from .bounds import (
     example_state,
     frobenius_distance_exact,
     g_N,
-    g_N_via_pencil,
-    g_N_via_root,
-    jacobi_eval,
     multipartite_probs,
     ppt_alone,
     required_N,
-    tridiagonal_C,
 )
 from .certify import (
     CertifyResult,

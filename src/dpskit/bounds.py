@@ -2,28 +2,21 @@
 disentangling maps, robustness and distance bounds, required extension sizes,
 complexity estimates, the PPT-only bounds, and the tightness example family.
 
-g_N is one minus the largest root of a designated Jacobi polynomial.  Three
-independent routes compute it:
-
-* the tridiagonal eigenvalue route (primary; numerically stable; O(deg)
-  memory, on the recurrence's diagonals),
-* bisection root-refinement of the polynomial recurrence (internal check,
-  run on every call: a sign scan that evaluates the recurrence over a chunk
-  of grid points at once, then Brent's method on the bracket it finds),
-* the smallest generalized eigenvalue of the moment-matrix pencil (A, B)
-  (:func:`g_N_via_pencil`, retained as an oracle).
-
-The pencil's B matrix is Hilbert-conditioned, so that route reduces the
-pencil with an exact rational LDL^T factorization before the (then well
-conditioned) floating-point eigensolve; entries are built as exact products
-``1/((n+m+1)...(n+m+d))``, which also removes any factorial overflow.
+g_N is one minus the largest root of a designated Jacobi polynomial.  One
+route computes it: the smallest eigenvalue of the tridiagonal recurrence
+matrix (numerically stable; O(deg) memory, on the recurrence's diagonals).
+Every call checks that value against the raw three-term polynomial
+recurrence, an independent computation: by the Sturm property of orthogonal
+polynomials, the sign changes along P_0(x), ..., P_n(x) count the zeros of
+P_n above x, so two counts bracket the largest root.  The test suite keeps
+two further routes as oracles (``tests/oracles.py``): bisection
+root-refinement of the recurrence and the moment-matrix pencil.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import cos, e, lgamma, log10, pi, sqrt
+from math import e, lgamma, log10, sqrt
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -34,12 +27,8 @@ from .operators import HermitianOperator, depolarize, is_ppt, partial_trace
 __all__ = [
     "JacobiRecurrence",
     "BoundReport",
-    "jacobi_eval",
     "jacobi_recurrence",
-    "tridiagonal_C",
     "g_N",
-    "g_N_via_root",
-    "g_N_via_pencil",
     "bessel_zero_first",
     "critical_p",
     "disentangle_sym",
@@ -69,23 +58,6 @@ def _jacobi_terms(n: int, alpha: float, beta: float) -> list:
     return list(zip(a1.tolist(), a2.tolist(), a3.tolist(), a4.tolist()))
 
 
-def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):
-    """P_n^{(alpha,beta)}(x) from ``terms = _jacobi_terms(n, alpha, beta)``,
-    elementwise for an array x."""
-    if n == 0:
-        return np.ones(np.shape(x)) if np.ndim(x) else 1.0
-    p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for a1, a2, a3, a4 in terms:
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    return p
-
-
-def jacobi_eval(n: int, alpha: float, beta: float, x):
-    """P_n^{(alpha,beta)}(x) by the standard three-term recurrence, for a
-    float or an array x."""
-    return _jacobi_run(x, n, alpha, beta, _jacobi_terms(n, alpha, beta))
-
-
 @dataclass(frozen=True)
 class JacobiRecurrence:
     """Coefficients of (1-y) p_n = alpha_n p_n + beta_n p_{n+1} + gamma_n p_{n-1}
@@ -95,12 +67,6 @@ class JacobiRecurrence:
     beta: float
     diag: np.ndarray  # alpha_n
     off: np.ndarray  # beta_n ( = gamma_{n+1} )
-
-    def matrix(self) -> np.ndarray:
-        c = np.diag(self.diag)
-        if len(self.off):
-            c += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return c
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int) -> JacobiRecurrence:
@@ -131,57 +97,30 @@ def _gn_params(d: int, N: int) -> tuple[int, int, int]:
     return d - 2, 1, (N + 1) // 2
 
 
-def tridiagonal_C(d: int, N: int) -> np.ndarray:
-    """The tridiagonal matrix whose spectrum is {1 - x : P(x) = 0} for the
-    designated Jacobi polynomial; its smallest eigenvalue is g_N."""
-    alpha, beta, deg = _gn_params(d, N)
-    return jacobi_recurrence(alpha, beta, deg).matrix()
+def _roots_above(x: float, deg: int, alpha: float, beta: float, terms: list) -> int:
+    """Number of zeros of P_deg^{(alpha,beta)} above x, from
+    ``terms = _jacobi_terms(deg, alpha, beta)``.
 
-
-# Grid points per sign-scan chunk.  For N <= 300 the first sign change lies
-# at grid index 37 at most for d = 2 and 96 at most for d = 6, so the first
-# chunk holds it.
-SCAN_CHUNK = 128
-
-
-def _largest_root_bisect(alpha: int, beta: int, deg: int) -> float:
-    """Largest root of P_deg^{(alpha,beta)} by sign scan in theta = arccos x.
-
-    The scan walks the grid theta_i = pi i / (40 deg + 40) from x = 1 to the
-    first i with P(x_{i-1}) > 0 >= P(x_i), and Brent refines that bracket.
-    It costs one vectorized recurrence per chunk of grid points up to the
-    bracket, plus one scalar recurrence per Brent step.
+    Sturm property of orthogonal polynomials (Szego): it is the number of
+    sign changes along P_0(x), ..., P_deg(x), where a zero term is skipped.
+    One scalar pass of the recurrence in Python floats.
     """
-    from scipy.optimize import brentq  # imported on use: it costs ~0.2 s
-
-    rec = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
-    # P(1) = C(deg+alpha, deg) > 0; roots are ~uniform in theta
-    steps = 40 * deg + 40
-    x_prev, f_prev = 1.0, _jacobi_run(1.0, *rec)
-    for start in range(1, steps + 1, SCAN_CHUNK):
-        stop = min(start + SCAN_CHUNK, steps + 1)
-        x = np.array([x_prev] + [cos(pi * i / steps) for i in range(start, stop)])
-        fx = np.concatenate(([f_prev], _jacobi_run(x[1:], *rec)))
-        hits = np.flatnonzero((fx[:-1] > 0.0) & (fx[1:] <= 0.0))
-        if hits.size:
-            i = hits[0]
-            # the terms go in through args: brentq holds the function it is
-            # given in a reference cycle, and a closure over the terms would
-            # keep them alive until the cyclic collector runs
-            return brentq(_jacobi_run, x[i + 1], x[i], args=rec, xtol=1e-14, rtol=1e-15)
-        x_prev, f_prev = x[-1], fx[-1]
-    raise ArithmeticError(f"no sign change found for P_{deg}^{({alpha},{beta})}")
+    if deg == 0:
+        return 0
+    p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    negative = p < 0.0  # sign of the last nonzero term; P_0 = 1
+    count = int(negative)
+    for a1, a2, a3, a4 in terms:
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+        if p != 0.0 and (p < 0.0) != negative:
+            negative = not negative
+            count += 1
+    return count
 
 
-def g_N_via_root(d: int, N: int) -> float:
-    """g_N by bisection root-refinement of the raw Jacobi recurrence."""
-    alpha, beta, deg = _gn_params(d, N)
-    return 1.0 - _largest_root_bisect(alpha, beta, deg)
-
-
-# The two g_N routes differ by at most 3e-15 for d in {2, 3, 4, 6} and
-# N <= 340091.  The tolerance scales with g_N, which is below 1e-7 from
-# d = 2, N = 10750 on.
+# The eigenvalue route and the recurrence's largest root (refined by
+# bisection) differ by at most 3e-15 for d in {2, 3, 4, 6} and N <= 340091.
+# The tolerance scales with g_N, which is below 1e-7 from d = 2, N = 10750 on.
 GN_CHECK_RTOL = 1e-7
 GN_CHECK_ATOL = 1e-13
 
@@ -189,12 +128,13 @@ GN_CHECK_ATOL = 1e-13
 def g_N(d: int, N: int) -> float:
     """One minus the largest root of the designated Jacobi polynomial.
 
-    Primary route: smallest eigenvalue of the tridiagonal recurrence matrix,
+    Computed as the smallest eigenvalue of the tridiagonal recurrence matrix,
     by bisection on its diagonals alone (O(deg) memory; the dense matrix at
     N = 34007, which a delta of 1e-8 needs, would take 2.2 GiB).
-    A bisection root-refinement of the raw recurrence cross-checks every
-    call; a disagreement above GN_CHECK_RTOL * g_N + GN_CHECK_ATOL raises
-    (it indicates a recurrence bug, not noise).
+    Every call checks it on the raw recurrence: with w = GN_CHECK_RTOL * g_N
+    + GN_CHECK_ATOL, no zero may lie above 1 - g_N + w and one must lie above
+    1 - g_N - w (two Sturm counts, no grid), else the call raises (it
+    indicates a recurrence bug, not noise).
 
     Asymptotically g_N = 2 j^2 / (N + d + 1)^2 (1 + O(N^-2)), with j the first
     zero of J_{d-2}.  The familiar 2 j^2 / N^2 is only the leading term: its
@@ -203,80 +143,19 @@ def g_N(d: int, N: int) -> float:
     alpha, beta, deg = _gn_params(d, N)
     rec = jacobi_recurrence(alpha, beta, deg)
     val = float(eigvalsh_tridiagonal(rec.diag, rec.off, select="i", select_range=(0, 0))[0])
-    check = 1.0 - _largest_root_bisect(alpha, beta, deg)
-    if abs(val - check) > GN_CHECK_RTOL * val + GN_CHECK_ATOL:
+    w = GN_CHECK_RTOL * val + GN_CHECK_ATOL
+    poly = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
+    if _roots_above(1.0 - val + w, *poly) or not _roots_above(1.0 - val - w, *poly):
         raise ArithmeticError(
-            f"g_N routes disagree at (d={d}, N={N}): {val} vs {check}"
+            f"g_N routes disagree at (d={d}, N={N}): the recurrence's largest "
+            f"root is not within {w:.3g} of 1 - {val!r}"
         )
     return val
 
 
-def _pencil_matrices(d: int, N: int):
-    """Exact rational moment matrices (A, B) of the minimization pencil."""
-    if N % 2 == 0:
-        size, shift = N // 2 + 1, 0
-    else:
-        size, shift = (N + 1) // 2, 1
-
-    def entry(s: int, nfac: int) -> Fraction:
-        prod = 1
-        for k in range(1, nfac + 1):
-            prod *= s + k
-        return Fraction(1, prod)
-
-    amat = [[entry(n + m + shift, d) for m in range(size)] for n in range(size)]
-    bmat = [[entry(n + m + shift, d - 1) for m in range(size)] for n in range(size)]
-    return amat, bmat
-
-
-def g_N_via_pencil(d: int, N: int) -> float:
-    """2(d-1) times the smallest generalized eigenvalue of the (A, B) pencil.
-
-    Exact rational LDL^T of B reduces the pencil before the floating-point
-    eigensolve; see the module docstring.  Restricted to N <= 60 (the
-    rational arithmetic grows quickly past desk scale).
-    """
-    if N > 60:
-        raise ValueError("pencil route limited to N <= 60")
-    amat, bmat = _pencil_matrices(d, N)
-    n = len(amat)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    dg = [Fraction(0)] * n
-    for j in range(n):
-        s = bmat[j][j] - sum(low[j][k] * low[j][k] * dg[k] for k in range(j))
-        if s <= 0:
-            raise ArithmeticError(f"pencil B matrix numerically singular at {j}")
-        dg[j] = s
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            low[i][j] = (
-                bmat[i][j] - sum(low[i][k] * low[j][k] * dg[k] for k in range(j))
-            ) / s
-    # forward-substitute L^{-1} A L^{-T} exactly, then scale by D^{-1/2}
-    work = [row[:] for row in amat]
-    for i in range(n):
-        for k in range(i):
-            lik = low[i][k]
-            if lik:
-                for j in range(n):
-                    work[i][j] -= lik * work[k][j]
-    for j in range(n):
-        for k in range(j):
-            ljk = low[j][k]
-            if ljk:
-                for i in range(n):
-                    work[i][j] -= ljk * work[i][k]
-    scale = np.array([1.0 / sqrt(float(x)) for x in dg])
-    core = np.array([[float(work[i][j]) for j in range(n)] for i in range(n)])
-    core = scale[:, None] * core * scale[None, :]
-    lam = float(np.linalg.eigvalsh(0.5 * (core + core.T))[0])
-    return 2.0 * (d - 1) * lam
-
-
 def bessel_zero_first(nu: float) -> float:
-    """First positive zero of J_nu, bracketing scan plus Brent refinement."""
-    from scipy.optimize import brentq  # imported on use: it costs ~0.2 s
-
+    """First positive zero of J_nu: a bracketing scan, then bisection on jv
+    down to a bracket 1e-12 wide."""
     if nu < 0 or nu > 50:
         raise ValueError("order must lie in [0, 50]")
     x = max(float(nu), 1e-6)
@@ -291,8 +170,15 @@ def bessel_zero_first(nu: float) -> float:
         x2 = x + step
         f_hi = jv(nu, x2)
         if f_lo > 0.0 and f_hi < 0.0:
-            return float(brentq(lambda t: jv(nu, t), x, x2, xtol=1e-12))
+            break
         x, f_lo = x2, f_hi
+    while x2 - x > 1e-12:  # invariant: jv(nu, x) > 0 >= jv(nu, x2)
+        mid = 0.5 * (x + x2)
+        if jv(nu, mid) > 0.0:
+            x = mid
+        else:
+            x2 = mid
+    return 0.5 * (x + x2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +290,10 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
 
 
 # The largest N whose g_N ``required_N`` evaluates.  Each g_N costs O(N)
-# time and memory in the root-route cross-check, and the bisection takes
-# about 20 of them: delta = 1e-10 (N = 340091 at d_B = 2) takes ~25 s and
-# ~130 MiB on one core of a 2-core Xeon.
+# time and memory (the eigenvalue route, then the check's two recurrence
+# passes), and the bisection takes about 20 of them: delta = 1e-10
+# (N = 340091 at d_B = 2) takes ~5.5 s and ~115 MiB on one core of a
+# 2-core Xeon.
 MAX_REQUIRED_N = 500_000
 
 

@@ -1,0 +1,163 @@
+"""Independent reference routes for the library's closed-form quantities.
+
+No command, application or certify path reaches these; the tests compare
+the library against them.
+
+g_N, one minus the largest root of a designated Jacobi polynomial, has two
+routes here besides the library's tridiagonal eigenvalue:
+
+* bisection root-refinement of the polynomial recurrence
+  (:func:`g_N_via_root`: a sign scan that evaluates the recurrence over a
+  chunk of grid points at once, then Brent's method on the bracket it finds),
+* the smallest generalized eigenvalue of the moment-matrix pencil (A, B)
+  (:func:`g_N_via_pencil`).
+
+The pencil's B matrix is Hilbert-conditioned, so that route reduces the
+pencil with an exact rational LDL^T factorization before the (then well
+conditioned) floating-point eigensolve; entries are built as exact products
+``1/((n+m+1)...(n+m+d))``, which also removes any factorial overflow.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import cos, pi, sqrt
+
+import numpy as np
+
+from dpskit.bounds import JacobiRecurrence, _gn_params, _jacobi_terms, jacobi_recurrence
+
+
+def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):
+    """P_n^{(alpha,beta)}(x) from ``terms = _jacobi_terms(n, alpha, beta)``,
+    elementwise for an array x."""
+    if n == 0:
+        return np.ones(np.shape(x)) if np.ndim(x) else 1.0
+    p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
+    for a1, a2, a3, a4 in terms:
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+    return p
+
+
+def jacobi_eval(n: int, alpha: float, beta: float, x):
+    """P_n^{(alpha,beta)}(x) by the standard three-term recurrence, for a
+    float or an array x."""
+    return _jacobi_run(x, n, alpha, beta, _jacobi_terms(n, alpha, beta))
+
+
+def recurrence_matrix(rec: JacobiRecurrence) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix of the recurrence ``rec``."""
+    c = np.diag(rec.diag)
+    if len(rec.off):
+        c += np.diag(rec.off, 1) + np.diag(rec.off, -1)
+    return c
+
+
+def tridiagonal_C(d: int, N: int) -> np.ndarray:
+    """The tridiagonal matrix whose spectrum is {1 - x : P(x) = 0} for the
+    designated Jacobi polynomial; its smallest eigenvalue is g_N."""
+    alpha, beta, deg = _gn_params(d, N)
+    return recurrence_matrix(jacobi_recurrence(alpha, beta, deg))
+
+
+# Grid points per sign-scan chunk.  For N <= 300 the first sign change lies
+# at grid index 37 at most for d = 2 and 96 at most for d = 6, so the first
+# chunk holds it.
+SCAN_CHUNK = 128
+
+
+def _largest_root_bisect(alpha: int, beta: int, deg: int) -> float:
+    """Largest root of P_deg^{(alpha,beta)} by sign scan in theta = arccos x.
+
+    The scan walks the grid theta_i = pi i / (40 deg + 40) from x = 1 to the
+    first i with P(x_{i-1}) > 0 >= P(x_i), and Brent refines that bracket.
+    It costs one vectorized recurrence per chunk of grid points up to the
+    bracket, plus one scalar recurrence per Brent step.
+    """
+    from scipy.optimize import brentq
+
+    rec = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
+    # P(1) = C(deg+alpha, deg) > 0; roots are ~uniform in theta
+    steps = 40 * deg + 40
+    x_prev, f_prev = 1.0, _jacobi_run(1.0, *rec)
+    for start in range(1, steps + 1, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK, steps + 1)
+        x = np.array([x_prev] + [cos(pi * i / steps) for i in range(start, stop)])
+        fx = np.concatenate(([f_prev], _jacobi_run(x[1:], *rec)))
+        hits = np.flatnonzero((fx[:-1] > 0.0) & (fx[1:] <= 0.0))
+        if hits.size:
+            i = hits[0]
+            # the terms go in through args: brentq holds the function it is
+            # given in a reference cycle, and a closure over the terms would
+            # keep them alive until the cyclic collector runs
+            return brentq(_jacobi_run, x[i + 1], x[i], args=rec, xtol=1e-14, rtol=1e-15)
+        x_prev, f_prev = x[-1], fx[-1]
+    raise ArithmeticError(f"no sign change found for P_{deg}^{({alpha},{beta})}")
+
+
+def g_N_via_root(d: int, N: int) -> float:
+    """g_N by bisection root-refinement of the raw Jacobi recurrence."""
+    alpha, beta, deg = _gn_params(d, N)
+    return 1.0 - _largest_root_bisect(alpha, beta, deg)
+
+
+def _pencil_matrices(d: int, N: int):
+    """Exact rational moment matrices (A, B) of the minimization pencil."""
+    if N % 2 == 0:
+        size, shift = N // 2 + 1, 0
+    else:
+        size, shift = (N + 1) // 2, 1
+
+    def entry(s: int, nfac: int) -> Fraction:
+        prod = 1
+        for k in range(1, nfac + 1):
+            prod *= s + k
+        return Fraction(1, prod)
+
+    amat = [[entry(n + m + shift, d) for m in range(size)] for n in range(size)]
+    bmat = [[entry(n + m + shift, d - 1) for m in range(size)] for n in range(size)]
+    return amat, bmat
+
+
+def g_N_via_pencil(d: int, N: int) -> float:
+    """2(d-1) times the smallest generalized eigenvalue of the (A, B) pencil.
+
+    Exact rational LDL^T of B reduces the pencil before the floating-point
+    eigensolve; see the module docstring.  Restricted to N <= 60 (the
+    rational arithmetic grows quickly past desk scale).
+    """
+    if N > 60:
+        raise ValueError("pencil route limited to N <= 60")
+    amat, bmat = _pencil_matrices(d, N)
+    n = len(amat)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    dg = [Fraction(0)] * n
+    for j in range(n):
+        s = bmat[j][j] - sum(low[j][k] * low[j][k] * dg[k] for k in range(j))
+        if s <= 0:
+            raise ArithmeticError(f"pencil B matrix numerically singular at {j}")
+        dg[j] = s
+        low[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            low[i][j] = (
+                bmat[i][j] - sum(low[i][k] * low[j][k] * dg[k] for k in range(j))
+            ) / s
+    # forward-substitute L^{-1} A L^{-T} exactly, then scale by D^{-1/2}
+    work = [row[:] for row in amat]
+    for i in range(n):
+        for k in range(i):
+            lik = low[i][k]
+            if lik:
+                for j in range(n):
+                    work[i][j] -= lik * work[k][j]
+    for j in range(n):
+        for k in range(j):
+            ljk = low[j][k]
+            if ljk:
+                for i in range(n):
+                    work[i][j] -= ljk * work[i][k]
+    scale = np.array([1.0 / sqrt(float(x)) for x in dg])
+    core = np.array([[float(work[i][j]) for j in range(n)] for i in range(n)])
+    core = scale[:, None] * core * scale[None, :]
+    lam = float(np.linalg.eigvalsh(0.5 * (core + core.T))[0])
+    return 2.0 * (d - 1) * lam

@@ -26,10 +26,7 @@ from dpskit.bounds import (
     example_state,
     frobenius_distance_exact,
     g_N,
-    g_N_via_pencil,
-    g_N_via_root,
     ppt_alone,
-    tridiagonal_C,
 )
 from dpskit.certify import certify
 from dpskit.extensions import (
@@ -49,6 +46,8 @@ from dpskit.operators import (
 )
 from dpskit.solver import SdpProblem, embed_complex, hermitian_basis, solve
 from dpskit.symmetric import build_basis, lift
+
+from oracles import g_N_via_pencil, g_N_via_root, tridiagonal_C
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from dpskit import bounds
 from dpskit.bounds import (
     _gn_params,
+    _jacobi_terms,
+    _roots_above,
     bessel_zero_first,
     bound_report,
     complexity_estimate,
@@ -20,14 +22,10 @@ from dpskit.bounds import (
     example_state,
     frobenius_distance_exact,
     g_N,
-    g_N_via_pencil,
-    g_N_via_root,
-    jacobi_eval,
     jacobi_recurrence,
     multipartite_probs,
     ppt_alone,
     required_N,
-    tridiagonal_C,
 )
 from dpskit.extensions import TraceMap
 from dpskit.operators import (
@@ -43,6 +41,9 @@ from dpskit.operators import (
     random_state,
 )
 from dpskit.symmetric import build_basis
+
+import oracles
+from oracles import g_N_via_pencil, g_N_via_root, jacobi_eval, recurrence_matrix, tridiagonal_C
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
@@ -139,7 +140,7 @@ class TestJacobi:
 
     def test_recurrence_symmetry_invariant(self):
         rec = jacobi_recurrence(2, 1, 6)
-        c = rec.matrix()
+        c = recurrence_matrix(rec)
         assert_allclose(c, c.T)
         # gamma_0 = 0 is implicit (no sub-diagonal entry feeding row 0)
         assert c.shape == (6, 6)
@@ -243,6 +244,25 @@ class TestGn:
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=2, N=10750\)"):
             g_N(2, 10750)
 
+    def test_eigenvalue_route_too_low_raises(self, monkeypatch):
+        # a negative shift puts 1 - g_N above the largest root
+        self._shift_eigenvalue_route(monkeypatch, -1e-6)
+        with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
+            g_N(3, 10)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 10), (6, 41), (2, 10750)])
+    def test_second_root_raises(self, d, n, monkeypatch):
+        # the second-smallest eigenvalue is one minus a true root of the
+        # polynomial, but not of its largest
+        eigvalsh_tridiagonal = bounds.eigvalsh_tridiagonal
+
+        def second(diag, off, select, select_range):
+            return eigvalsh_tridiagonal(diag, off, select=select, select_range=(1, 1))
+
+        monkeypatch.setattr(bounds, "eigvalsh_tridiagonal", second)
+        with pytest.raises(ArithmeticError, match=rf"routes disagree at \(d={d}, N={n}\)"):
+            g_N(d, n)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_dense_tridiagonal_eigensolve(self, d):
         for n in [*range(1, 41), 99, 200, 300]:
@@ -258,12 +278,29 @@ class TestGn:
     def test_sign_scan_independent_of_chunk_size(self, chunk, monkeypatch):
         cases = [(d, n) for d in (2, 4, 6) for n in (1, 2, 9, 40, 151)]
         whole = [g_N_via_root(d, n) for d, n in cases]
-        monkeypatch.setattr(bounds, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "SCAN_CHUNK", chunk)
         assert [g_N_via_root(d, n) for d, n in cases] == whole
 
     def test_pencil_one_by_one(self):
         # N=1, d=2: A = [1/6], B = [1/2]; 2 * (1/6)/(1/2) = 2/3
         assert g_N_via_pencil(2, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+class TestRootsAbove:
+    """The Sturm count against scipy's Jacobi roots."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_counts_scipy_roots(self, d):
+        from scipy.special import roots_jacobi
+
+        rng = np.random.default_rng(d)
+        for n in range(1, 61):
+            alpha, beta, deg = _gn_params(d, n)
+            poly = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
+            roots = roots_jacobi(deg, alpha, beta)[0]
+            points = [*(roots - 1e-9), *(roots + 1e-9), *rng.uniform(-1.0, 1.0, 20)]
+            for x in points:
+                assert _roots_above(float(x), *poly) == int(np.sum(roots > x)), (n, x)
 
 
 class TestBesselZero:
@@ -592,7 +629,7 @@ class TestMembersOfSN:
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    # brentq is imported where g_N and the Bessel zero use it
+    # scipy.optimize costs about 0.2 s and 13 MiB; no library path imports it
     src = str(Path(bounds.__file__).resolve().parents[1])
     code = "import sys, dpskit.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
@@ -600,3 +637,21 @@ def test_cli_import_leaves_scipy_optimize_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_bounds_commands_leave_scipy_optimize_out():
+    # g_N, the Bessel zero and required_N find their roots without it
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    code = (
+        "import sys, dpskit.cli as c\n"
+        "for argv in (['bounds', '--dB', '3', '--N', '1..10', '--delta', '0.05'],\n"
+        "             ['complexity', '--dA', '2', '--dB', '2', '--delta', '0.05'],\n"
+        "             ['fidelity', '--bb84', '0.1', '--N', '2', '--ppt', 'true']):\n"
+        "    assert c.main(argv) == 0, argv\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
