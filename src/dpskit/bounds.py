@@ -291,9 +291,9 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
 
 # The largest N whose g_N ``required_N`` evaluates.  Each g_N costs O(N)
 # time and memory (the eigenvalue route, then the check's two recurrence
-# passes), and the bisection takes about 20 of them: delta = 1e-10
-# (N = 340091 at d_B = 2) takes ~5.5 s and ~115 MiB on one core of a
-# 2-core Xeon.
+# passes), and required_N takes two of them when its estimate is exact:
+# delta = 1e-10 (N = 340091 at d_B = 2) takes ~0.6 s and ~115 MiB on one
+# core of a 2-core Xeon.
 MAX_REQUIRED_N = 500_000
 
 
@@ -301,10 +301,12 @@ def required_N(delta: float, d_B: int, ppt: bool) -> int:
     """Smallest guaranteed extension size for trace-distance accuracy delta.
 
     With ``ppt`` this is the smallest N >= 2 with g_N(d_B, N) <= delta.
-    g_N falls strictly in N, so a bisection below the asymptotic estimate
-    ceil(sqrt(2) j / sqrt(delta)), which overshoots, finds it.  A delta
-    whose estimate exceeds ``MAX_REQUIRED_N`` raises ValueError, as does
-    one whose non-PPT answer overflows a float.
+    g_N falls strictly in N, and g_N = 2 j^2 / (N + d_B + 1)^2 (1 + O(N^-2))
+    (see :func:`g_N`) gives the estimate ceil(sqrt(2) j / sqrt(delta) - d_B
+    - 1).  It is the answer on every grid point tested, so checking it and
+    its left neighbour takes two g_N; a miss walks one N at a time.  A
+    delta whose estimate exceeds ``MAX_REQUIRED_N`` raises ValueError, as
+    does one whose non-PPT answer overflows a float.
     """
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
@@ -315,23 +317,18 @@ def required_N(delta: float, d_B: int, ppt: bool) -> int:
         if not np.isfinite(n):
             raise ValueError(f"delta {delta} is too small: the required N overflows")
         return int(n)
-    estimate = np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))
+    estimate = np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta) - d_B - 1)
     if estimate > MAX_REQUIRED_N:
         raise ValueError(
             f"delta {delta} is too small: its PPT estimate N = {estimate:.3g} "
             f"exceeds the N = {MAX_REQUIRED_N} up to which g_N is evaluated"
         )
-    hi = max(int(estimate), 2)
-    while g_N(d_B, hi) > delta:
-        hi += 1
-    lo = 1  # invariant: every N <= lo is too small (or below 2), hi is enough
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g_N(d_B, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = max(int(estimate), 2)
+    while g_N(d_B, n) > delta:
+        n += 1
+    while n > 2 and g_N(d_B, n - 1) <= delta:
+        n -= 1
+    return n
 
 
 def complexity_estimate(d_A: int, d_B: int, delta: float):

@@ -21,7 +21,12 @@ its jittered Cholesky absorbs.  Each solve runs every product with A on one
 CSR copy, including the Schur complement, which is formed the sparse way of
 Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored densely.
 The step back-off tests definiteness by Cholesky factoring each new
-block; the step lengths and Z^{-1} reuse the factors it accepted.
+block; the step lengths and Z^{-1} reuse the factors it accepted.  Every
+dense kernel of an iteration calls LAPACK directly, skipping the checks of
+the ``scipy.linalg`` wrappers: ``dpotrf`` factors the Schur complement and
+each block, ``dpotrs`` solves with the Schur factor, ``dtrtri`` inverts the
+block factors, and a step length takes only the smallest eigenvalue of
+L^{-1} dX L^{-T} from ``dsyevr``, not the full spectrum (as SDPT3 does).
 
 The dual, max b.y subject to Z = C - sum_i y_i A_i >= 0, is an LMI in the
 free variables y.  ``dpskit.extensions`` poses its PPT queries that way,
@@ -44,8 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .operators import HermitianOperator
 
@@ -253,18 +258,41 @@ def _schur(parts, zinv, xb, m: int) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a = L L^T by LAPACK ``dpotrf``, upper
+    triangle zeroed (LinAlgError if a is not numerically PD)."""
+    ell, info = lapack.dpotrf(a, lower=True, clean=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf: leading minor {info} not positive")
+    return ell
+
+
 def _inverse_cholesky(x: np.ndarray) -> np.ndarray:
-    """L^{-1} for x = L L^T (LinAlgError if x is not numerically PD)."""
-    ell = np.linalg.cholesky(x)
-    return sla.solve_triangular(ell, np.eye(len(x)), lower=True, check_finite=False)
+    """L^{-1} for x = L L^T, by ``dpotrf`` then ``dtrtri`` in place
+    (LinAlgError if x is not numerically PD)."""
+    return lapack.dtrtri(_cholesky(x), lower=True, overwrite_c=True)[0]
+
+
+def _lambda_min(a: np.ndarray) -> float:
+    """Smallest eigenvalue of symmetric a, alone, by LAPACK ``dsyevr``.
+
+    dsyevr reports no error on a NaN (it returns 1.0 for eye(3) with one NaN
+    on the diagonal), so non-finite input raises LinAlgError here, as a full
+    ``eigvalsh`` would.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite matrix")
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, range="I", il=1, iu=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr: info {info}")
+    return float(w[0])
 
 
 def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx >= 0, for r = _inverse_cholesky(x)
     (inf if unconstrained)."""
     mid = r @ dx @ r.T
-    mid = 0.5 * (mid + mid.T)
-    lam = float(np.linalg.eigvalsh(mid)[0])
+    lam = _lambda_min(0.5 * (mid + mid.T))
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
@@ -336,7 +364,7 @@ def solve(
         # infeasibility certificates straight off the homogeneous iterate
         if by > tol:
             yn = y / by
-            viol = max(float(np.linalg.eigvalsh(cb)[-1]) for cb in split(AT @ yn))
+            viol = max(-_lambda_min(-cb) for cb in split(AT @ yn))
             if viol <= tol * (1.0 + np.linalg.norm(yn)):
                 status = "primal_infeasible"
                 break
@@ -358,9 +386,7 @@ def solve(
         jitter = 0.0
         for attempt in range(4):
             try:
-                factor = sla.cho_factor(
-                    M + jitter * np.eye(m), lower=True, check_finite=False
-                )
+                factor = _cholesky(M + jitter * np.eye(m))
                 break
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 100.0, 1e-13 * max(np.trace(M) / max(m, 1), 1.0))
@@ -368,9 +394,9 @@ def solve(
             raise SolverBreakdown("Schur complement factorization failed")
 
         def schur_solve(rhs):
-            sol = sla.cho_solve(factor, rhs, check_finite=False)
+            sol = lapack.dpotrs(factor, rhs, lower=True)[0]
             resid = rhs - M @ sol  # one refinement step recovers ~2 digits
-            return sol + sla.cho_solve(factor, resid, check_finite=False)
+            return sol + lapack.dpotrs(factor, resid, lower=True)[0]
 
         def hkm(u):
             """Zinv U X, block by block."""

@@ -16,6 +16,9 @@ The pencil's B matrix is Hilbert-conditioned, so that route reduces the
 pencil with an exact rational LDL^T factorization before the (then well
 conditioned) floating-point eigensolve; entries are built as exact products
 ``1/((n+m+1)...(n+m+d))``, which also removes any factorial overflow.
+
+:func:`required_N_bisect` finds the PPT ``required_N`` by bisection on the
+library's g_N, with no use of the asymptotic estimate beyond an upper end.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from math import cos, pi, sqrt
 
 import numpy as np
 
-from dpskit.bounds import JacobiRecurrence, _gn_params, _jacobi_terms, jacobi_recurrence
+from dpskit.bounds import (
+    JacobiRecurrence,
+    _gn_params,
+    _jacobi_terms,
+    bessel_zero_first,
+    g_N,
+    jacobi_recurrence,
+)
 
 
 def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):
@@ -161,3 +171,20 @@ def g_N_via_pencil(d: int, N: int) -> float:
     core = scale[:, None] * core * scale[None, :]
     lam = float(np.linalg.eigvalsh(0.5 * (core + core.T))[0])
     return 2.0 * (d - 1) * lam
+
+
+def required_N_bisect(delta: float, d_B: int) -> int:
+    """Smallest N >= 2 with g_N(d_B, N) <= delta, by bisection over [1, hi]
+    from the uncorrected estimate hi = ceil(sqrt(2) j / sqrt(delta)), which
+    overshoots (raised until it is enough)."""
+    hi = max(int(np.ceil(sqrt(2.0) * bessel_zero_first(d_B - 2) / sqrt(delta))), 2)
+    while g_N(d_B, hi) > delta:
+        hi += 1
+    lo = 1  # invariant: every N <= lo is too small (or below 2), hi is enough
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g_N(d_B, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi

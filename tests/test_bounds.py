@@ -481,6 +481,36 @@ class TestRequiredN:
         assert n == expected
         assert g_N(d, n) <= delta < g_N(d, n - 1)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("delta", [0.1, 0.05, 0.02, 1e-3, 1e-4, 1e-6, 1e-8])
+    def test_ppt_matches_bisection_with_two_g_N(self, d, delta, monkeypatch):
+        # the corrected estimate is exact here, so only it and N - 1 are checked
+        expected = oracles.required_N_bisect(delta, d)
+        calls = []
+
+        def counted(d_, n):
+            calls.append(n)
+            return g_N(d_, n)
+
+        monkeypatch.setattr(bounds, "g_N", counted)
+        assert required_N(delta, d, ppt=True) == expected
+        assert calls == [expected, expected - 1]
+
+    @pytest.mark.parametrize("shift", [-3, 2])
+    def test_ppt_walks_to_answer_when_estimate_misses(self, shift, monkeypatch):
+        # an estimate off by a few N still ends at the minimal N
+        j = bounds.bessel_zero_first(0)
+        # sqrt(2) j' / sqrt(delta) moves by `shift` when j' = j + shift sqrt(delta/2)
+        delta = 1e-4
+        monkeypatch.setattr(
+            bounds, "bessel_zero_first", lambda nu: j + shift * np.sqrt(delta / 2.0)
+        )
+        assert required_N(delta, 2, ppt=True) == oracles.required_N_bisect(delta, 2)
+
+    def test_ppt_large_delta_starts_at_two(self):
+        assert required_N(1.9, 2, ppt=True) == 2
+        assert required_N(1.9, 4, ppt=True) == oracles.required_N_bisect(1.9, 4)
+
     def test_degenerate_delta(self):
         assert required_N(1.999, 2, ppt=False) in (0, 1)
 

@@ -211,17 +211,44 @@ class TestSolve:
 
     def test_one_definiteness_test_per_block_and_step(self, monkeypatch):
         # per block and step: the predictor's and the corrector's max-step
-        # spectra of X and Z, and the back-off's two Cholesky factors, which
-        # the next iteration reuses
-        counts = {"eigvalsh": 0, "cholesky": 0}
-        for name, fn in [(name, getattr(np.linalg, name)) for name in counts]:
+        # smallest eigenvalues of X and Z, and the back-off's two inverse
+        # Cholesky factors, which the next iteration reuses
+        counts = {"_lambda_min": 0, "_inverse_cholesky": 0}
+        for name, fn in [(name, getattr(dpskit.solver, name)) for name in counts]:
             def counted(*args, _name=name, _fn=fn, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(dpskit.solver, name, counted)
         s = solve(SdpProblem([3], [None], vecs(np.eye(3)), [1.0], "feasibility"))
         assert (s.status, s.iterations) == ("optimal", 7)
-        assert counts == {"eigvalsh": 24, "cholesky": 12}
+        assert counts == {"_lambda_min": 24, "_inverse_cholesky": 12}
+
+    def test_no_full_spectrum_or_wrapped_factorization(self, monkeypatch):
+        # every dense kernel of the loop is a direct LAPACK call
+        def banned(*args, **kwargs):
+            raise AssertionError("called inside solve")
+
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, banned)
+        for name in ("cho_factor", "cho_solve", "solve_triangular"):
+            monkeypatch.setattr(sla, name, banned)
+        problem, opt = constructed_optimum(6, 4, 0)
+        s = solve(problem)
+        assert s.status == "optimal"
+        assert abs(s.objective_value - opt) <= 1e-6 * (1 + abs(opt))
+
+    def test_nan_direction_raises(self, monkeypatch):
+        # a NaN direction ends the solve in LinAlgError, as the full-spectrum
+        # eigvalsh did, and never reads as an unconstrained step
+        max_step = dpskit.solver._max_step
+
+        def poisoned(r, dx):
+            return max_step(r, np.full_like(dx, np.nan))
+
+        monkeypatch.setattr(dpskit.solver, "_max_step", poisoned)
+        problem, _ = constructed_optimum(4, 3, 0)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(problem)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_back_off_on_failed_factor(self, seed, monkeypatch):
@@ -318,6 +345,50 @@ class TestSolve:
         p = SdpProblem([2], [None], vecs(big, small), [1.0, 1.0])
         with pytest.raises(ValueError, match="constraint 1: block 0 not symmetric"):
             p.validate()
+
+
+class TestKernels:
+    """The LAPACK kernels against full-spectrum and numpy references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 52, 108])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_max_step_matches_full_spectrum(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        g = rng.standard_normal((n, n))
+        r = dpskit.solver._inverse_cholesky(g @ g.T + n * np.eye(n))
+        for dx in (sym(rng, n), sym(rng, n) + 3.0 * np.sqrt(n) * np.eye(n)):
+            mid = r @ dx @ r.T
+            lam = np.linalg.eigvalsh(0.5 * (mid + mid.T))[0]
+            step = dpskit.solver._max_step(r, dx)
+            if lam >= 0.0:
+                assert step == np.inf
+            else:
+                assert step == pytest.approx(-1.0 / lam, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_inverse_cholesky_matches_numpy(self, n):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        x = g @ g.T + n * np.eye(n)
+        r = dpskit.solver._inverse_cholesky(x)
+        assert_allclose(r, np.linalg.inv(np.linalg.cholesky(x)), rtol=0, atol=1e-12)
+        assert np.all(np.triu(r, 1) == 0.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.diag([1.0, -1e-3, 2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+         np.diag([1.0, 0.0, 2.0]), np.ones((3, 3))],
+        ids=["indefinite-diag", "indefinite", "singular-diag", "singular-rank1"],
+    )
+    def test_inverse_cholesky_rejects_non_pd(self, x):
+        with pytest.raises(np.linalg.LinAlgError):
+            dpskit.solver._inverse_cholesky(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lambda_min_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            dpskit.solver._lambda_min(a)
 
 
 class TestDependentRows:
