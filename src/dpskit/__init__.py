@@ -51,10 +51,8 @@ from .extensions import (
     ConeOptimum,
     ExtensionQuery,
     MembershipResult,
-    build_bse_sdp,
     check_membership,
     optimize_over_cone,
-    reduce_extension,
     verify_witness,
 )
 from .operators import (

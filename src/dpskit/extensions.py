@@ -12,8 +12,7 @@ L a real sparse matrix on vec of the symmetric part:
 * :class:`TraceMap` : X -> trace over all but M copies of every party
   (M = 1 in the compiled constraints, any M for the rank loop),
 * :class:`PptMap`   : X -> partial transpose over the last N2 copies of
-  every party, compressed onto Sym^{N-N2} (x) Sym^{N2} per party,
-* ``reduce_extension`` : Sym^N -> Sym^{N-1}, one copy traced off.
+  every party, compressed onto Sym^{N-N2} (x) Sym^{N2} per party.
 
 Both map classes take (d_A, the extended factor dims, N, ...), so nothing
 downstream needs the d^N isometry of :mod:`dpskit.symmetric`.
@@ -38,6 +37,13 @@ query compiles to one of two SDP forms (``_compile``):
   the PPT block costs no row: BB84 PPT N=7 has 518 rows instead of 3250
   with a primal PPT block and its link rows.
 
+Neither form's constraint matrix A depends on the data: it is built once
+per structure, keyed by (factor dims, N, PPT block, reduced_constraint, real
+path), as read-only sparse rows that every query with that key shares, and
+the solver checks A and prepares its Schur data once.  A query fills only
+its own right-hand side b, cost C and (free form) x0 (``_structure``,
+``_compile``).
+
 ``_Codec`` reads either form back: the extension, the witness with its
 certified cone floor, the objective.
 """
@@ -58,10 +64,12 @@ from .solver import (
     SdpProblem,
     SdpSolution,
     SolverBreakdown,
+    SparseRows,
     embed_complex,
     hermitian_basis,
     hermitian_vecs,
     solve,
+    sparse_rows,
     unembed_real,
 )
 from .symmetric import occupations, sym_dim
@@ -74,12 +82,10 @@ __all__ = [
     "TraceMap",
     "PptMap",
     "budget_dim",
-    "build_bse_sdp",
     "check_membership",
     "optimize_over_cone",
     "ConeOptimum",
     "verify_witness",
-    "reduce_extension",
 ]
 
 BUDGET_ENV = "DPSKIT_BUDGET_DIM"
@@ -285,13 +291,6 @@ class PptMap(LocalMap):
         super().__init__(dA, [_ppt_local(d, N, transposed) for d in dims])
 
 
-def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
-    """Trace one B copy off a compressed extension: Sym^N -> Sym^{N-1}."""
-    if N < 2:
-        raise ValueError("need N >= 2 to reduce")
-    return TraceMap(dA, (d,), N, N - 1).apply(x)
-
-
 # ---------------------------------------------------------------------------
 # SDP compilation
 # ---------------------------------------------------------------------------
@@ -309,10 +308,11 @@ class _Codec:
     feasible whenever X is and has the same value.  The rows then run over
     the real symmetric members of the basis, and ``weight`` is 1.
 
-    ``state`` holds the query's state rows <state_i, X> = r_i.  A query with
-    a PPT block is compiled to the free form, and then ``x0`` and ``kernel``
+    A query with a PPT block is compiled to the free form, and then ``state``
+    holds its state rows <R_i, X> = r_i, and ``x0`` and ``kernel``
     parameterize X = x0 + sum_k y_k F_k (row k of ``kernel`` is vec F_k);
-    otherwise both are None and X is the solver's primal block 0.
+    otherwise all three are None and X is the solver's primal block 0.
+    ``state`` and ``kernel`` belong to the query's shared ``_Structure``.
     """
 
     query: ExtensionQuery
@@ -360,25 +360,16 @@ class _Codec:
     def basis_size(self, n: int) -> int:
         return n * (n + 1) // 2 if self.real else n * n
 
-    def embed_rows(self, rows: np.ndarray, h: np.ndarray):
-        """Write the embeddings of a Hermitian stack into (k, n, n) views of
-        constraint rows, made exactly symmetric there."""
-        rows[...] = self.embed(h)
-        rows += rows.swapaxes(1, 2)
-        rows *= 0.5
-
-    def state_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, r): the state rows <R_i, X> = r_i of the query, R Hermitian."""
-        q, tmap = self.query, self.tmap
+    def rhs(self) -> np.ndarray:
+        """r, the right-hand sides of the query's state rows <R_i, X> = r_i
+        (R from ``_state_rows``)."""
+        q = self.query
         if q.reduced_constraint == "trace_match":
             h = self.basis(q.rho.dim)
-            return tmap.adjoint(h), np.real(np.sum(h.conj() * q.rho.entries, axis=(1, 2)))
+            return np.real(np.sum(h.conj() * q.rho.entries, axis=(1, 2)))
         if q.reduced_constraint == "identity_marginal":
-            # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
-            f = self.basis(tmap.dA)
-            rows = tmap.adjoint(np.kron(f, np.eye(q.rho.dim // tmap.dA)))
-            return rows, np.real(np.trace(f, axis1=1, axis2=2))
-        return np.eye(self.nx, dtype=complex)[None], np.ones(1)  # unit_trace
+            return np.real(np.trace(self.basis(self.tmap.dA), axis1=1, axis2=2))
+        return np.ones(1)  # unit_trace
 
     def set_objective(self, problem: SdpProblem, w: np.ndarray, sense: str):
         """Make ``problem`` minimize or maximize <w, X> over the query's set.
@@ -427,7 +418,7 @@ class _Codec:
         if q.reduced_constraint != "trace_match":
             return None
         if self.kernel is None:
-            coef = -sol.dual_multipliers[: len(self.state)]
+            coef = -sol.dual_multipliers
         else:
             wx, wy = (self.unembed(block) for block in sol.certificate)
             g = wx + self.pmap.adjoint(wy)
@@ -460,6 +451,15 @@ def _has_ppt_block(q: ExtensionQuery) -> bool:
     return q.ppt and q.N > 1
 
 
+@lru_cache(maxsize=None)
+def _maps(dims: tuple, N: int, ppt: bool) -> tuple[TraceMap, PptMap | None]:
+    """The trace map of level N on factors ``dims`` and, with a PPT block,
+    Gamma.  Cached: never modify them."""
+    dA, *dBs = dims
+    pmap = PptMap(dA, dBs, N, transposed_copies(N)) if ppt else None
+    return TraceMap(dA, dBs, N), pmap
+
+
 def _codec(q: ExtensionQuery) -> _Codec:
     """The maps and arithmetic of a query, after the dimension budget check."""
     dA, *dBs = q.rho.factor_dims
@@ -469,10 +469,22 @@ def _codec(q: ExtensionQuery) -> _Codec:
             f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
             f"{BUDGET_ENV} = {budget_dim()}"
         )
-    pmap = PptMap(dA, dBs, q.N, transposed_copies(q.N)) if _has_ppt_block(q) else None
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
-    return _Codec(q, TraceMap(dA, dBs, q.N), pmap, real)
+    return _Codec(q, *_maps(q.rho.factor_dims, q.N, _has_ppt_block(q)), real)
+
+
+def _state_rows(tmap: LocalMap, dim: int, kind: str, real: bool) -> np.ndarray:
+    """R, the Hermitian state rows <R_i, X> = r_i of a ``kind`` query on a
+    state of side ``dim`` (``_Codec.rhs`` gives r): L^dag of the basis
+    members of the part of Lambda that ``kind`` pins."""
+    if kind == "trace_match":
+        return tmap.adjoint(hermitian_basis(dim, real))
+    if kind == "identity_marginal":
+        # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
+        f = hermitian_basis(tmap.dA, real)
+        return tmap.adjoint(np.kron(f, np.eye(dim // tmap.dA)))
+    return np.eye(tmap.dA * tmap.size_in, dtype=complex)[None]  # unit_trace
 
 
 def _kernel(rows: np.ndarray) -> sp.csc_matrix:
@@ -512,59 +524,78 @@ def _hermitize(v: sp.csr_matrix, n: int) -> sp.csr_matrix:
     return 0.5 * (v + v[:, np.arange(n * n).reshape(n, n).T.ravel()].conj())
 
 
-def _embed_into(dest: np.ndarray, v: sp.spmatrix, n: int, real: bool):
-    """Write into row k of ``dest`` the vec of ``embed_complex`` (``real``:
-    of the real part) of the Hermitian matrix whose side-n row-major vec is
-    row k of v."""
+def _embedded(v: sp.spmatrix, n: int, real: bool) -> sp.coo_array:
+    """Row k: the vec of ``embed_complex`` (``real``: of the real part) of
+    the Hermitian matrix whose side-n row-major vec is row k of v, with no
+    explicit zeros."""
     v = v.tocoo()
     if real:
-        dest[v.row, v.col] = v.data.real
-        return
-    (p, q), w = np.divmod(v.col, n), 2 * n
-    for col, val in (
-        (p * w + q, v.data.real), ((p + n) * w + q + n, v.data.real),
-        (p * w + q + n, -v.data.imag), ((p + n) * w + q, v.data.imag),
-    ):
-        dest[v.row, col] = val
+        row, col, val, w = v.row, v.col, v.data.real, n
+    else:
+        (p, q), w = np.divmod(v.col, n), 2 * n
+        row = np.tile(v.row, 4)
+        col = np.concatenate([p * w + q, (p + n) * w + q + n, p * w + q + n, (p + n) * w + q])
+        val = np.concatenate([v.data.real, v.data.real, -v.data.imag, v.data.imag])
+    keep = val != 0
+    return sp.coo_array((val[keep], (row[keep], col[keep])), shape=(v.shape[0], w * w))
 
 
-def _free_form(codec: _Codec, rhs: np.ndarray) -> SdpProblem:
+@dataclass(frozen=True)
+class _Structure:
+    """The part of a compiled query that its data does not enter, shared by
+    every query with one ``_structure`` key.  Every array in it is read-only.
+
+    ``constraints`` is A, with its ``block_sizes``.  In the free form
+    ``state`` holds the state rows R_i, ``gram`` their Gram matrix
+    Re <R_i, R_j> and ``kernel`` the F_k; in the rows form A's rows are the
+    embedded R_i, and the three are None.
+    """
+
+    block_sizes: tuple
+    constraints: SparseRows
+    state: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    kernel: sp.csr_matrix | None = None
+
+
+@lru_cache(maxsize=None)
+def _structure(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> _Structure:
+    """The structure of every ``kind`` query on factors ``dims`` at level N,
+    with a PPT block or not, on the real path or not.  Built on the first
+    such query and kept: the solver checks A and builds its Schur data on
+    the first solve, and later queries fill only their b, C and x0."""
+    tmap, pmap = _maps(dims, N, ppt)
+    state = _state_rows(tmap, prod(dims), kind, real)
+    n = tmap.dA * tmap.size_in
+    if pmap is None:
+        rows = _embedded(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), n, real)
+        return _Structure(((1 if real else 2) * n,), sparse_rows(rows))
+    return _free_form(tmap, pmap, state, real)
+
+
+def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _Structure:
     """The LMIs X(y) >= 0 and Gamma(X(y)) >= 0 over X(y) = x0 + sum_k y_k F_k,
     as the dual slack C - sum_k y_k A_k of the solver's standard form:
-    C = (x0, Gamma(x0)) and A_k = -(F_k, Gamma(F_k)).
+    C = (x0, Gamma(x0)) and A_k = -(F_k, Gamma(F_k)).  Only C depends on the
+    data, and ``_compile`` fills it.
 
     x0 is the least-norm solution of the state rows and the F_k an
     orthonormal, sparse basis of their kernel, so X(y) meets the state rows
     for every y and no PPT block costs an equality row (Lofberg, "Dualize
-    it", Optim. Methods Softw. 24, 2009).  b = 0 makes the solve a
-    feasibility test; ``set_objective`` fills b for an objective.
+    it", Optim. Methods Softw. 24, 2009).
     """
-    n, real, pmap = codec.nx, codec.real, codec.pmap
+    n = tmap.dA * tmap.size_in
     basis = hermitian_vecs(n, real)
-    state = codec.state.reshape(len(codec.state), -1)
-    codec.kernel = (_kernel(np.real(basis.conj() @ state.T).T).T @ basis).tocsr()
-    # the least-norm solution lies in the span of the rows
-    gram = np.real(state.conj() @ state.T)
-    x0 = np.tensordot(np.linalg.solve(gram, rhs), codec.state, axes=1)
-    codec.x0 = 0.5 * (x0 + x0.conj().T)
-    sides = [n, codec.tmap.dA * pmap.size_out]
-    vecs = [codec.kernel, _hermitize(codec.kernel @ pmap.matrix().T, sides[1])]
-    offsets = [codec.x0, pmap.apply(codec.x0)]
-    block_sizes = [codec.weight * side for side in sides]
-    m = vecs[0].shape[0]
-    problem = SdpProblem(
-        block_sizes,
-        [codec.embed(0.5 * (c + c.conj().T)) for c in offsets],
-        np.zeros((m, sum(b * b for b in block_sizes))),
-        np.zeros(m),
-        "minimize",
-    )
-    start = 0
-    for v, side, b in zip(vecs, sides, block_sizes):
-        _embed_into(problem.constraints[:, start:start + b * b], v, side, real)
-        start += b * b
-    np.negative(problem.constraints, out=problem.constraints)
-    return problem
+    flat = state.reshape(len(state), -1)
+    kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
+    sides = [n, tmap.dA * pmap.size_out]
+    vecs = [kernel, _hermitize(kernel @ pmap.matrix().T, sides[1])]
+    a = sp.hstack([_embedded(v, side, real) for v, side in zip(vecs, sides)])
+    gram = np.real(flat.conj() @ flat.T)
+    for arr in (state, gram, kernel.data, kernel.indices, kernel.indptr):
+        arr.flags.writeable = False
+    sizes = tuple((1 if real else 2) * side for side in sides)
+    return _Structure(sizes, sparse_rows(-a), state, gram, kernel)
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
@@ -573,18 +604,31 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     A query with a PPT block compiles to the free form (``_free_form``),
     whose rows are X's free parameters; any other keeps X as the primal
     block with one equality row per state row, far fewer than X's
-    parameters.
+    parameters.  Everything but b, C and x0 comes from ``_structure``, and
+    every query with its key shares that A.
     """
     codec = _codec(q)
-    codec.state, rhs = codec.state_rows()
-    if codec.pmap is not None:
-        problem = _free_form(codec, rhs)
-    else:
-        n = codec.weight * codec.nx
+    s = _structure(q.rho.factor_dims, q.N, codec.pmap is not None,
+                   q.reduced_constraint, codec.real)
+    rhs = codec.rhs()
+    if s.kernel is None:
         problem = SdpProblem(
-            [n], [None], np.zeros((len(rhs), n * n)), codec.weight * rhs, "feasibility"
+            list(s.block_sizes), [None], s.constraints, codec.weight * rhs, "feasibility"
         )
-        codec.embed_rows(problem.blocks(problem.constraints)[0], codec.state)
+    else:
+        codec.state, codec.kernel = s.state, s.kernel
+        # the least-norm solution lies in the span of the rows
+        x0 = np.tensordot(np.linalg.solve(s.gram, rhs), s.state, axes=1)
+        codec.x0 = 0.5 * (x0 + x0.conj().T)
+        offsets = [codec.x0, codec.pmap.apply(codec.x0)]
+        # b = 0 makes the solve a feasibility test; set_objective fills b
+        problem = SdpProblem(
+            list(s.block_sizes),
+            [codec.embed(0.5 * (c + c.conj().T)) for c in offsets],
+            s.constraints,
+            np.zeros(len(s.constraints)),
+            "minimize",
+        )
     if q.objective is not None:
         codec.set_objective(problem, codec.tmap.adjoint(q.objective.entries), "maximize")
     return problem, codec
@@ -601,11 +645,6 @@ def _memory_budget(q: ExtensionQuery):
             f"out of memory on the N={q.N}{ppt} {q.reduced_constraint} query "
             f"on factors {q.rho.factor_dims} (m = {_codec(q).m} equality rows)"
         ) from exc
-
-
-def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
-    problem, _ = _compile(q)
-    return problem
 
 
 FEAS_EQUALITY_TOL = 1e-7

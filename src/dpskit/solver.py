@@ -18,15 +18,19 @@ terminate with an explicit Farkas certificate instead of a diverging
 iterate.  That includes contradictory equalities, so no row is ever pruned;
 consistent dependent rows only make the Schur complement singular, which
 its jittered Cholesky absorbs.  Each solve runs every product with A on one
-CSR copy, including the Schur complement, which is formed the sparse way of
-Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored densely.
-The step back-off tests definiteness by Cholesky factoring each new
-block; the step lengths and Z^{-1} reuse the factors it accepted.  Every
-dense kernel of an iteration calls LAPACK directly, skipping the checks of
-the ``scipy.linalg`` wrappers: ``dpotrf`` factors the Schur complement and
-each block, ``dpotrs`` solves with the Schur factor, ``dtrtri`` inverts the
-block factors, and a step length takes only the smallest eigenvalue of
-L^{-1} dX L^{-T} from ``dsyevr``, not the full spectrum (as SDPT3 does).
+CSR matrix, including the Schur complement, which is formed the sparse way
+of Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored
+densely.  A compiled A is a read-only ``SparseRows`` that many problems
+share: its symmetry is checked and its Schur data built on the first solve
+only.  The step back-off tests definiteness by Cholesky factoring each new
+block (a non-finite block fails); the step lengths and Z^{-1} reuse the
+factors it accepted.  A non-finite direction or iterate ends the solve in
+``SolverBreakdown``.  Every dense kernel of an iteration calls LAPACK
+directly, skipping the checks of the ``scipy.linalg`` wrappers: ``dpotrf``
+factors the Schur complement and each block, ``dpotrs`` solves with the
+Schur factor, ``dtrtri`` inverts the block factors, and a step length takes
+only the smallest eigenvalue of L^{-1} dX L^{-T} from ``dsyevr``, not the
+full spectrum (as SDPT3 does).
 
 The dual, max b.y subject to Z = C - sum_i y_i A_i >= 0, is an LMI in the
 free variables y.  ``dpskit.extensions`` poses its PPT queries that way,
@@ -58,6 +62,7 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "SolverBreakdown",
+    "SparseRows",
     "embed_complex",
     "unembed_real",
     "hermitian_basis",
@@ -68,6 +73,39 @@ __all__ = [
 
 class SolverBreakdown(RuntimeError):
     """Numerical failure distinct from plain iteration-limit exhaustion."""
+
+
+class SparseRows(sp.csr_array):
+    """A constraint matrix A as canonical, read-only CSR, shared by every
+    problem compiled from one structure; ``len`` is its row count m, as for a
+    dense A.
+
+    ``checked`` holds the block sides whose symmetry ``validate`` has
+    confirmed, and ``parts`` the (block sides, ``_schur_parts``) that the
+    first ``solve`` built, so the problems sharing A pay for neither again.
+    Each is set only once complete, so threads sharing A never see half of
+    one.
+    """
+
+    checked = None
+    parts = None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __setitem__(self, key, value):
+        # an insertion would replace the arrays that read-only flags guard
+        raise ValueError("a shared constraint matrix is read-only")
+
+
+def sparse_rows(a) -> SparseRows:
+    """A as a canonical, read-only ``SparseRows`` (a: any sparse or dense
+    (m, sum_b n_b^2) matrix)."""
+    rows = SparseRows(a, dtype=float, copy=True)
+    rows.sum_duplicates()
+    for arr in (rows.data, rows.indices, rows.indptr):
+        arr.flags.writeable = False
+    return rows
 
 
 # validate's symmetry tolerance, relative to max(1, max |A|)
@@ -106,12 +144,12 @@ def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
 class SdpProblem:
     """Block-diagonal standard-form SDP in (A, b) vec form.
 
-    ``constraints`` is the real (m, sum_b n_b^2) matrix A: row i is the
-    concatenation of the row-major vecs of the symmetric coefficient
-    matrices (A_i1, ..., A_iB), so the constraints read A vec(X) = rhs with
-    ``rhs`` the (m,) vector b.  ``objective[b]`` is the symmetric cost matrix
-    for block b (None = zero).  ``sense`` is one of "minimize", "maximize",
-    "feasibility".
+    ``constraints`` is the real (m, sum_b n_b^2) matrix A, dense or a
+    ``SparseRows``: row i is the concatenation of the row-major vecs of the
+    symmetric coefficient matrices (A_i1, ..., A_iB), so the constraints
+    read A vec(X) = rhs with ``rhs`` the (m,) vector b.  ``objective[b]`` is
+    the symmetric cost matrix for block b (None = zero).  ``sense`` is one
+    of "minimize", "maximize", "feasibility".
     """
 
     block_sizes: list[int]
@@ -132,28 +170,39 @@ class SdpProblem:
         """Check shapes and symmetry; return the constraint matrix as CSR.
 
         Symmetry is tested on the sparse rows, so the check costs memory in
-        proportion to the nonzeros of A, not to m times the block sizes.
+        proportion to the nonzeros of A, not to m times the block sizes.  A
+        ``SparseRows`` is returned as it is, and checked once per block sides.
         """
         if self.sense not in ("minimize", "maximize", "feasibility"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
             raise ValueError("objective must supply one matrix (or None) per block")
-        a = np.asarray(self.constraints)
+        a = self.constraints
+        shared = isinstance(a, SparseRows)
+        if not shared:
+            a = np.asarray(a)
         width = sum(n * n for n in self.block_sizes)
         if a.ndim != 2 or a.shape[1] != width:
             raise ValueError(f"constraints shape {a.shape} != (m, {width})")
-        if np.shape(self.rhs) != (len(a),):
-            raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({len(a)},)")
-        a = sp.csr_matrix(a, dtype=float)  # from a dense array: canonical
-        bad_rows = _asymmetric(a, self.block_sizes, SYM_TOL)
+        if np.shape(self.rhs) != (a.shape[0],):
+            raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({a.shape[0]},)")
+        sizes = tuple(self.block_sizes)
+        if shared and a.checked == sizes:
+            bad_rows = [()] * len(sizes)
+        else:
+            if not shared:
+                a = sp.csr_matrix(a, dtype=float)  # from a dense array: canonical
+            bad_rows = _asymmetric(a, sizes, SYM_TOL)
         for b, (n, c, bad) in enumerate(zip(self.block_sizes, self.objective, bad_rows)):
             if c is not None:
                 if c.shape != (n, n):
                     raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
                 if np.max(np.abs(c - c.T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
                     raise ValueError(f"objective: block {b} not symmetric")
-            if bad.size:
+            if len(bad):
                 raise ValueError(f"constraint {bad[0]}: block {b} not symmetric")
+        if shared:
+            a.checked = sizes
         return a
 
 
@@ -241,6 +290,16 @@ def _schur_parts(rows, sizes):
     return parts
 
 
+def _shared_parts(rows, sizes):
+    """``_schur_parts`` of A, kept on a ``SparseRows`` A for the next solve."""
+    if not isinstance(rows, SparseRows):
+        return _schur_parts(rows, sizes)
+    sizes = tuple(sizes)
+    if rows.parts is None or rows.parts[0] != sizes:
+        rows.parts = (sizes, _schur_parts(rows, sizes))
+    return rows.parts[1]
+
+
 def _schur(parts, zinv, xb, m: int) -> np.ndarray:
     """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
 
@@ -260,7 +319,13 @@ def _schur(parts, zinv, xb, m: int) -> np.ndarray:
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of a = L L^T by LAPACK ``dpotrf``, upper
-    triangle zeroed (LinAlgError if a is not numerically PD)."""
+    triangle zeroed (LinAlgError if a is not numerically PD).
+
+    dpotrf reports no error on a NaN (it factors eye(3) with one NaN on the
+    diagonal), so non-finite input raises here: it is not PD.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite matrix")
     ell, info = lapack.dpotrf(a, lower=True, clean=True)
     if info:
         raise np.linalg.LinAlgError(f"dpotrf: leading minor {info} not positive")
@@ -320,7 +385,7 @@ def solve(
         for n, c in zip(sizes, problem.objective)
     )
     AT = A.T
-    parts = _schur_parts(A, sizes)
+    parts = _shared_parts(A, sizes)
     bvec = np.asarray(problem.rhs, dtype=float)
     m = len(bvec)
     bnorm = 1.0 + np.linalg.norm(bvec)
@@ -430,8 +495,11 @@ def solve(
 
         def max_alpha(dX, dZ, dtau, dkappa):
             alpha = np.inf
-            for rx, dxb, rz, dzb in zip(Rx, split(dX), Rz, split(dZ)):
-                alpha = min(alpha, _max_step(rx, dxb), _max_step(rz, dzb))
+            try:
+                for rx, dxb, rz, dzb in zip(Rx, split(dX), Rz, split(dZ)):
+                    alpha = min(alpha, _max_step(rx, dxb), _max_step(rz, dzb))
+            except np.linalg.LinAlgError as exc:  # a non-finite direction
+                raise SolverBreakdown(f"step length: {exc}") from exc
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkappa < 0:

@@ -1,7 +1,12 @@
-"""Independent reference routes for the library's closed-form quantities.
+"""Independent reference routes for the library's closed-form quantities,
+and the small compile helpers that only tests call.
 
 No command, application or certify path reaches these; the tests compare
 the library against them.
+
+:func:`build_bse_sdp` is a query's compiled SDP alone, and
+:func:`reduce_extension` traces one copy off a compressed extension, the
+one-step map that ``TraceMap`` with any kept-copy count is checked against.
 
 g_N, one minus the largest root of a designated Jacobi polynomial, has two
 routes here besides the library's tridiagonal eigenvalue:
@@ -36,6 +41,74 @@ from dpskit.bounds import (
     g_N,
     jacobi_recurrence,
 )
+from dpskit.extensions import (
+    ExtensionQuery,
+    TraceMap,
+    _codec,
+    _compile,
+    _hermitize,
+    _kernel,
+    _state_rows,
+)
+from dpskit.solver import SdpProblem, hermitian_vecs
+
+
+def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
+    """Trace one B copy off a compressed extension: Sym^N -> Sym^{N-1}."""
+    if N < 2:
+        raise ValueError("need N >= 2 to reduce")
+    return TraceMap(dA, (d,), N, N - 1).apply(x)
+
+
+def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
+    problem, _ = _compile(q)
+    return problem
+
+
+def _embed_into(dest: np.ndarray, v, n: int, real: bool):
+    """Write into row k of ``dest`` the vec of ``embed_complex`` (``real``:
+    of the real part) of the Hermitian matrix whose side-n row-major vec is
+    row k of v."""
+    v = v.tocoo()
+    if real:
+        dest[v.row, v.col] = v.data.real
+        return
+    (p, q), w = np.divmod(v.col, n), 2 * n
+    for col, val in (
+        (p * w + q, v.data.real), ((p + n) * w + q + n, v.data.real),
+        (p * w + q + n, -v.data.imag), ((p + n) * w + q, v.data.imag),
+    ):
+        dest[v.row, col] = val
+
+
+def dense_constraints(q: ExtensionQuery) -> np.ndarray:
+    """A of the compiled query, written into a dense zero matrix entry by
+    entry: the rows form embeds each state row and symmetrizes it in place,
+    the free form writes the embedded (F_k, Gamma(F_k)) and negates them.
+    The compiler builds A sparse; it must give this matrix bit for bit."""
+    codec = _codec(q)
+    real, n = codec.real, codec.nx
+    state = _state_rows(codec.tmap, q.rho.dim, q.reduced_constraint, real)
+    if codec.pmap is None:
+        side = codec.weight * n
+        rows = np.zeros((len(state), side, side))
+        rows[...] = codec.embed(state)
+        rows += rows.swapaxes(1, 2)
+        rows *= 0.5
+        return rows.reshape(len(state), -1)
+    basis = hermitian_vecs(n, real)
+    flat = state.reshape(len(state), -1)
+    kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
+    sides = [n, codec.tmap.dA * codec.pmap.size_out]
+    vecs = [kernel, _hermitize(kernel @ codec.pmap.matrix().T, sides[1])]
+    sizes = [codec.weight * side for side in sides]
+    dest = np.zeros((kernel.shape[0], sum(b * b for b in sizes)))
+    start = 0
+    for v, side, b in zip(vecs, sides, sizes):
+        _embed_into(dest[:, start:start + b * b], v, side, real)
+        start += b * b
+    np.negative(dest, out=dest)
+    return dest
 
 
 def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):

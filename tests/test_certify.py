@@ -271,6 +271,32 @@ class TestCertify:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "rho, compiles", [(PRODUCT, 3), (MIXED, 2)], ids=["product", "mixed"]
+    )
+    def test_each_structure_built_once(self, rho, compiles, monkeypatch):
+        # a level's membership query and its log-det rounds share one
+        # structure: a second compile of a key is a cache hit
+        import dpskit.extensions as ext
+
+        keys = []
+        compile_ = ext._compile
+
+        def recording(q):
+            problem, codec = compile_(q)
+            keys.append((q.rho.factor_dims, q.N, codec.pmap is not None,
+                         q.reduced_constraint, codec.real))
+            return problem, codec
+
+        monkeypatch.setattr(ext, "_compile", recording)
+        monkeypatch.setattr(sys.modules["dpskit.certify"], "_compile", recording)
+        ext._structure.cache_clear()
+        certify(rho, maxN=3)
+        info = ext._structure.cache_info()
+        assert len(keys) == compiles
+        assert info.misses == info.currsize == len(set(keys))
+        assert info.hits == len(keys) - len(set(keys))
+
+    @pytest.mark.parametrize(
         "rho, verdict, solves",
         [
             # membership only: the witness is checked against its certificate

@@ -132,6 +132,25 @@ class TestSweeps:
         for row in rows1[1:]:
             assert float(row.split(",")[2]) == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fidelity", "--bb84", "0.2", "--N", "1..3"],
+         ["geometric", "--state", "ghz", "--N", "2..3"]],
+        ids=["fidelity", "geometric"],
+    )
+    def test_threads_sharing_cold_cache_write_same_rows(self, argv, tmp_path):
+        # the --jobs threads compile the same structures at once, from a
+        # cold cache; every column but the wall time matches --jobs 1
+        from dpskit.extensions import _structure
+
+        outs = []
+        for jobs in ("1", "2"):
+            _structure.cache_clear()
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(argv + ["--ppt", "both", "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append([r.rsplit(",", 1)[0] for r in out.read_text().splitlines()])
+        assert outs[0] == outs[1]
+
     def test_fidelity_requires_source(self):
         assert main(["fidelity", "--N", "2"]) == 2
 

@@ -15,10 +15,9 @@ from dpskit.extensions import (
     _kernel,
     _refine_witness,
     _solve_over_cone,
-    build_bse_sdp,
+    _structure,
     check_membership,
     optimize_over_cone,
-    reduce_extension,
     verify_witness,
 )
 from dpskit.operators import (
@@ -30,8 +29,9 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
-from dpskit.solver import solve
+from dpskit.solver import SolverBreakdown, solve, sparse_rows
 from dpskit.symmetric import build_basis, compress, dicke_overlap_state, lift, sym_dim
+from oracles import build_bse_sdp, dense_constraints, reduce_extension
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
@@ -625,24 +625,30 @@ def _ghz_mixed():
 _WERNER = BELL * 0.3 + identity((2, 2)) * (0.7 / 4)
 
 
-@pytest.mark.parametrize("path", ["real", "complex"])
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: _bb84(2),
-        lambda: _bb84(3),
-        lambda: _bb84(4),
-        lambda: _qutrit(2),
-        lambda: _depolarizing_purity(3),
-        lambda: ExtensionQuery(rho=_WERNER, N=3, ppt=True),
-        lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True),
-        lambda: ExtensionQuery(rho=_ghz_mixed(), N=2),
-        lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True),
-    ],
-    ids=["bb84_ppt_N2", "bb84_ppt_N3", "bb84_ppt_N4", "qutrit_ppt_N2",
-         "purity_unit_trace_N3_ppt", "trace_match_N3_ppt", "trace_match_N4_ppt",
-         "tri_N2", "tri_N2_ppt"],
-)
+@pytest.fixture
+def cold_cache():
+    """Compile from scratch: no structure is cached when the test starts."""
+    _structure.cache_clear()
+
+
+_ROW_CASES = [
+    pytest.param(make, path, id=f"{name}-{path}")
+    for make, name in [
+        (lambda: _bb84(2), "bb84_ppt_N2"),
+        (lambda: _bb84(3), "bb84_ppt_N3"),
+        (lambda: _bb84(4), "bb84_ppt_N4"),
+        (lambda: _qutrit(2), "qutrit_ppt_N2"),
+        (lambda: _depolarizing_purity(3), "purity_unit_trace_N3_ppt"),
+        (lambda: ExtensionQuery(rho=_WERNER, N=3, ppt=True), "trace_match_N3_ppt"),
+        (lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True), "trace_match_N4_ppt"),
+        (lambda: ExtensionQuery(rho=_ghz_mixed(), N=2), "tri_N2"),
+        (lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True), "tri_N2_ppt"),
+    ]
+    for path in ("real", "complex")
+]
+
+
+@pytest.mark.parametrize("make, path", _ROW_CASES)
 def test_compiled_rows_full_rank(make, path):
     """The solver prunes no rows, so the compiler must emit independent ones.
     They are: product states span Herm(AB), so L^T is injective on the state
@@ -651,9 +657,112 @@ def test_compiled_rows_full_rank(make, path):
     q = make() if path == "real" else _rotated(make())
     problem, codec = _compile(q)
     assert codec.real == (path == "real")
-    s = np.linalg.svd(problem.constraints, compute_uv=False)
+    s = np.linalg.svd(problem.constraints.toarray(), compute_uv=False)
     assert len(s) == len(problem.rhs)
     assert s[-1] > 1e-10 * s[0]
+
+
+@pytest.mark.parametrize("make, path", _ROW_CASES)
+def test_sparse_rows_equal_dense_writer(make, path, cold_cache):
+    """A is built sparse, yet it is the matrix the dense writer gives, bit for
+    bit, stored with no explicit zero and no duplicate entry."""
+    q = make() if path == "real" else _rotated(make())
+    a = _compile(q)[0].constraints
+    dense = dense_constraints(q)
+    assert np.array_equal(a.toarray(), dense)
+    assert a.has_canonical_format and a.nnz == np.count_nonzero(dense)
+
+
+def _snapshot(problem, codec):
+    """Copies of everything a compile fills in, A as a dense array."""
+    objective = [None if c is None else c.copy() for c in problem.objective]
+    kernel = None if codec.kernel is None else codec.kernel.toarray()
+    x0 = None if codec.x0 is None else codec.x0.copy()
+    return (problem.constraints.toarray(), problem.rhs.copy(), objective,
+            problem.sense, list(problem.block_sizes), x0, kernel)
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, list):
+            assert len(g) == len(w)
+            for gi, wi in zip(g, w):
+                assert (gi is None and wi is None) or np.array_equal(gi, wi)
+        elif isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("make, path", _ROW_CASES)
+def test_warm_compile_equals_cold(make, path, cold_cache):
+    q = make() if path == "real" else _rotated(make())
+    cold, codec = _compile(q)
+    want = _snapshot(cold, codec)
+    solve(cold, max_iter=3)  # checks A and keeps its Schur data
+    warm, warm_codec = _compile(q)
+    assert warm.constraints is cold.constraints
+    assert warm.constraints.checked == tuple(warm.block_sizes)
+    _assert_same(_snapshot(warm, warm_codec), want)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [ExtensionQuery(rho=_WERNER, N=2, ppt=True), ExtensionQuery(rho=_WERNER, N=2)],
+    ids=["free_form", "rows_form"],
+)
+def test_log_det_rounds_leave_next_compile_alone(q):
+    """rank_min_heuristic sets each round's objective on its problem in
+    place; the next compile of the same structure must not see it."""
+    from dpskit.certify import rank_min_heuristic
+
+    want = _snapshot(*_compile(q))
+    x = rank_min_heuristic(q, check_membership(q).extension, rounds=2)
+    assert x is not None
+    problem, codec = _compile(q)
+    codec.set_objective(problem, np.eye(codec.nx), "minimize")
+    _assert_same(_snapshot(*_compile(q)), want)
+
+
+def test_threads_share_structures_from_cold_cache(cold_cache):
+    """Four threads (more than the cores) compile and solve the same queries
+    at once from a cold cache, switching often: every solution equals the
+    serial one bit for bit, so no thread saw a half-built structure or a
+    half-set memo on A."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    queries = [_bb84(2), ExtensionQuery(rho=_WERNER, N=2, ppt=True),
+               ExtensionQuery(rho=_WERNER, N=2)]
+
+    def run(q):
+        sol = solve(_compile(q)[0])
+        return sol.status, sol.iterations, sol.dual_multipliers.tobytes()
+
+    want = [run(q) for q in queries]
+    _structure.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, q) for _ in range(4) for q in queries]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
+
+
+def test_cached_structure_is_read_only():
+    problem, codec = _compile(_bb84(2))
+    a = problem.constraints
+    for arr in (a.data, a.indices, a.indptr, codec.state, codec.kernel.data):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 1.0
+    rows_form, _ = _compile(ExtensionQuery(rho=_WERNER, N=2))
+    with pytest.raises(ValueError, match="read-only"):
+        rows_form.constraints.data *= 2.0
 
 
 def _closure_kernel(rows):
@@ -689,7 +798,7 @@ def _closure_kernel(rows):
     ids=["bb84_ppt_N3", "qutrit_ppt_N2", "purity_unit_trace_N3_ppt",
          "trace_match_N4_ppt", "tri_N2_ppt"],
 )
-def test_kernel_matches_dense_closure(make, path, monkeypatch):
+def test_kernel_matches_dense_closure(make, path, monkeypatch, cold_cache):
     seen = []
 
     def recording(rows):
@@ -702,9 +811,14 @@ def test_kernel_matches_dense_closure(make, path, monkeypatch):
     assert np.array_equal(_kernel(rows).toarray(), _closure_kernel(rows))
 
 
-def test_compile_memory_bounded_by_constraint_matrix():
-    """BB84 PPT N=5 (real path, m = 290): the kernel basis and its PPT images
-    are built sparse, and written once into the dense constraint matrix."""
+def _dense_nbytes(problem):
+    """The bytes of A as a dense float64 (m, sum_b n_b^2) matrix."""
+    return 8 * len(problem.rhs) * sum(n * n for n in problem.block_sizes)
+
+
+def test_compile_memory_bounded_by_constraint_matrix(cold_cache):
+    """BB84 PPT N=5 (real path, m = 290): the kernel basis, its PPT images
+    and A are built sparse; the bound is 3 times A as a dense matrix."""
     q = _bb84(5)
     tracemalloc.start()
     try:
@@ -713,12 +827,13 @@ def test_compile_memory_bounded_by_constraint_matrix():
     finally:
         tracemalloc.stop()
     assert codec.real and len(problem.rhs) == 290
-    assert peak <= 3 * problem.constraints.nbytes
+    assert peak <= 3 * _dense_nbytes(problem)
 
 
-def test_validate_memory_bounded_by_constraint_matrix():
+def test_validate_memory_bounded_by_constraint_matrix(cold_cache):
     """BB84 PPT N=6 (m = 396, sides 28 and 64): the symmetry check runs on
-    the sparse rows, not on dense (m, n, n) stacks of A."""
+    the sparse rows, not on dense (m, n, n) stacks of A; the bound is half
+    of A as a dense matrix."""
     problem, _ = _compile(_bb84(6))
     assert len(problem.rhs) == 396
     tracemalloc.start()
@@ -727,15 +842,17 @@ def test_validate_memory_bounded_by_constraint_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * problem.constraints.nbytes
+    assert peak <= 0.5 * _dense_nbytes(problem)
 
 
 @pytest.mark.parametrize("row", [0, 57, 67])
-def test_validate_names_asymmetric_row_in_second_block(row):
+def test_validate_names_asymmetric_row_in_second_block(row, cold_cache):
     problem, _ = _compile(_bb84(2))
     n0, n1 = problem.block_sizes
     assert len(problem.rhs) == 68
-    problem.constraints[row, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
+    a = problem.constraints.toarray()  # the compiled A is shared and read-only
+    a[row, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
+    problem.constraints = sparse_rows(a)
     with pytest.raises(ValueError, match=rf"^constraint {row}: block 1 not symmetric$"):
         problem.validate()
 
@@ -779,7 +896,7 @@ def test_kernel_spans_state_row_kernel(make, path):
     q = make() if path == "real" else _rotated(make())
     problem, codec = _compile(q)
     assert codec.real == (path == "real")
-    rows, rhs = codec.state_rows()
+    rows, rhs = codec.state, codec.rhs()
     kernel = codec.kernel.toarray()
     # every F_k meets the state rows with zero, x0 meets them exactly
     flat = rows.reshape(len(rows), -1).conj()

@@ -238,8 +238,9 @@ class TestSolve:
         assert abs(s.objective_value - opt) <= 1e-6 * (1 + abs(opt))
 
     def test_nan_direction_raises(self, monkeypatch):
-        # a NaN direction ends the solve in LinAlgError, as the full-spectrum
-        # eigvalsh did, and never reads as an unconstrained step
+        # a NaN direction ends the solve in SolverBreakdown (its step length
+        # raises, as the full-spectrum eigvalsh did), and never reads as an
+        # unconstrained step
         max_step = dpskit.solver._max_step
 
         def poisoned(r, dx):
@@ -247,8 +248,37 @@ class TestSolve:
 
         monkeypatch.setattr(dpskit.solver, "_max_step", poisoned)
         problem, _ = constructed_optimum(4, 3, 0)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(SolverBreakdown):
             solve(problem)
+        bell = pure_state([1, 0, 0, 1], (2, 2))
+        res = check_membership(ExtensionQuery(rho=bell, N=2, ppt=True))
+        assert res.verdict == "undecided"
+        assert res.detail.startswith("solver breakdown: step length: ")
+
+    def test_back_off_rejects_nan_block(self, monkeypatch):
+        # the step length is finite, but the direction it was taken along
+        # then gains a NaN: no new iterate with a NaN block is accepted
+        max_step = dpskit.solver._max_step
+        calls = []
+
+        def poison_after(r, dx):
+            step = max_step(r, dx)
+            calls.append(1)
+            if len(calls) == 4:  # dZ of the first corrector, a view of it
+                dx[1, 1] = np.nan
+            return step
+
+        monkeypatch.setattr(dpskit.solver, "_max_step", poison_after)
+        problem, _ = constructed_optimum(4, 3, 0)
+        with pytest.raises(SolverBreakdown, match="back-off"):
+            solve(problem)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_inverse_cholesky_rejects_non_finite(self, bad):
+        x = np.eye(3)
+        x[1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            dpskit.solver._inverse_cholesky(x)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_back_off_on_failed_factor(self, seed, monkeypatch):
