@@ -20,9 +20,16 @@ consistent dependent rows only make the Schur complement singular, which
 its jittered Cholesky absorbs.  Each solve runs every product with A on one
 CSR matrix, including the Schur complement, which is formed the sparse way
 of Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored
-densely.  A compiled A is a read-only ``SparseRows`` that many problems
-share: its symmetry is checked and its Schur data built on the first solve
-only.  The step back-off tests definiteness by Cholesky factoring each new
+densely.  Those products call the CSR kernels of ``scipy.sparse`` directly,
+without its dispatch; A^T y is the CSC kernel on A's own arrays.  That
+module, ``scipy.sparse._sparsetools``, is private, and the solver's tests
+pin the signatures used.  A compiled A is a read-only ``SparseRows`` that
+many problems share: its symmetry is checked and its Schur data built on
+the first solve only.  Each solve keeps one workspace, sized by m and the
+largest chunk of the Schur formation: every iteration fills the Schur
+complement and its Cholesky factor in place, as SDPA does (Yamashita,
+Fujisawa & Kojima, Optim. Methods Softw. 18, 2003), and no thread shares
+it.  The step back-off tests definiteness by Cholesky factoring each new
 block (a non-finite block fails); the step lengths and Z^{-1} reuse the
 factors it accepted.  A non-finite direction or iterate ends the solve in
 ``SolverBreakdown``.  Every dense kernel of an iteration calls LAPACK
@@ -55,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .operators import HermitianOperator
 
@@ -186,6 +194,8 @@ class SdpProblem:
             raise ValueError(f"constraints shape {a.shape} != (m, {width})")
         if np.shape(self.rhs) != (a.shape[0],):
             raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({a.shape[0]},)")
+        if a.shape[0] == 0:
+            raise ValueError("constraints: m = 0 rows; a problem needs at least one")
         sizes = tuple(self.block_sizes)
         if shared and a.checked == sizes:
             bad_rows = [()] * len(sizes)
@@ -265,9 +275,13 @@ def hermitian_basis(n: int, real: bool = False) -> np.ndarray:
     return hermitian_vecs(n, real).toarray().reshape(-1, n, n)
 
 
-# Entries of the dense (k, n, n) temporaries per chunk of Schur formation:
-# 2^21 float64 entries are 16 MiB each.
-SCHUR_CHUNK = 1 << 21
+# Entries of each of the workspace's two chunk buffers: a chunk of Schur
+# formation holds the most whole constraints whose (k, n, n) stack fits.
+# 2^20 float64 entries are 8 MiB each.  Qubit PPT membership at N = 13 (m =
+# 768, sides 56 and 224) peaks at 125 MiB with it and 143 MiB at 2^21, in
+# the same time; at 2^18 (111 MiB) the contraction's per-chunk pass over A
+# costs 10 % more time.
+SCHUR_CHUNK = 1 << 20
 
 
 def _flat(mats) -> np.ndarray:
@@ -275,17 +289,29 @@ def _flat(mats) -> np.ndarray:
     return np.concatenate([np.ravel(mat) for mat in mats])
 
 
+def _matvec(a, x: np.ndarray) -> np.ndarray:
+    """A x for a CSR A, by the kernel that ``a @ x`` reaches, without its
+    dispatch."""
+    out = np.zeros(a.shape[0])
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    return out
+
+
+def _rmatvec(a, y: np.ndarray) -> np.ndarray:
+    """A^T y for a CSR A: A's arrays are the CSC form of A^T."""
+    out = np.zeros(a.shape[1])
+    _sparsetools.csc_matvec(a.shape[1], a.shape[0], a.indptr, a.indices, a.data, y, out)
+    return out
+
+
 def _schur_parts(rows, sizes):
     """Per block of side n: the (m, n^2) CSR ``flat`` of its columns, and
-    that matrix reshaped to (m*n, n), row (i, p) holding row p of A_ib, cut
-    into chunks of whole constraints of about ``SCHUR_CHUNK`` entries."""
+    that matrix reshaped to the (m*n, n) CSR ``stacked``, row (i, p) holding
+    row p of A_ib."""
     m, parts, start = rows.shape[0], [], 0
     for n in sizes:
         flat = rows[:, start:start + n * n]
-        stacked = flat.reshape(m * n, n).tocsr()
-        k = max(1, SCHUR_CHUNK // (n * n))
-        chunks = [(lo, stacked[lo * n:(lo + k) * n]) for lo in range(0, m, k)]
-        parts.append((flat, chunks))
+        parts.append((flat, flat.reshape(m * n, n).tocsr()))
         start += n * n
     return parts
 
@@ -300,33 +326,84 @@ def _shared_parts(rows, sizes):
     return rows.parts[1]
 
 
-def _schur(parts, zinv, xb, m: int) -> np.ndarray:
-    """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
+class _Workspace:
+    """The Schur complement's buffers for one solve, filled in place in every
+    iteration, as SDPA keeps them (Yamashita, Fujisawa & Kojima, Optim.
+    Methods Softw. 18, 2003).
 
-    Sparse formation after Fujisawa, Kojima & Nakata (Math. Program. 79,
-    1997): A_j X costs nnz(A) n, the batched Zinv (A_j X) m n^3, and the
-    contraction with every A_i nnz(A) m, against 2 m^2 sum_b n_b^2 dense.
+    One set serves every block and chunk: ``chunk`` holds a chunk's A_j X
+    and then its Zinv A_j X transposed, ``half`` Zinv A_j X, and ``out``
+    the chunk's columns of M; ``raw`` gathers M, ``M`` is its symmetrized
+    copy and ``factor`` its Cholesky factor.
     """
-    M = np.zeros((m, m))
-    for (flat, chunks), zinv_b, x_b in zip(parts, zinv, xb):
-        n = len(x_b)
-        for lo, stacked in chunks:
-            k = stacked.shape[0] // n
-            half = np.matmul(zinv_b, (stacked @ x_b).reshape(k, n, n))
-            M[:, lo:lo + k] += flat @ half.reshape(k, n * n).T
-    return 0.5 * (M + M.T)
+
+    def __init__(self, parts, sizes, m: int):
+        self.parts = parts
+        # constraints per chunk, block by block
+        self.steps = [min(m, max(1, SCHUR_CHUNK // (n * n))) for n in sizes]
+        size = max(k * n * n for k, n in zip(self.steps, sizes))
+        self.chunk, self.half = np.empty(size), np.empty(size)
+        self.out = np.empty(m * max(self.steps))
+        self.raw, self.M, self.factor = (np.empty((m, m)) for _ in range(3))
+        self.diag = self.factor.reshape(-1)[::m + 1]
+
+    def schur(self, zinv, xb) -> np.ndarray:
+        """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
+
+        Sparse formation after Fujisawa, Kojima & Nakata (Math. Program. 79,
+        1997): A_j X costs nnz(A) n, the batched Zinv (A_j X) m n^3, and the
+        contraction with every A_i nnz(A) m, against 2 m^2 sum_b n_b^2 dense.
+        The CSR kernels add into their output, which therefore starts at 0.
+        """
+        m = len(self.M)
+        self.raw.fill(0.0)
+        for (flat, stacked), step, zinv_b, x_b in zip(self.parts, self.steps, zinv, xb):
+            n = len(x_b)
+            for lo in range(0, m, step):
+                k = min(step, m - lo)
+                ax = self.chunk[:k * n * n]
+                ax.fill(0.0)
+                _sparsetools.csr_matvecs(
+                    k * n, n, n, stacked.indptr[lo * n:(lo + k) * n + 1],
+                    stacked.indices, stacked.data, x_b, ax,
+                )
+                half = self.half[:k * n * n].reshape(k, n, n)
+                np.matmul(zinv_b, ax.reshape(k, n, n), out=half)
+                # the contraction reads Zinv A_j X as the row-major (n^2, k) matrix
+                np.copyto(ax.reshape(n * n, k), half.reshape(k, n * n).T)
+                out = self.out[:m * k]
+                out.fill(0.0)
+                _sparsetools.csr_matvecs(
+                    m, n * n, k, flat.indptr, flat.indices, flat.data, ax, out
+                )
+                self.raw[:, lo:lo + k] += out.reshape(m, k)
+        np.add(self.raw, self.raw.T, out=self.M)
+        self.M *= 0.5
+        return self.M
+
+    def cholesky(self, jitter: float) -> np.ndarray:
+        """Lower Cholesky factor of M + jitter I, in place in ``factor``
+        (LinAlgError if it is not numerically PD).
+
+        M is symmetric, so ``factor``'s transpose is M too, and in Fortran
+        order: ``dpotrf`` factors it with no copy.
+        """
+        np.copyto(self.factor, self.M)
+        self.diag += jitter
+        return _cholesky(self.factor.T, overwrite_a=True)
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
+def _cholesky(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Lower Cholesky factor L of a = L L^T by LAPACK ``dpotrf``, upper
-    triangle zeroed (LinAlgError if a is not numerically PD).
+    triangle zeroed (LinAlgError if a is not numerically PD); with
+    ``overwrite_a``, a Fortran-ordered a holds L.
 
     dpotrf reports no error on a NaN (it factors eye(3) with one NaN on the
     diagonal), so non-finite input raises here: it is not PD.
     """
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite matrix")
-    ell, info = lapack.dpotrf(a, lower=True, clean=True)
+    ell, info = lapack.dpotrf(a, lower=True, clean=True, overwrite_a=overwrite_a)
     if info:
         raise np.linalg.LinAlgError(f"dpotrf: leading minor {info} not positive")
     return ell
@@ -384,10 +461,9 @@ def solve(
         else sign * 0.5 * (c + c.T)
         for n, c in zip(sizes, problem.objective)
     )
-    AT = A.T
-    parts = _shared_parts(A, sizes)
     bvec = np.asarray(problem.rhs, dtype=float)
     m = len(bvec)
+    work = _Workspace(_shared_parts(A, sizes), sizes, m)
     bnorm = 1.0 + np.linalg.norm(bvec)
     cnorm = 1.0 + np.linalg.norm(cost)
     deg = sum(sizes) + 1
@@ -407,8 +483,8 @@ def solve(
 
     for it in range(1, max_iter + 1):
         mu = (X @ Z + tau * kappa) / deg
-        AX = A @ X
-        ATy = AT @ y
+        AX = _matvec(A, X)
+        ATy = _rmatvec(A, y)
         by, cx = float(bvec @ y), float(cost @ X)
         rp = bvec * tau - AX
         rd = cost * tau - ATy - Z
@@ -429,13 +505,13 @@ def solve(
         # infeasibility certificates straight off the homogeneous iterate
         if by > tol:
             yn = y / by
-            viol = max(-_lambda_min(-cb) for cb in split(AT @ yn))
+            viol = max(-_lambda_min(-cb) for cb in split(_rmatvec(A, yn)))
             if viol <= tol * (1.0 + np.linalg.norm(yn)):
                 status = "primal_infeasible"
                 break
         if cx < -tol:
             xn = X / (-cx)
-            if np.linalg.norm(A @ xn) <= tol * (
+            if np.linalg.norm(_matvec(A, xn)) <= tol * (
                 1.0 + max(np.linalg.norm(xb) for xb in split(xn))
             ):
                 status = "dual_infeasible"
@@ -446,12 +522,12 @@ def solve(
         Xb = split(X)
         Zinv = [r.T @ r for r in Rz]
 
-        M = _schur(parts, Zinv, Xb, m)
+        M = work.schur(Zinv, Xb)
         factor = None
         jitter = 0.0
         for attempt in range(4):
             try:
-                factor = _cholesky(M + jitter * np.eye(m))
+                factor = work.cholesky(jitter)
                 break
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 100.0, 1e-13 * max(np.trace(M) / max(m, 1), 1.0))
@@ -467,9 +543,9 @@ def solve(
             """Zinv U X, block by block."""
             return _flat(zinv_b @ ub @ xb for zinv_b, ub, xb in zip(Zinv, split(u), Xb))
 
-        r2 = bvec + A @ hkm(cost)
+        r2 = bvec + _matvec(A, hkm(cost))
         dy2 = schur_solve(r2)
-        ATdy2 = AT @ dy2
+        ATdy2 = _rmatvec(A, dy2)
         dZ2 = cost - ATdy2
         dX2 = hkm(ATdy2 - cost)
         zinv = _flat(Zinv)
@@ -481,9 +557,9 @@ def solve(
 
         def build(sigma_mu, corr, corr_tk):
             base = sigma_mu * zinv - X - hkm_rd - corr
-            r1 = rp - A @ base
+            r1 = rp - _matvec(A, base)
             dy1 = schur_solve(r1)
-            ATdy1 = AT @ dy1
+            ATdy1 = _rmatvec(A, dy1)
             dX1 = base + hkm(ATdy1)
             dZ1 = rd - ATdy1
             target = (sigma_mu - tau * kappa - corr_tk) / tau

@@ -8,6 +8,10 @@ the library against them.
 :func:`reduce_extension` traces one copy off a compressed extension, the
 one-step map that ``TraceMap`` with any kept-copy count is checked against.
 
+:func:`schur_reference` forms the solver's Schur complement from the parts
+that :func:`schur_parts_reference` cuts, the way the solver did before it
+kept one workspace per solve.
+
 g_N, one minus the largest root of a designated Jacobi polynomial, has two
 routes here besides the library's tridiagonal eigenvalue:
 
@@ -33,6 +37,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 
+import dpskit.solver
 from dpskit.bounds import (
     JacobiRecurrence,
     _gn_params,
@@ -109,6 +114,42 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
         start += b * b
     np.negative(dest, out=dest)
     return dest
+
+
+def schur_parts_reference(rows, sizes):
+    """Per block of side n: the (m, n^2) CSR ``flat`` of its columns, and
+    that matrix reshaped to (m*n, n), row (i, p) holding row p of A_ib, cut
+    into chunks of whole constraints of about ``SCHUR_CHUNK`` entries."""
+    m, parts, start = rows.shape[0], [], 0
+    for n in sizes:
+        flat = rows[:, start:start + n * n]
+        stacked = flat.reshape(m * n, n).tocsr()
+        k = max(1, dpskit.solver.SCHUR_CHUNK // (n * n))
+        chunks = [(lo, stacked[lo * n:(lo + k) * n]) for lo in range(0, m, k)]
+        parts.append((flat, chunks))
+        start += n * n
+    return parts
+
+
+def schur_reference(parts, zinv, xb, m: int) -> np.ndarray:
+    """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
+
+    Sparse formation after Fujisawa, Kojima & Nakata (Math. Program. 79,
+    1997): A_j X costs nnz(A) n, the batched Zinv (A_j X) m n^3, and the
+    contraction with every A_i nnz(A) m, against 2 m^2 sum_b n_b^2 dense.
+
+    This is the solver's formation before it kept one workspace per solve:
+    every temporary is allocated anew, and each product with A goes through
+    ``scipy.sparse``.  The workspace must give this matrix bit for bit.
+    """
+    M = np.zeros((m, m))
+    for (flat, chunks), zinv_b, x_b in zip(parts, zinv, xb):
+        n = len(x_b)
+        for lo, stacked in chunks:
+            k = stacked.shape[0] // n
+            half = np.matmul(zinv_b, (stacked @ x_b).reshape(k, n, n))
+            M[:, lo:lo + k] += flat @ half.reshape(k, n * n).T
+    return 0.5 * (M + M.T)
 
 
 def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dpskit.solver
 from dpskit.extensions import (
     BudgetExceeded,
     ExtensionQuery,
@@ -31,7 +32,13 @@ from dpskit.operators import (
 )
 from dpskit.solver import SolverBreakdown, solve, sparse_rows
 from dpskit.symmetric import build_basis, compress, dicke_overlap_state, lift, sym_dim
-from oracles import build_bse_sdp, dense_constraints, reduce_extension
+from oracles import (
+    build_bse_sdp,
+    dense_constraints,
+    reduce_extension,
+    schur_parts_reference,
+    schur_reference,
+)
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
@@ -855,6 +862,118 @@ def test_validate_names_asymmetric_row_in_second_block(row, cold_cache):
     problem.constraints = sparse_rows(a)
     with pytest.raises(ValueError, match=rf"^constraint {row}: block 1 not symmetric$"):
         problem.validate()
+
+
+# ---------------------------------------------------------------------------
+# the solver's per-solve Schur workspace on compiled problems
+# ---------------------------------------------------------------------------
+
+
+def _solve_checking_schur(problem, monkeypatch, max_iter=4):
+    """Solve, checking each iteration's workspace M against
+    ``schur_reference`` bit for bit; the number of iterations checked."""
+    rows = problem.validate()
+    schur = dpskit.solver._Workspace.schur
+    checked = []
+
+    def compare(work, zinv, xb):
+        got = schur(work, zinv, xb)
+        parts = schur_parts_reference(rows, problem.block_sizes)
+        want = schur_reference(parts, zinv, xb, len(problem.rhs))
+        assert got.tobytes() == want.tobytes()
+        checked.append(1)
+        return got
+
+    monkeypatch.setattr(dpskit.solver._Workspace, "schur", compare)
+    solve(problem, max_iter=max_iter)
+    return len(checked)
+
+
+@pytest.mark.parametrize("make, path", _ROW_CASES)
+def test_workspace_schur_equals_reference(make, path, monkeypatch):
+    q = make() if path == "real" else _rotated(make())
+    # the tripartite PPT cases stop on their infeasibility certificate at
+    # iteration 3, before its Schur complement
+    assert _solve_checking_schur(_compile(q)[0], monkeypatch) >= 2
+
+
+def _three_chunks_per_block(problem, monkeypatch):
+    """Set ``SCHUR_CHUNK`` so that each block's Schur formation runs in at
+    least three chunks; the constraints per chunk, block by block."""
+    m, sizes = len(problem.rhs), problem.block_sizes
+    chunk = 40 * min(sizes) ** 2
+    monkeypatch.setattr(dpskit.solver, "SCHUR_CHUNK", chunk)
+    steps = [min(m, chunk // (n * n)) for n in sizes]
+    assert len(sizes) == 2 and all(-(-m // k) >= 3 for k in steps)
+    return steps
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["shared_a", "dense_a"])
+def test_workspace_schur_equals_reference_in_chunks(dense, monkeypatch):
+    """BB84 PPT N=2 on the complex path (m = 128, sides 24 and 32), in 4 and
+    6 chunks; with A also given dense, which ``validate`` turns into a
+    ``csr_matrix`` on every solve."""
+    q = _rotated(_bb84(2))
+    problem = _compile(q)[0]
+    if dense:
+        problem = replace(problem, constraints=dense_constraints(q))
+    _three_chunks_per_block(problem, monkeypatch)
+    assert _solve_checking_schur(problem, monkeypatch) == 4
+
+
+def test_solve_keeps_one_schur_buffer_set(monkeypatch):
+    """With three or more chunks in each of two blocks, a solve's traced peak
+    stays within one set of Schur buffers (two of the largest chunk, that
+    chunk's columns of M, and three m x m matrices) plus 8 (m^2 + sum n_b^2)
+    doubles for everything else: buffers kept per chunk would exceed it."""
+    problem = _compile(_rotated(_bb84(2)))[0]
+    m, sizes = len(problem.rhs), problem.block_sizes
+    steps = _three_chunks_per_block(problem, monkeypatch)
+    solve(problem, max_iter=3)  # builds A's Schur data, which later solves share
+    tracemalloc.start()
+    try:
+        solve(problem, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    biggest = max(k * n * n for k, n in zip(steps, sizes))
+    one_set = 8 * (2 * biggest + m * max(steps) + 3 * m * m)
+    assert peak <= one_set + 8 * 8 * (m * m + sum(n * n for n in sizes))
+
+
+def test_threads_solve_different_problems_on_one_a():
+    """Four threads (more than the cores) solve two BB84 queries, noise 0.1
+    and 0.3, at once: one A, other b, C and x0.  Each solution equals its
+    serial one bit for bit, so no two solves share a Schur buffer."""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from dpskit.applications import bb84_two_copy_problem
+
+    problems = [_compile(_fidelity_query(bb84_two_copy_problem(eps), 3))[0]
+                for eps in (0.1, 0.3)]
+    assert problems[0].constraints is problems[1].constraints
+    start = threading.Barrier(4)
+
+    def run(problem, wait=False):
+        if wait:
+            start.wait(timeout=60)
+        sol = solve(problem)
+        return (sol.status, sol.iterations, sol.dual_multipliers.tobytes(),
+                [x.tobytes() for x in sol.primal_blocks])
+
+    want = [run(p) for p in problems]
+    assert want[0][2] != want[1][2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, p, True) for p in problems * 2]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2
 
 
 # ---------------------------------------------------------------------------

@@ -335,8 +335,9 @@ class TestSolve:
             (None, vecs(np.eye(2), BAD), [1.0, 0.0], "constraint 1: block 0 not symmetric"),
             (None, np.ones((1, 3)), [1.0], r"constraints shape \(1, 3\) != \(m, 4\)"),
             (None, vecs(np.eye(2)), [1.0, 2.0], r"rhs shape \(2,\) != \(1,\)"),
+            (np.diag([1.0, 2.0]), np.zeros((0, 4)), np.zeros(0), "constraints: m = 0 rows"),
         ],
-        ids=["objective", "constraint_row", "width", "rhs_length"],
+        ids=["objective", "constraint_row", "width", "rhs_length", "no_rows"],
     )
     def test_validate_rejects_asymmetric(self, objective, constraints, rhs, message):
         p = SdpProblem([2], [objective], constraints, rhs, "minimize")
@@ -375,6 +376,45 @@ class TestSolve:
         p = SdpProblem([2], [None], vecs(big, small), [1.0, 1.0])
         with pytest.raises(ValueError, match="constraint 1: block 0 not symmetric"):
             p.validate()
+
+
+class TestSparseKernels:
+    """Every product with A calls a CSR kernel of ``scipy.sparse._sparsetools``
+    directly.  That module is private: these tests pin its signatures."""
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_matvecs_equal_scipy(self, index):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((9, 30)) * (rng.random((9, 30)) < 0.3)
+        dense[[0, 4, 8]] = 0.0  # empty rows: the first, a middle and the last
+        dense[:, [0, 29]] = 0.0  # empty columns, the empty rows of A^T
+        a = sp.csr_array(dense)
+        a.indptr, a.indices = a.indptr.astype(index), a.indices.astype(index)
+        x, y = rng.standard_normal(30), rng.standard_normal(9)
+        assert a.indices.dtype == index
+        assert dpskit.solver._matvec(a, x).tobytes() == (a @ x).tobytes()
+        assert dpskit.solver._rmatvec(a, y).tobytes() == (a.T @ y).tobytes()
+
+    @pytest.mark.parametrize("case", ["optimal", "shared_a", "primal_infeasible",
+                                      "dual_infeasible"])
+    def test_solve_reaches_no_sparse_dispatch(self, case, monkeypatch):
+        # each A x, A^T y and Schur chunk product once went through it
+        if case == "primal_infeasible":
+            problem = constructed_infeasible(6, 5, 0)
+        elif case == "dual_infeasible":
+            e00 = np.diag([1.0, 0.0])
+            problem = SdpProblem([2], [np.diag([1.0, -1.0])], vecs(e00), [1.0])
+        else:
+            problem = constructed_optimum(8, 6, 0)[0]
+        if case == "shared_a":
+            problem.constraints = dpskit.solver.sparse_rows(problem.constraints)
+
+        def banned(self, other):
+            raise AssertionError("scipy.sparse matmul dispatch inside solve")
+
+        monkeypatch.setattr(sp._base._spbase, "_matmul_dispatch", banned)
+        s = solve(problem)
+        assert s.status == case.replace("shared_a", "optimal")
 
 
 class TestKernels:
