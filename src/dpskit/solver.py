@@ -530,7 +530,7 @@ def solve(
                 factor = work.cholesky(jitter)
                 break
             except np.linalg.LinAlgError:
-                jitter = max(jitter * 100.0, 1e-13 * max(np.trace(M) / max(m, 1), 1.0))
+                jitter = max(jitter * 100.0, 1e-13 * max(np.trace(M) / m, 1.0))
         if factor is None:
             raise SolverBreakdown("Schur complement factorization failed")
 
