@@ -75,9 +75,7 @@ from .solver import (
     SdpProblem,
     SdpSolution,
     SolverBreakdown,
-    embed_complex,
     solve,
-    unembed_real,
 )
 from .symmetric import (
     SymmetricBasis,

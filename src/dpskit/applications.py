@@ -49,6 +49,8 @@ __all__ = [
     "geometric_entanglement_bounds",
     "identity_choi",
     "depolarizing_choi",
+    "check_choi",
+    "check_tripartite_pure",
     "ghz_state",
     "w_state",
 ]
@@ -71,6 +73,8 @@ class EstimationProblem:
             purity = float(np.trace(src.entries @ src.entries).real)
             if abs(purity - 1.0) > 1e-10:
                 raise ValueError("source states must be pure")
+        if len({(enc.dim, src.dim) for _, enc, src in self.ensemble}) > 1:
+            raise ValueError("every entry needs the same encoded and source dimensions")
 
 
 @dataclass(frozen=True)
@@ -178,14 +182,22 @@ def depolarizing_choi(d: int, p: float) -> HermitianOperator:
     return depolarize(identity_choi(d), p, 1)
 
 
+def check_choi(choi: HermitianOperator) -> HermitianOperator:
+    """``choi`` if it has two factors and tr_B = I_A, else ValueError."""
+    if choi.nfactors != 2:
+        raise ValueError(f"Choi operator needs two factors (A, B), got {choi.nfactors}")
+    marg = partial_trace(choi, [1]).entries
+    if np.max(np.abs(marg - np.eye(choi.factor_dims[0]))) > 1e-8:
+        raise ValueError("Choi operator must have identity A-marginal")
+    return choi
+
+
 def output_purity_bounds(
     choi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8,
     max_iter: int = 200,
 ) -> BoundPair:
     """nu^N and its lower bound for a channel given by its Choi operator."""
-    marg = partial_trace(choi, [1]).entries
-    if np.max(np.abs(marg - np.eye(choi.factor_dims[0]))) > 1e-8:
-        raise ValueError("Choi operator must have identity A-marginal")
+    check_choi(choi)
     return _bound_pair(
         choi * (1.0 / choi.trace()), choi, "unit_trace", N, ppt, 1.0, tol, max_iter
     )
@@ -203,16 +215,22 @@ def w_state() -> HermitianOperator:
     return pure_state(v, (2, 2, 2))
 
 
+def check_tripartite_pure(psi: HermitianOperator) -> HermitianOperator:
+    """``psi`` if it is a pure state on three factors, else ValueError."""
+    if psi.nfactors != 3:
+        raise ValueError(f"expected a tripartite state, got {psi.nfactors} factors")
+    purity = float(np.trace(psi.entries @ psi.entries).real)
+    if abs(purity - 1.0) > 1e-8:
+        raise ValueError("geometric entanglement bounds need a pure state")
+    return psi
+
+
 def geometric_entanglement_bounds(
     psi: HermitianOperator, N: int, ppt: bool, tol: float = 1e-8,
     max_iter: int = 200,
 ) -> BoundPair:
     """E^N and its lower bound for a pure tripartite state (density form)."""
-    if psi.nfactors != 3:
-        raise ValueError("expected a tripartite state")
-    purity = float(np.trace(psi.entries @ psi.entries).real)
-    if abs(purity - 1.0) > 1e-8:
-        raise ValueError("geometric entanglement bounds need a pure state")
+    check_tripartite_pure(psi)
     rho_ab = partial_trace(psi, [2])
     lam_a = float(np.linalg.eigvalsh(partial_trace(psi, [1, 2]).entries)[0])
     return _bound_pair(rho_ab, rho_ab, "unit_trace", N, ppt, lam_a, tol, max_iter)

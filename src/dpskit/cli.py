@@ -115,8 +115,8 @@ def _read_state(path: str, command: str) -> HermitianOperator:
 
 
 def _generate(make, *params):
-    """Call an input generator or estimate, its parameter-range ValueError as
-    an input error."""
+    """Call an input generator, check or estimate, its ValueError on the
+    parameters as an input error."""
     try:
         return make(*params)
     except ValueError as exc:
@@ -275,7 +275,7 @@ def cmd_purity(args) -> int:
     elif args.channel == "depolarizing-qubit":
         choi = _generate(apps.depolarizing_choi, 2, args.p)
     elif args.choi:
-        choi = _read_operator(args.choi)
+        choi = _generate(apps.check_choi, _read_operator(args.choi))
     else:
         raise _InputError("purity needs --channel or --choi")
     return _bound_sweep_command(
@@ -292,7 +292,7 @@ def cmd_geometric(args) -> int:
     elif args.state == "w":
         psi = apps.w_state()
     elif args.input:
-        psi = _read_state_vector(args.input)
+        psi = _generate(apps.check_tripartite_pure, _read_state_vector(args.input))
     else:
         raise _InputError("geometric needs --state ghz|w or --input")
     return _bound_sweep_command(

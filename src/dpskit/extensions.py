@@ -65,12 +65,10 @@ from .solver import (
     SdpSolution,
     SolverBreakdown,
     SparseRows,
-    embed_complex,
     hermitian_basis,
     hermitian_vecs,
     solve,
     sparse_rows,
-    unembed_real,
 )
 from .symmetric import occupations, sym_dim
 
@@ -298,15 +296,15 @@ class PptMap(LocalMap):
 
 @dataclass
 class _Codec:
-    """How one compiled query's Hermitian data meets the real solver.
+    """How one compiled query's Hermitian data meets the solver.
 
-    Complex data enters through ``embed_complex``, which doubles every block
-    side and every inner product (``weight`` = 2), and its rows run over the
-    full Hermitian basis.  When rho (and, for a cone query, the objective) is
-    real, the SDP is posed over real symmetric X instead: every map L is
-    real and the cone is invariant under conjugation, so (X + conj X)/2 is
-    feasible whenever X is and has the same value.  The rows then run over
-    the real symmetric members of the basis, and ``weight`` is 1.
+    Complex data is posed over complex Hermitian X, as it is, and its rows
+    run over the full Hermitian basis.  When rho (and, for a cone query, the
+    objective) is real, the SDP is posed over real symmetric X instead:
+    every map L is real and the cone is invariant under conjugation, so
+    (X + conj X)/2 is feasible whenever X is and has the same value.  The
+    rows then run over the real symmetric members of the basis, and the
+    solver runs in float64 (``real``).
 
     A query with a PPT block is compiled to the free form, and then ``state``
     holds its state rows <R_i, X> = r_i, and ``x0`` and ``kernel``
@@ -322,11 +320,6 @@ class _Codec:
     state: np.ndarray | None = None
     x0: np.ndarray | None = None
     kernel: sp.csr_matrix | None = None
-
-    @property
-    def weight(self) -> int:
-        """Factor on block sides and on inner products under ``embed``."""
-        return 1 if self.real else 2
 
     @property
     def nx(self) -> int:
@@ -347,11 +340,9 @@ class _Codec:
         """The solver status that proves the query's own constraints infeasible."""
         return "primal_infeasible" if self.kernel is None else "dual_infeasible"
 
-    def embed(self, h: np.ndarray) -> np.ndarray:
-        return np.real(h) if self.real else embed_complex(h)
-
-    def unembed(self, r: np.ndarray) -> np.ndarray:
-        return r.astype(complex) if self.real else unembed_real(r)
+    def cast(self, h: np.ndarray) -> np.ndarray:
+        """Hermitian h as the solver's data: its real part on the real path."""
+        return np.real(h) if self.real else h
 
     def basis(self, n: int) -> np.ndarray:
         """The Hermitian basis members on side n that rows run over."""
@@ -376,19 +367,19 @@ class _Codec:
 
         In the free form <w, X(y)> = <w, x0> + sum_k y_k <w, F_k>, and the
         solver maximizes b.y over its dual, so b_k = <w, F_k> to maximize
-        and -<w, F_k> to minimize (scaled like the embedded inner product).
+        and -<w, F_k> to minimize.
         """
         if self.kernel is None:
-            problem.objective[0] = self.embed(w)
+            problem.objective[0] = self.cast(w)
             problem.sense = sense
             return
         sign = 1.0 if sense == "maximize" else -1.0
-        problem.rhs[:] = sign * self.weight * np.real(self.kernel.conj() @ np.ravel(w))
+        problem.rhs[:] = sign * np.real(self.kernel.conj() @ np.ravel(w))
 
     def extension(self, sol: SdpSolution) -> np.ndarray:
         """The compressed extension X that a solution encodes."""
         if self.kernel is None:
-            return self.unembed(sol.primal_blocks[0])
+            return sol.primal_blocks[0].astype(complex)
         x = self.x0 + (self.kernel.T @ sol.dual_multipliers).reshape(self.x0.shape)
         return 0.5 * (x + x.conj().T)
 
@@ -420,7 +411,7 @@ class _Codec:
         if self.kernel is None:
             coef = -sol.dual_multipliers
         else:
-            wx, wy = (self.unembed(block) for block in sol.certificate)
+            wx, wy = (block.astype(complex) for block in sol.certificate)
             g = wx + self.pmap.adjoint(wy)
             rows = self.state.reshape(len(self.state), -1)
             gram = np.real(rows.conj() @ rows.T)
@@ -524,20 +515,12 @@ def _hermitize(v: sp.csr_matrix, n: int) -> sp.csr_matrix:
     return 0.5 * (v + v[:, np.arange(n * n).reshape(n, n).T.ravel()].conj())
 
 
-def _embedded(v: sp.spmatrix, n: int, real: bool) -> sp.coo_array:
-    """Row k: the vec of ``embed_complex`` (``real``: of the real part) of
-    the Hermitian matrix whose side-n row-major vec is row k of v, with no
-    explicit zeros."""
+def _solver_rows(v: sp.spmatrix, real: bool) -> sp.coo_array:
+    """The rows of v (``real``: their real part) with no explicit zeros."""
     v = v.tocoo()
-    if real:
-        row, col, val, w = v.row, v.col, v.data.real, n
-    else:
-        (p, q), w = np.divmod(v.col, n), 2 * n
-        row = np.tile(v.row, 4)
-        col = np.concatenate([p * w + q, (p + n) * w + q + n, p * w + q + n, (p + n) * w + q])
-        val = np.concatenate([v.data.real, v.data.real, -v.data.imag, v.data.imag])
+    val = v.data.real if real else v.data
     keep = val != 0
-    return sp.coo_array((val[keep], (row[keep], col[keep])), shape=(v.shape[0], w * w))
+    return sp.coo_array((val[keep], (v.row[keep], v.col[keep])), shape=v.shape)
 
 
 @dataclass(frozen=True)
@@ -548,7 +531,7 @@ class _Structure:
     ``constraints`` is A, with its ``block_sizes``.  In the free form
     ``state`` holds the state rows R_i, ``gram`` their Gram matrix
     Re <R_i, R_j> and ``kernel`` the F_k; in the rows form A's rows are the
-    embedded R_i, and the three are None.
+    R_i, and the three are None.
     """
 
     block_sizes: tuple
@@ -568,8 +551,8 @@ def _structure(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> _Struct
     state = _state_rows(tmap, prod(dims), kind, real)
     n = tmap.dA * tmap.size_in
     if pmap is None:
-        rows = _embedded(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), n, real)
-        return _Structure(((1 if real else 2) * n,), sparse_rows(rows))
+        rows = _solver_rows(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), real)
+        return _Structure((n,), sparse_rows(rows))
     return _free_form(tmap, pmap, state, real)
 
 
@@ -590,12 +573,11 @@ def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _
     kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
     sides = [n, tmap.dA * pmap.size_out]
     vecs = [kernel, _hermitize(kernel @ pmap.matrix().T, sides[1])]
-    a = sp.hstack([_embedded(v, side, real) for v, side in zip(vecs, sides)])
+    a = sp.hstack([_solver_rows(v, real) for v in vecs])
     gram = np.real(flat.conj() @ flat.T)
     for arr in (state, gram, kernel.data, kernel.indices, kernel.indptr):
         arr.flags.writeable = False
-    sizes = tuple((1 if real else 2) * side for side in sides)
-    return _Structure(sizes, sparse_rows(-a), state, gram, kernel)
+    return _Structure(tuple(sides), sparse_rows(-a), state, gram, kernel)
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
@@ -613,7 +595,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     rhs = codec.rhs()
     if s.kernel is None:
         problem = SdpProblem(
-            list(s.block_sizes), [None], s.constraints, codec.weight * rhs, "feasibility"
+            list(s.block_sizes), [None], s.constraints, rhs, "feasibility"
         )
     else:
         codec.state, codec.kernel = s.state, s.kernel
@@ -624,7 +606,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
         # b = 0 makes the solve a feasibility test; set_objective fills b
         problem = SdpProblem(
             list(s.block_sizes),
-            [codec.embed(0.5 * (c + c.conj().T)) for c in offsets],
+            [codec.cast(0.5 * (c + c.conj().T)) for c in offsets],
             s.constraints,
             np.zeros(len(s.constraints)),
             "minimize",

@@ -1,16 +1,24 @@
 """Primal-dual interior-point solver for block-PSD programs with sparse data.
 
-Standard form, over symmetric blocks X = (X_1, ..., X_B):
+Standard form, over Hermitian blocks X = (X_1, ..., X_B):
 
     minimize    sum_b <C_b, X_b>
     subject to  sum_b <A_ib, X_b> = b_i   (i = 1..m),   X_b >= 0.
 
 The data is held in the SeDuMi-style (A, b) vec form: a point is the vector
 x = (vec X_1, ..., vec X_B) of row-major vecs, of length sum_b n_b^2, and
-row i of the real (m, sum_b n_b^2) matrix A is (vec A_i1, ..., vec A_iB).
-The constraints then read A x = b and their adjoint is y -> y A.  The
-iterates X, Z and the cost live in this vec space; only the nonlinear steps
-(Z^{-1}, the Schur complement, step lengths) work on per-block (n, n) views.
+row i of the (m, sum_b n_b^2) matrix A is (vec A_i1, ..., vec A_iB).  The
+constraints then read Re(A conj x) = b, as <A_i, X> = Re tr(A_i^H X), and
+their adjoint is y -> y A for real y.  The iterates X, Z and the cost live
+in this vec space; only the nonlinear steps (Z^{-1}, the Schur complement,
+step lengths) work on per-block (n, n) views.
+
+The data type follows the data: a problem whose A or cost is complex runs
+over complex Hermitian X, Z and C, taken as they are, as SDPT3 (Toh, Todd &
+Tutuncu, Optim. Methods Softw. 11, 1999) and SeDuMi (Sturm, same journal,
+11-12, 1999) take them; any other runs over real symmetric ones in float64,
+where every conjugate is a no-op.  The multipliers y, the right-hand side b
+and the Schur complement M_ij = Re <A_i, Z^{-1} A_j X> are real either way.
 
 The iteration runs on the homogeneous self-dual embedding with the HKM
 search direction and a Mehrotra predictor-corrector, so infeasible problems
@@ -21,22 +29,23 @@ its jittered Cholesky absorbs.  Each solve runs every product with A on one
 CSR matrix, including the Schur complement, which is formed the sparse way
 of Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored
 densely.  Those products call the CSR kernels of ``scipy.sparse`` directly,
-without its dispatch; A^T y is the CSC kernel on A's own arrays.  That
-module, ``scipy.sparse._sparsetools``, is private, and the solver's tests
-pin the signatures used.  A compiled A is a read-only ``SparseRows`` that
-many problems share: its symmetry is checked and its Schur data built on
-the first solve only.  Each solve keeps one workspace, sized by m and the
-largest chunk of the Schur formation: every iteration fills the Schur
-complement and its Cholesky factor in place, as SDPA does (Yamashita,
-Fujisawa & Kojima, Optim. Methods Softw. 18, 2003), and no thread shares
-it.  The step back-off tests definiteness by Cholesky factoring each new
+without its dispatch, in float64 or complex128; A^T y is the CSC kernel on
+A's own arrays.  That module, ``scipy.sparse._sparsetools``, is private,
+and the solver's tests pin the signatures used.  A compiled A is a
+read-only ``SparseRows`` that many problems share: its Hermiticity is
+checked and its Schur data built on the first solve only.  Each solve
+keeps one workspace, sized by m and the largest chunk of the Schur
+formation: every iteration fills the Schur complement and its Cholesky
+factor in place, as SDPA does (Yamashita, Fujisawa & Kojima, Optim.
+Methods Softw. 18, 2003), and no thread shares it.  The step back-off tests definiteness by Cholesky factoring each new
 block (a non-finite block fails); the step lengths and Z^{-1} reuse the
 factors it accepted.  A non-finite direction or iterate ends the solve in
 ``SolverBreakdown``.  Every dense kernel of an iteration calls LAPACK
 directly, skipping the checks of the ``scipy.linalg`` wrappers: ``dpotrf``
-factors the Schur complement and each block, ``dpotrs`` solves with the
-Schur factor, ``dtrtri`` inverts the block factors, and a step length takes
-only the smallest eigenvalue of L^{-1} dX L^{-T} from ``dsyevr``, not the
+factors the Schur complement and ``dpotrs`` solves with its factor; a
+block's kernels follow its dtype: ``dpotrf``/``zpotrf`` factor it,
+``dtrtri``/``ztrtri`` invert its factor, and a step length takes only the
+smallest eigenvalue of L^{-1} dX L^{-H} from ``dsyevr``/``zheevr``, not the
 full spectrum (as SDPT3 does).
 
 The dual, max b.y subject to Z = C - sum_i y_i A_i >= 0, is an LMI in the
@@ -44,15 +53,6 @@ free variables y.  ``dpskit.extensions`` poses its PPT queries that way,
 with b = 0 for a feasibility test: ``dual_multipliers`` and
 ``dual_slacks`` then carry the solution, and an infeasible LMI ends
 "dual_infeasible" with the primal ray as its certificate.
-
-Complex Hermitian data enters through the real embedding
-``[[Re H, -Im H], [Im H, Re H]]``; note Hilbert-Schmidt inner products
-double under the embedding, so right-hand sides and objective values carry
-a factor of 2 that callers must account for (see :func:`embed_complex`).
-Real data skips the embedding: a problem whose data has no imaginary part
-is posed over real symmetric blocks of the original side directly, with
-half the block sides, about half the rows and no factor of 2
-(``dpskit.extensions`` decides this per query from its data).
 """
 
 from __future__ import annotations
@@ -64,15 +64,11 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
-from .operators import HermitianOperator
-
 __all__ = [
     "SdpProblem",
     "SdpSolution",
     "SolverBreakdown",
     "SparseRows",
-    "embed_complex",
-    "unembed_real",
     "hermitian_basis",
     "hermitian_vecs",
     "solve",
@@ -88,7 +84,7 @@ class SparseRows(sp.csr_array):
     problem compiled from one structure; ``len`` is its row count m, as for a
     dense A.
 
-    ``checked`` holds the block sides whose symmetry ``validate`` has
+    ``checked`` holds the block sides whose Hermiticity ``validate`` has
     confirmed, and ``parts`` the (block sides, ``_schur_parts``) that the
     first ``solve`` built, so the problems sharing A pay for neither again.
     Each is set only once complete, so threads sharing A never see half of
@@ -109,24 +105,25 @@ class SparseRows(sp.csr_array):
 def sparse_rows(a) -> SparseRows:
     """A as a canonical, read-only ``SparseRows`` (a: any sparse or dense
     (m, sum_b n_b^2) matrix)."""
-    rows = SparseRows(a, dtype=float, copy=True)
+    rows = SparseRows(a, dtype=np.result_type(a.dtype, float), copy=True)
     rows.sum_duplicates()
     for arr in (rows.data, rows.indices, rows.indptr):
         arr.flags.writeable = False
     return rows
 
 
-# validate's symmetry tolerance, relative to max(1, max |A|)
+# validate's Hermiticity tolerance, relative to max(1, max |A|)
 SYM_TOL = 1e-12
 
 
 def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
     """Per block, the indices of the rows of a canonical CSR (k, sum n_b^2)
-    matrix of vecs whose n_b x n_b matrix A is not symmetric:
-    max |A - A^T| > sym_tol * max(1, max |A|).
+    matrix of vecs whose n_b x n_b matrix A is not Hermitian:
+    max |A - A^H| > sym_tol * max(1, max |A|).
 
     Each stored entry is paired with its transpose by a search over the
-    sorted (row, column) keys, so the cost is O(nnz log nnz).
+    sorted (row, column) keys, and compared with that entry's conjugate, so
+    the cost is O(nnz log nnz).
     """
     starts = np.cumsum([0] + [n * n for n in sizes])
     col_block = np.repeat(np.arange(len(sizes)), np.diff(starts))
@@ -139,7 +136,7 @@ def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
     pos = np.searchsorted(key, key_t)
     # a sentinel for pos = nnz, a transpose key past every stored key
     key, data = np.append(key, -1), np.append(rows.data, 0.0)
-    skew = np.abs(rows.data - np.where(key[pos] == key_t, data[pos], 0.0))
+    skew = np.abs(rows.data - np.where(key[pos] == key_t, data[pos], 0.0).conj())
     # (row, block) groups are contiguous in CSR order
     group = row * len(sizes) + col_block[rows.indices]
     first = np.flatnonzero(np.diff(group, prepend=-1))
@@ -152,12 +149,12 @@ def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
 class SdpProblem:
     """Block-diagonal standard-form SDP in (A, b) vec form.
 
-    ``constraints`` is the real (m, sum_b n_b^2) matrix A, dense or a
+    ``constraints`` is the (m, sum_b n_b^2) matrix A, dense or a
     ``SparseRows``: row i is the concatenation of the row-major vecs of the
-    symmetric coefficient matrices (A_i1, ..., A_iB), so the constraints
-    read A vec(X) = rhs with ``rhs`` the (m,) vector b.  ``objective[b]`` is
-    the symmetric cost matrix for block b (None = zero).  ``sense`` is one
-    of "minimize", "maximize", "feasibility".
+    Hermitian coefficient matrices (A_i1, ..., A_iB), so the constraints
+    read Re(A conj vec(X)) = rhs with ``rhs`` the real (m,) vector b.
+    ``objective[b]`` is the Hermitian cost matrix for block b (None = zero).
+    ``sense`` is one of "minimize", "maximize", "feasibility".
     """
 
     block_sizes: list[int]
@@ -175,17 +172,21 @@ class SdpProblem:
         return views
 
     def validate(self) -> sp.csr_matrix:
-        """Check shapes and symmetry; return the constraint matrix as CSR.
+        """Check shapes and Hermiticity; return the constraint matrix as CSR,
+        complex128 if A or a cost block is complex, else float64.
 
-        Symmetry is tested on the sparse rows, so the check costs memory in
-        proportion to the nonzeros of A, not to m times the block sizes.  A
-        ``SparseRows`` is returned as it is, and checked once per block sides.
+        Hermiticity is tested on the sparse rows, so the check costs memory
+        in proportion to the nonzeros of A, not to m times the block sizes.
+        A ``SparseRows`` is returned as it is, and checked once per block
+        sides.
         """
         if self.sense not in ("minimize", "maximize", "feasibility"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
             raise ValueError("objective must supply one matrix (or None) per block")
         a = self.constraints
+        data = [a, *(c for c in self.objective if c is not None)]
+        dtype = np.dtype(complex if any(np.iscomplexobj(d) for d in data) else float)
         shared = isinstance(a, SparseRows)
         if not shared:
             a = np.asarray(a)
@@ -201,19 +202,21 @@ class SdpProblem:
             bad_rows = [()] * len(sizes)
         else:
             if not shared:
-                a = sp.csr_matrix(a, dtype=float)  # from a dense array: canonical
+                a = sp.csr_matrix(a, dtype=dtype)  # from a dense array: canonical
             bad_rows = _asymmetric(a, sizes, SYM_TOL)
+        kind = "Hermitian" if dtype.kind == "c" else "symmetric"
         for b, (n, c, bad) in enumerate(zip(self.block_sizes, self.objective, bad_rows)):
             if c is not None:
                 if c.shape != (n, n):
                     raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
-                if np.max(np.abs(c - c.T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
-                    raise ValueError(f"objective: block {b} not symmetric")
+                if np.max(np.abs(c - c.conj().T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
+                    raise ValueError(f"objective: block {b} not {kind}")
             if len(bad):
-                raise ValueError(f"constraint {bad[0]}: block {b} not symmetric")
+                raise ValueError(f"constraint {bad[0]}: block {b} not {kind}")
         if shared:
             a.checked = sizes
-        return a
+        # a real A under a complex cost meets complex iterates
+        return a if a.dtype == dtype else a.astype(dtype)
 
 
 @dataclass
@@ -226,26 +229,6 @@ class SdpSolution:
     certificate: list | None = None
     iterations: int = 0
     dual_slacks: list = field(default_factory=list)
-
-
-def embed_complex(h) -> np.ndarray:
-    """Real symmetric embedding of a Hermitian matrix.
-
-    Spectrum is preserved with doubled multiplicities, so PSD-ness carries
-    over both ways.  <E(A), E(B)> = 2 <A, B> for Hermitian A, B.
-    """
-    m = h.entries if isinstance(h, HermitianOperator) else np.asarray(h)
-    re, im = np.real(m), np.imag(m)
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_real(r: np.ndarray) -> np.ndarray:
-    """Map a real 2n x 2n block back to an n x n Hermitian matrix."""
-    n = r.shape[0] // 2
-    re = 0.5 * (r[:n, :n] + r[n:, n:])
-    im = 0.5 * (r[n:, :n] - r[:n, n:])
-    h = re + 1j * im
-    return 0.5 * (h + h.conj().T)
 
 
 def hermitian_vecs(n: int, real: bool = False) -> sp.csr_matrix:
@@ -275,13 +258,13 @@ def hermitian_basis(n: int, real: bool = False) -> np.ndarray:
     return hermitian_vecs(n, real).toarray().reshape(-1, n, n)
 
 
-# Entries of each of the workspace's two chunk buffers: a chunk of Schur
-# formation holds the most whole constraints whose (k, n, n) stack fits.
-# 2^20 float64 entries are 8 MiB each.  Qubit PPT membership at N = 13 (m =
-# 768, sides 56 and 224) peaks at 125 MiB with it and 143 MiB at 2^21, in
-# the same time; at 2^18 (111 MiB) the contraction's per-chunk pass over A
-# costs 10 % more time.
-SCHUR_CHUNK = 1 << 20
+# Bytes of each of the workspace's two chunk buffers, whatever A's dtype: a
+# chunk of Schur formation holds the most whole constraints whose (k, n, n)
+# stack fits.  Complex qubit PPT membership at N = 13 (m = 768, sides 28 and
+# 112) peaks at 124 MiB with 8 MiB and at 140 MiB with 16 MiB, in the same
+# time; a quarter of 8 MiB cost 10 % more time, as the contraction passes
+# over all of A once per chunk.
+SCHUR_CHUNK = 8 << 20
 
 
 def _flat(mats) -> np.ndarray:
@@ -290,28 +273,31 @@ def _flat(mats) -> np.ndarray:
 
 
 def _matvec(a, x: np.ndarray) -> np.ndarray:
-    """A x for a CSR A, by the kernel that ``a @ x`` reaches, without its
-    dispatch."""
-    out = np.zeros(a.shape[0])
-    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
-    return out
+    """Re(A conj x), the real vector of <A_i, X>, for a CSR A of x's dtype,
+    by the kernel that ``a @ x`` reaches, without its dispatch."""
+    out = np.zeros(a.shape[0], a.data.dtype)
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data,
+                            x.conj(), out)
+    return out.real
 
 
 def _rmatvec(a, y: np.ndarray) -> np.ndarray:
-    """A^T y for a CSR A: A's arrays are the CSC form of A^T."""
-    out = np.zeros(a.shape[1])
-    _sparsetools.csc_matvec(a.shape[1], a.shape[0], a.indptr, a.indices, a.data, y, out)
+    """A^T y = sum_i y_i vec A_i for a CSR A and real y: A's arrays are the
+    CSC form of A^T."""
+    out = np.zeros(a.shape[1], a.data.dtype)
+    _sparsetools.csc_matvec(a.shape[1], a.shape[0], a.indptr, a.indices, a.data,
+                            y.astype(a.data.dtype, copy=False), out)
     return out
 
 
 def _schur_parts(rows, sizes):
-    """Per block of side n: the (m, n^2) CSR ``flat`` of its columns, and
-    that matrix reshaped to the (m*n, n) CSR ``stacked``, row (i, p) holding
-    row p of A_ib."""
+    """Per block of side n: the (m, n^2) CSR ``flat`` of its columns'
+    conjugates, and those columns reshaped to the (m*n, n) CSR ``stacked``,
+    row (i, p) holding row p of A_ib."""
     m, parts, start = rows.shape[0], [], 0
     for n in sizes:
         flat = rows[:, start:start + n * n]
-        parts.append((flat, flat.reshape(m * n, n).tocsr()))
+        parts.append((flat.conj(copy=False), flat.reshape(m * n, n).tocsr()))
         start += n * n
     return parts
 
@@ -333,27 +319,31 @@ class _Workspace:
 
     One set serves every block and chunk: ``chunk`` holds a chunk's A_j X
     and then its Zinv A_j X transposed, ``half`` Zinv A_j X, and ``out``
-    the chunk's columns of M; ``raw`` gathers M, ``M`` is its symmetrized
-    copy and ``factor`` its Cholesky factor.
+    the chunk's columns of M, all of A's dtype; ``raw`` gathers M, ``M`` is
+    its symmetrized copy and ``factor`` its Cholesky factor, all real.
     """
 
     def __init__(self, parts, sizes, m: int):
         self.parts = parts
+        dtype = parts[0][0].dtype
         # constraints per chunk, block by block
-        self.steps = [min(m, max(1, SCHUR_CHUNK // (n * n))) for n in sizes]
+        entries = SCHUR_CHUNK // dtype.itemsize
+        self.steps = [min(m, max(1, entries // (n * n))) for n in sizes]
         size = max(k * n * n for k, n in zip(self.steps, sizes))
-        self.chunk, self.half = np.empty(size), np.empty(size)
-        self.out = np.empty(m * max(self.steps))
+        self.chunk, self.half = np.empty(size, dtype), np.empty(size, dtype)
+        self.out = np.empty(m * max(self.steps), dtype)
         self.raw, self.M, self.factor = (np.empty((m, m)) for _ in range(3))
         self.diag = self.factor.reshape(-1)[::m + 1]
 
     def schur(self, zinv, xb) -> np.ndarray:
-        """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
+        """HKM Schur complement M_ij = Re <A_i, Zinv A_j X>, symmetrized.
 
         Sparse formation after Fujisawa, Kojima & Nakata (Math. Program. 79,
         1997): A_j X costs nnz(A) n, the batched Zinv (A_j X) m n^3, and the
         contraction with every A_i nnz(A) m, against 2 m^2 sum_b n_b^2 dense.
-        The CSR kernels add into their output, which therefore starts at 0.
+        The contraction takes Re(conj(A) vec H) for H = Zinv A_j X, as
+        ``flat`` holds conj(A).  The CSR kernels add into their output,
+        which therefore starts at 0.
         """
         m = len(self.M)
         self.raw.fill(0.0)
@@ -376,7 +366,7 @@ class _Workspace:
                 _sparsetools.csr_matvecs(
                     m, n * n, k, flat.indptr, flat.indices, flat.data, ax, out
                 )
-                self.raw[:, lo:lo + k] += out.reshape(m, k)
+                self.raw[:, lo:lo + k] += out.reshape(m, k).real
         np.add(self.raw, self.raw.T, out=self.M)
         self.M *= 0.5
         return self.M
@@ -394,29 +384,32 @@ class _Workspace:
 
 
 def _cholesky(a: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
-    """Lower Cholesky factor L of a = L L^T by LAPACK ``dpotrf``, upper
-    triangle zeroed (LinAlgError if a is not numerically PD); with
-    ``overwrite_a``, a Fortran-ordered a holds L.
+    """Lower Cholesky factor L of a = L L^H by LAPACK ``dpotrf`` (complex a:
+    ``zpotrf``), upper triangle zeroed (LinAlgError if a is not numerically
+    PD); with ``overwrite_a``, a Fortran-ordered a holds L.
 
     dpotrf reports no error on a NaN (it factors eye(3) with one NaN on the
     diagonal), so non-finite input raises here: it is not PD.
     """
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite matrix")
-    ell, info = lapack.dpotrf(a, lower=True, clean=True, overwrite_a=overwrite_a)
+    potrf = lapack.zpotrf if a.dtype.kind == "c" else lapack.dpotrf
+    ell, info = potrf(a, lower=True, clean=True, overwrite_a=overwrite_a)
     if info:
-        raise np.linalg.LinAlgError(f"dpotrf: leading minor {info} not positive")
+        raise np.linalg.LinAlgError(f"Cholesky: leading minor {info} not positive")
     return ell
 
 
 def _inverse_cholesky(x: np.ndarray) -> np.ndarray:
-    """L^{-1} for x = L L^T, by ``dpotrf`` then ``dtrtri`` in place
-    (LinAlgError if x is not numerically PD)."""
-    return lapack.dtrtri(_cholesky(x), lower=True, overwrite_c=True)[0]
+    """L^{-1} for x = L L^H, by ``_cholesky`` then ``dtrtri``/``ztrtri`` in
+    place (LinAlgError if x is not numerically PD)."""
+    trtri = lapack.ztrtri if x.dtype.kind == "c" else lapack.dtrtri
+    return trtri(_cholesky(x), lower=True, overwrite_c=True)[0]
 
 
 def _lambda_min(a: np.ndarray) -> float:
-    """Smallest eigenvalue of symmetric a, alone, by LAPACK ``dsyevr``.
+    """Smallest eigenvalue of Hermitian a, alone, by LAPACK ``dsyevr``
+    (complex a: ``zheevr``).
 
     dsyevr reports no error on a NaN (it returns 1.0 for eye(3) with one NaN
     on the diagonal), so non-finite input raises LinAlgError here, as a full
@@ -424,17 +417,18 @@ def _lambda_min(a: np.ndarray) -> float:
     """
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite matrix")
-    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, range="I", il=1, iu=1)
+    evr = lapack.zheevr if a.dtype.kind == "c" else lapack.dsyevr
+    w, _, _, _, info = evr(a, compute_v=0, range="I", il=1, iu=1)
     if info:
-        raise np.linalg.LinAlgError(f"dsyevr: info {info}")
+        raise np.linalg.LinAlgError(f"smallest eigenvalue: LAPACK info {info}")
     return float(w[0])
 
 
 def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx >= 0, for r = _inverse_cholesky(x)
     (inf if unconstrained)."""
-    mid = r @ dx @ r.T
-    lam = _lambda_min(0.5 * (mid + mid.T))
+    mid = r @ dx @ r.conj().T
+    lam = _lambda_min(0.5 * (mid + mid.conj().T))
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
@@ -452,26 +446,28 @@ def solve(
     ``iter,mu,primal_res,dual_res,gap`` row.
     """
     A = problem.validate()
+    dtype = A.dtype
     sizes = problem.block_sizes
     split = problem.blocks
     sign = -1.0 if problem.sense == "maximize" else 1.0
     cost = _flat(
-        np.zeros((n, n))
+        np.zeros((n, n), dtype)
         if problem.sense == "feasibility" or c is None
-        else sign * 0.5 * (c + c.T)
+        else sign * 0.5 * (c + c.conj().T)
         for n, c in zip(sizes, problem.objective)
     )
-    bvec = np.asarray(problem.rhs, dtype=float)
+    # a contiguous copy: a strided b would take another loop in b.y
+    bvec = np.array(problem.rhs, dtype=float)
     m = len(bvec)
     work = _Workspace(_shared_parts(A, sizes), sizes, m)
     bnorm = 1.0 + np.linalg.norm(bvec)
     cnorm = 1.0 + np.linalg.norm(cost)
     deg = sum(sizes) + 1
 
-    X = _flat(np.eye(n) for n in sizes)
+    X = _flat(np.eye(n, dtype=dtype) for n in sizes)
     Z = X.copy()
     # inverse Cholesky factors of the blocks of X and Z; those of I are I
-    Rx = Rz = [np.eye(n) for n in sizes]
+    Rx = Rz = [np.eye(n, dtype=dtype) for n in sizes]
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -482,10 +478,10 @@ def solve(
     best = None
 
     for it in range(1, max_iter + 1):
-        mu = (X @ Z + tau * kappa) / deg
+        mu = (np.vdot(X, Z).real + tau * kappa) / deg
         AX = _matvec(A, X)
         ATy = _rmatvec(A, y)
-        by, cx = float(bvec @ y), float(cost @ X)
+        by, cx = float(bvec @ y), float(np.vdot(cost, X).real)
         rp = bvec * tau - AX
         rd = cost * tau - ATy - Z
         rg = by - cx - kappa
@@ -520,7 +516,7 @@ def solve(
         best = (X, y, Z, tau, pres, dres, gap)
 
         Xb = split(X)
-        Zinv = [r.T @ r for r in Rz]
+        Zinv = [r.conj().T @ r for r in Rz]
 
         M = work.schur(Zinv, Xb)
         factor = None
@@ -551,7 +547,7 @@ def solve(
         zinv = _flat(Zinv)
         # the predictor and the corrector share these terms
         hkm_rd = hkm(rd)
-        denom = float(bvec @ dy2) - cost @ dX2 + kappa / tau
+        denom = float(bvec @ dy2) - np.vdot(cost, dX2).real + kappa / tau
         if abs(denom) < 1e-300:
             raise SolverBreakdown("degenerate tau equation")
 
@@ -563,8 +559,8 @@ def solve(
             dX1 = base + hkm(ATdy1)
             dZ1 = rd - ATdy1
             target = (sigma_mu - tau * kappa - corr_tk) / tau
-            dtau = (target - rg - float(bvec @ dy1) + cost @ dX1) / denom
-            dX = _flat(0.5 * (d + d.T) for d in split(dX1 + dtau * dX2))
+            dtau = (target - rg - float(bvec @ dy1) + np.vdot(cost, dX1).real) / denom
+            dX = _flat(0.5 * (d + d.conj().T) for d in split(dX1 + dtau * dX2))
             dZ = dZ1 + dtau * dZ2
             dkappa = target - (kappa / tau) * dtau
             return dX, dy1 + dtau * dy2, dZ, dtau, dkappa
@@ -585,7 +581,7 @@ def solve(
         dXa, dya, dZa, dtaua, dkappaa = build(0.0, 0.0, 0.0)
         alpha_a = min(1.0, max_alpha(dXa, dZa, dtaua, dkappaa))
         mu_aff = (
-            (X + alpha_a * dXa) @ (Z + alpha_a * dZa)
+            np.vdot(X + alpha_a * dXa, Z + alpha_a * dZa).real
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
         ) / deg
         sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-8), 1.0 - 1e-8)
@@ -626,7 +622,7 @@ def solve(
     if status == "primal_infeasible":
         return SdpSolution(
             status="primal_infeasible",
-            primal_blocks=[np.zeros((n, n)) for n in sizes],
+            primal_blocks=[np.zeros((n, n), dtype) for n in sizes],
             dual_multipliers=y / by,
             objective_value=np.nan,
             residuals=(pres, dres, gap),
@@ -650,9 +646,9 @@ def solve(
         X, y, Z, tau, pres, dres, gap = best
     return SdpSolution(
         status=status,
-        primal_blocks=[0.5 * (xb + xb.T) / tau for xb in split(X)],
+        primal_blocks=[0.5 * (xb + xb.conj().T) / tau for xb in split(X)],
         dual_multipliers=y / tau,
-        objective_value=sign * (cost @ X) / tau,
+        objective_value=sign * np.vdot(cost, X).real / tau,
         residuals=(pres, dres, gap),
         iterations=it,
         dual_slacks=[zb / tau for zb in split(Z)],

@@ -12,6 +12,11 @@ one-step map that ``TraceMap`` with any kept-copy count is checked against.
 that :func:`schur_parts_reference` cuts, the way the solver did before it
 kept one workspace per solve.
 
+:func:`embed_complex` and :func:`unembed_real` map Hermitian data to the
+real symmetric embedding ``[[Re H, -Im H], [Im H, Re H]]`` and back, the
+route by which the solver once took complex data; the solver's native
+complex blocks are checked against it.
+
 g_N, one minus the largest root of a designated Jacobi polynomial, has two
 routes here besides the library's tridiagonal eigenvalue:
 
@@ -55,6 +60,7 @@ from dpskit.extensions import (
     _kernel,
     _state_rows,
 )
+from dpskit.operators import HermitianOperator
 from dpskit.solver import SdpProblem, hermitian_vecs
 
 
@@ -70,48 +76,52 @@ def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
     return problem
 
 
-def _embed_into(dest: np.ndarray, v, n: int, real: bool):
-    """Write into row k of ``dest`` the vec of ``embed_complex`` (``real``:
-    of the real part) of the Hermitian matrix whose side-n row-major vec is
-    row k of v."""
-    v = v.tocoo()
-    if real:
-        dest[v.row, v.col] = v.data.real
-        return
-    (p, q), w = np.divmod(v.col, n), 2 * n
-    for col, val in (
-        (p * w + q, v.data.real), ((p + n) * w + q + n, v.data.real),
-        (p * w + q + n, -v.data.imag), ((p + n) * w + q, v.data.imag),
-    ):
-        dest[v.row, col] = val
+def embed_complex(h) -> np.ndarray:
+    """Real symmetric embedding of a Hermitian matrix.
+
+    Spectrum is preserved with doubled multiplicities, so PSD-ness carries
+    over both ways.  <E(A), E(B)> = 2 <A, B> for Hermitian A, B.
+    """
+    m = h.entries if isinstance(h, HermitianOperator) else np.asarray(h)
+    re, im = np.real(m), np.imag(m)
+    return np.block([[re, -im], [im, re]])
+
+
+def unembed_real(r: np.ndarray) -> np.ndarray:
+    """Map a real 2n x 2n block back to an n x n Hermitian matrix."""
+    n = r.shape[0] // 2
+    re = 0.5 * (r[:n, :n] + r[n:, n:])
+    im = 0.5 * (r[n:, :n] - r[:n, n:])
+    h = re + 1j * im
+    return 0.5 * (h + h.conj().T)
 
 
 def dense_constraints(q: ExtensionQuery) -> np.ndarray:
     """A of the compiled query, written into a dense zero matrix entry by
-    entry: the rows form embeds each state row and symmetrizes it in place,
-    the free form writes the embedded (F_k, Gamma(F_k)) and negates them.
-    The compiler builds A sparse; it must give this matrix bit for bit."""
+    entry: the rows form writes each state row (its real part on the real
+    path) and makes it Hermitian in place, the free form writes
+    (F_k, Gamma(F_k)) and negates them.  The compiler builds A sparse; it
+    must give this matrix bit for bit."""
     codec = _codec(q)
     real, n = codec.real, codec.nx
+    dtype = float if real else complex
     state = _state_rows(codec.tmap, q.rho.dim, q.reduced_constraint, real)
     if codec.pmap is None:
-        side = codec.weight * n
-        rows = np.zeros((len(state), side, side))
-        rows[...] = codec.embed(state)
-        rows += rows.swapaxes(1, 2)
+        rows = np.zeros((len(state), n, n), dtype)
+        rows[...] = codec.cast(state)
+        rows += rows.conj().swapaxes(1, 2)
         rows *= 0.5
         return rows.reshape(len(state), -1)
     basis = hermitian_vecs(n, real)
     flat = state.reshape(len(state), -1)
     kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
-    sides = [n, codec.tmap.dA * codec.pmap.size_out]
-    vecs = [kernel, _hermitize(kernel @ codec.pmap.matrix().T, sides[1])]
-    sizes = [codec.weight * side for side in sides]
-    dest = np.zeros((kernel.shape[0], sum(b * b for b in sizes)))
+    side = codec.tmap.dA * codec.pmap.size_out
+    dest = np.zeros((kernel.shape[0], n * n + side * side), dtype)
     start = 0
-    for v, side, b in zip(vecs, sides, sizes):
-        _embed_into(dest[:, start:start + b * b], v, side, real)
-        start += b * b
+    for v in (kernel, _hermitize(kernel @ codec.pmap.matrix().T, side)):
+        v = v.tocoo()
+        dest[v.row, start + v.col] = v.data.real if real else v.data
+        start += v.shape[1]
     np.negative(dest, out=dest)
     return dest
 
@@ -119,12 +129,13 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
 def schur_parts_reference(rows, sizes):
     """Per block of side n: the (m, n^2) CSR ``flat`` of its columns, and
     that matrix reshaped to (m*n, n), row (i, p) holding row p of A_ib, cut
-    into chunks of whole constraints of about ``SCHUR_CHUNK`` entries."""
+    into chunks of whole constraints of about ``SCHUR_CHUNK`` bytes."""
     m, parts, start = rows.shape[0], [], 0
+    entries = dpskit.solver.SCHUR_CHUNK // rows.dtype.itemsize
     for n in sizes:
         flat = rows[:, start:start + n * n]
         stacked = flat.reshape(m * n, n).tocsr()
-        k = max(1, dpskit.solver.SCHUR_CHUNK // (n * n))
+        k = max(1, entries // (n * n))
         chunks = [(lo, stacked[lo * n:(lo + k) * n]) for lo in range(0, m, k)]
         parts.append((flat, chunks))
         start += n * n
@@ -132,11 +143,12 @@ def schur_parts_reference(rows, sizes):
 
 
 def schur_reference(parts, zinv, xb, m: int) -> np.ndarray:
-    """HKM Schur complement M_ij = <A_i, Zinv A_j X>, symmetrized.
+    """HKM Schur complement M_ij = Re <A_i, Zinv A_j X>, symmetrized.
 
     Sparse formation after Fujisawa, Kojima & Nakata (Math. Program. 79,
     1997): A_j X costs nnz(A) n, the batched Zinv (A_j X) m n^3, and the
     contraction with every A_i nnz(A) m, against 2 m^2 sum_b n_b^2 dense.
+    For Hermitian A_i, <A_i, H> = Re sum_pq conj((A_i)_pq) H_pq.
 
     This is the solver's formation before it kept one workspace per solve:
     every temporary is allocated anew, and each product with A goes through
@@ -148,7 +160,7 @@ def schur_reference(parts, zinv, xb, m: int) -> np.ndarray:
         for lo, stacked in chunks:
             k = stacked.shape[0] // n
             half = np.matmul(zinv_b, (stacked @ x_b).reshape(k, n, n))
-            M[:, lo:lo + k] += flat @ half.reshape(k, n * n).T
+            M[:, lo:lo + k] += (flat.conj() @ half.reshape(k, n * n).T).real
     return 0.5 * (M + M.T)
 
 

@@ -44,10 +44,10 @@ from dpskit.operators import (
     partial_transpose,
     pure_state,
 )
-from dpskit.solver import SdpProblem, embed_complex, hermitian_basis, solve
+from dpskit.solver import SdpProblem, hermitian_basis, solve
 from dpskit.symmetric import build_basis, lift
 
-from oracles import g_N_via_pencil, g_N_via_root, tridiagonal_C
+from oracles import embed_complex, g_N_via_pencil, g_N_via_root, tridiagonal_C
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))

@@ -441,6 +441,40 @@ class TestInputHardening:
         assert "[0, 1]" in captured.err
 
     @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            (["geometric", "--input"],
+             {"dims": [2, 2], "re": [1, 0, 0, 1]}, "tripartite state, got 2 factors"),
+            (["purity", "--choi"],
+             {"dims": [4], "re": np.eye(4).tolist()}, "two factors (A, B), got 1"),
+            (["purity", "--choi"],
+             {"dims": [2, 2], "re": (np.eye(4) / 4).tolist()}, "identity A-marginal"),
+            (["fidelity", "--input"],
+             {"ensemble": [
+                 {"p": 0.5, "encoded": {"dims": [2], "re": [[1, 0], [0, 0]]},
+                  "source": {"dims": [2], "re": [[1, 0], [0, 0]]}},
+                 {"p": 0.5, "encoded": {"dims": [3], "re": np.diag([0, 1, 0]).tolist()},
+                  "source": {"dims": [2], "re": [[0, 0], [0, 1]]}},
+             ]}, "same encoded and source dimensions"),
+        ],
+        ids=["geometric-bipartite", "purity-one-factor", "purity-marginal",
+             "fidelity-mixed-dims"],
+    )
+    def test_application_input_rejected_before_sweep(
+        self, argv, payload, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("dpskit.applications.optimize_over_cone", no_solve)
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(payload))
+        assert main(argv + [str(src), "--N", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
         "command, dims",
         [("membership", (4,)), ("certify", (4,)), ("certify", (2, 2, 2))],
         ids=["membership-1", "certify-1", "certify-3"],

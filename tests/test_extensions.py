@@ -181,7 +181,7 @@ def test_ppt_map_block_side_n2_d2():
 def test_n1_problem_is_positivity_check():
     rho = random_state([2, 2], 4, 0)
     prob = build_bse_sdp(ExtensionQuery(rho=rho, N=1, ppt=False))
-    assert prob.block_sizes == [2 * 4]
+    assert prob.block_sizes == [4]  # complex Hermitian, as rho is
     assert len(prob.constraints) == 16  # (d_A d_B)^2 real equalities
     # at N=1 the trace map is the identity, so constraints pin X = rho
     res = check_membership(ExtensionQuery(rho=rho, N=1, ppt=False))
@@ -193,7 +193,7 @@ def test_block_sides_dB2_N2():
     rho = random_state([3, 2], 6, 1)
     prob = build_bse_sdp(ExtensionQuery(rho=rho, N=2, ppt=True))
     # X block side d_A * sym_dim(2, 2) = 9, PPT block side d_A * 2 * 2 = 12
-    assert prob.block_sizes == [2 * 3 * 3, 2 * 3 * 4]
+    assert prob.block_sizes == [3 * 3, 3 * 4]
 
 
 def test_budget_cap(monkeypatch):
@@ -291,8 +291,7 @@ def test_nesting_by_reduction():
 
 def test_ppt_query_has_one_ppt_block():
     # S_p^N has one cut: a PPT query compiles to the blocks X and Gamma(X),
-    # Gamma transposing the last N//2 copies, and at N = 1 to X alone (real
-    # data, so the sides are not doubled)
+    # Gamma transposing the last N//2 copies, and at N = 1 to X alone
     for rho, n_max in ((_WERNER, 4), (_ghz_mixed(), 3)):
         dA, *dBs = rho.factor_dims
         for N in range(1, n_max + 1):
@@ -420,8 +419,6 @@ def test_tripartite_ppt_variant_verdicts():
 
 def test_tripartite_maps_match_naive_pipeline():
     # oracle: lift with I (x) V2 (x) V3, operate on the full space, compress
-    from dpskit.solver import unembed_real
-
     d1 = d2 = d3 = 2
     n = 2
     rng = np.random.default_rng(42)
@@ -460,11 +457,11 @@ def test_tripartite_maps_match_naive_pipeline():
     assert len(problem.constraints) == nx * nx - (d1 * d2 * d3) ** 2
     x_cols, y_cols = problem.blocks(problem.constraints)
     for k in (0, 5, len(problem.constraints) - 1):
-        f = unembed_real(-x_cols[k])
+        f = -x_cols[k].toarray()
         lifted = HermitianOperator(full.factor_dims, viso @ f @ viso.conj().T)
         pt_full = partial_transpose(lifted, pt_factors)
         p_naive = wiso.conj().T @ pt_full.entries @ wiso
-        assert np.max(np.abs(unembed_real(-y_cols[k]) - p_naive)) < 1e-10
+        assert np.max(np.abs(-y_cols[k].toarray() - p_naive)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +551,11 @@ def test_real_data_compiles_to_real_sizes(make, N, m, sides):
     assert m == n_x * (n_x + 1) // 2 - d_a * (d_a + 1) // 2
 
 
-def test_complex_data_keeps_doubled_sides():
+def test_complex_data_keeps_native_sides():
     problem, codec = _compile(_rotated(_bb84(2)))
     assert not codec.real
-    assert (len(problem.rhs), problem.block_sizes) == (128, [24, 32])
+    assert problem.constraints.dtype == complex
+    assert (len(problem.rhs), problem.block_sizes) == (128, [12, 16])
 
 
 def test_complex_objective_alone_selects_complex_path():
@@ -898,11 +896,11 @@ def test_workspace_schur_equals_reference(make, path, monkeypatch):
 
 
 def _three_chunks_per_block(problem, monkeypatch):
-    """Set ``SCHUR_CHUNK`` so that each block's Schur formation runs in at
-    least three chunks; the constraints per chunk, block by block."""
+    """Set ``SCHUR_CHUNK`` (bytes) so that each block's Schur formation runs
+    in at least three chunks; the constraints per chunk, block by block."""
     m, sizes = len(problem.rhs), problem.block_sizes
-    chunk = 40 * min(sizes) ** 2
-    monkeypatch.setattr(dpskit.solver, "SCHUR_CHUNK", chunk)
+    chunk = 40 * min(sizes) ** 2  # entries of A's dtype
+    monkeypatch.setattr(dpskit.solver, "SCHUR_CHUNK", chunk * problem.constraints.dtype.itemsize)
     steps = [min(m, chunk // (n * n)) for n in sizes]
     assert len(sizes) == 2 and all(-(-m // k) >= 3 for k in steps)
     return steps
@@ -910,7 +908,7 @@ def _three_chunks_per_block(problem, monkeypatch):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["shared_a", "dense_a"])
 def test_workspace_schur_equals_reference_in_chunks(dense, monkeypatch):
-    """BB84 PPT N=2 on the complex path (m = 128, sides 24 and 32), in 4 and
+    """BB84 PPT N=2 on the complex path (m = 128, sides 12 and 16), in 4 and
     6 chunks; with A also given dense, which ``validate`` turns into a
     ``csr_matrix`` on every solve."""
     q = _rotated(_bb84(2))
@@ -923,9 +921,10 @@ def test_workspace_schur_equals_reference_in_chunks(dense, monkeypatch):
 
 def test_solve_keeps_one_schur_buffer_set(monkeypatch):
     """With three or more chunks in each of two blocks, a solve's traced peak
-    stays within one set of Schur buffers (two of the largest chunk, that
-    chunk's columns of M, and three m x m matrices) plus 8 (m^2 + sum n_b^2)
-    doubles for everything else: buffers kept per chunk would exceed it."""
+    stays within one set of Schur buffers (two of the largest chunk and that
+    chunk's columns of M, complex here, and three real m x m matrices) plus
+    8 (m^2 + sum n_b^2) doubles for everything else: buffers kept per chunk
+    would exceed it."""
     problem = _compile(_rotated(_bb84(2)))[0]
     m, sizes = len(problem.rhs), problem.block_sizes
     steps = _three_chunks_per_block(problem, monkeypatch)
@@ -937,7 +936,7 @@ def test_solve_keeps_one_schur_buffer_set(monkeypatch):
     finally:
         tracemalloc.stop()
     biggest = max(k * n * n for k, n in zip(steps, sizes))
-    one_set = 8 * (2 * biggest + m * max(steps) + 3 * m * m)
+    one_set = 16 * (2 * biggest + m * max(steps)) + 8 * 3 * m * m
     assert peak <= one_set + 8 * 8 * (m * m + sum(n * n for n in sizes))
 
 

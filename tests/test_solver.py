@@ -13,11 +13,10 @@ from dpskit.solver import (
     SdpProblem,
     SolverBreakdown,
     _asymmetric,
-    embed_complex,
     hermitian_basis,
     solve,
-    unembed_real,
 )
+from oracles import embed_complex, unembed_real
 
 
 def sym(rng, n):
@@ -45,6 +44,27 @@ def constructed_optimum(n, m, seed):
     b = np.array([float(np.sum(mats[i] * x_star)) for i in range(m)])
     problem = SdpProblem([n], [c], vecs(*mats), b, "minimize")
     return problem, float(np.sum(c * x_star))
+
+
+def constructed_complex_optimum(n, m, seed):
+    """``constructed_optimum`` over complex Hermitian blocks; also the
+    optimal X."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    k = max(n // 2, 1)
+    x_eigs = np.concatenate([rng.uniform(0.5, 2.0, k), np.zeros(n - k)])
+    z_eigs = np.concatenate([np.zeros(k), rng.uniform(0.5, 2.0, n - k)])
+    x_star = (q * x_eigs) @ q.conj().T
+    z_star = (q * z_eigs) @ q.conj().T
+    y_star = rng.standard_normal(m)
+    mats = []
+    for _ in range(m):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats.append(0.5 * (g + g.conj().T))
+    c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
+    b = np.array([np.vdot(mats[i], x_star).real for i in range(m)])
+    problem = SdpProblem([n], [c], vecs(*mats), b, "minimize")
+    return problem, np.vdot(c, x_star).real, x_star
 
 
 def constructed_infeasible(n, m, seed):
@@ -97,6 +117,27 @@ class TestEmbedding:
         lhs = float(np.sum(embed_complex(a) * embed_complex(b)))
         rhs = 2.0 * float(np.real(np.sum(a.conj() * b)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_complex_solve_equals_embedded_oracle(seed):
+    """A complex SDP solved over Hermitian blocks and, through the real
+    embedding, over real symmetric blocks of twice the side, whose inner
+    products and so right-hand sides and optimum are doubled.  Six rows on
+    a rank-2 optimal face of Herm(2) (4 real parameters) make X unique."""
+    problem, opt, x_star = constructed_complex_optimum(4, 6, seed)
+    (rows,) = problem.blocks(problem.constraints)
+    embedded = SdpProblem([8], [embed_complex(problem.objective[0])],
+                          vecs(*(embed_complex(a) for a in rows)), 2.0 * problem.rhs)
+    native, via_real = solve(problem, tol=1e-10), solve(embedded, tol=1e-10)
+    assert native.status == via_real.status == "optimal"
+    assert np.iscomplexobj(native.primal_blocks[0])
+    assert abs(native.objective_value - opt) <= 1e-8 * (1 + abs(opt))
+    assert abs(native.objective_value - 0.5 * via_real.objective_value) <= 1e-8 * (1 + abs(opt))
+    # X converges like the square root of the gap
+    x = native.primal_blocks[0]
+    assert np.max(np.abs(x - unembed_real(via_real.primal_blocks[0]))) < 1e-4
+    assert np.max(np.abs(x - x_star)) < 1e-4
 
 
 def test_hermitian_basis_orthonormal():
@@ -320,8 +361,8 @@ class TestSolve:
     def test_schur_formation_independent_of_chunk_size(self, monkeypatch):
         problem, _ = constructed_optimum(8, 6, 5)
         whole = solve(problem)
-        # two constraints per chunk of the (k, 8, 8) temporaries
-        monkeypatch.setattr("dpskit.solver.SCHUR_CHUNK", 2 * 64)
+        # two constraints per chunk of the (k, 8, 8) float64 temporaries
+        monkeypatch.setattr("dpskit.solver.SCHUR_CHUNK", 2 * 64 * 8)
         chunked = solve(problem)
         assert chunked.iterations == whole.iterations
         assert np.array_equal(chunked.dual_multipliers, whole.dual_multipliers)
@@ -343,6 +384,34 @@ class TestSolve:
         p = SdpProblem([2], [objective], constraints, rhs, "minimize")
         with pytest.raises(ValueError, match=message):
             solve(p)
+
+    # i(E01 + E10) is symmetric, not Hermitian; i(E01 - E10) is Hermitian
+    SYMMETRIC_IMAG = np.array([[0.0, 1j], [1j, 0.0]])
+    HERMITIAN_IMAG = np.array([[0.0, 1j], [-1j, 0.0]])
+
+    @pytest.mark.parametrize(
+        "objective, rows, message",
+        [
+            (SYMMETRIC_IMAG, [np.eye(2)], "objective: block 0 not Hermitian"),
+            (None, [np.eye(2), SYMMETRIC_IMAG], "constraint 1: block 0 not Hermitian"),
+        ],
+        ids=["objective", "constraint_row"],
+    )
+    def test_validate_rejects_symmetric_non_hermitian(self, objective, rows, message):
+        p = SdpProblem([2], [objective], vecs(*rows), np.zeros(len(rows)), "minimize")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            p.validate()
+
+    def test_validate_accepts_hermitian(self):
+        # min <C, X> over unit-trace X: the smallest eigenvalue of C, -1
+        c = self.HERMITIAN_IMAG
+        p = SdpProblem([2], [c], vecs(np.eye(2), c), [1.0, -1.0], "minimize")
+        assert p.validate().dtype == complex
+        s = solve(p)
+        assert s.status == "optimal"
+        assert s.objective_value == pytest.approx(-1.0, abs=1e-7)
+        v = np.array([1.0, 1j]) / np.sqrt(2.0)  # C v = -v
+        assert_allclose(s.primal_blocks[0], np.outer(v, v.conj()), atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_symmetry_check_matches_dense(self, seed):
