@@ -77,13 +77,6 @@ from .solver import (
     SolverBreakdown,
     solve,
 )
-from .symmetric import (
-    SymmetricBasis,
-    build_basis,
-    compress,
-    dicke_overlap_state,
-    lift,
-    sym_dim,
-)
+from .symmetric import sym_dim
 
 __version__ = "0.1.0"

@@ -183,12 +183,17 @@ def depolarizing_choi(d: int, p: float) -> HermitianOperator:
 
 
 def check_choi(choi: HermitianOperator) -> HermitianOperator:
-    """``choi`` if it has two factors and tr_B = I_A, else ValueError."""
+    """``choi`` if it has two factors, tr_B = I_A and is PSD (the map is
+    completely positive), else ValueError."""
     if choi.nfactors != 2:
         raise ValueError(f"Choi operator needs two factors (A, B), got {choi.nfactors}")
     marg = partial_trace(choi, [1]).entries
     if np.max(np.abs(marg - np.eye(choi.factor_dims[0]))) > 1e-8:
         raise ValueError("Choi operator must have identity A-marginal")
+    lam = float(np.linalg.eigvalsh(choi.entries)[0])
+    if lam < -1e-8:
+        raise ValueError("Choi operator must be PSD (a completely positive map), "
+                         f"smallest eigenvalue {lam:.3g}")
     return choi
 
 

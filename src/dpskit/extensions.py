@@ -528,13 +528,12 @@ class _Structure:
     """The part of a compiled query that its data does not enter, shared by
     every query with one ``_structure`` key.  Every array in it is read-only.
 
-    ``constraints`` is A, with its ``block_sizes``.  In the free form
+    ``constraints`` is A, with its block sides.  In the free form
     ``state`` holds the state rows R_i, ``gram`` their Gram matrix
     Re <R_i, R_j> and ``kernel`` the F_k; in the rows form A's rows are the
     R_i, and the three are None.
     """
 
-    block_sizes: tuple
     constraints: SparseRows
     state: np.ndarray | None = None
     gram: np.ndarray | None = None
@@ -545,14 +544,14 @@ class _Structure:
 def _structure(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> _Structure:
     """The structure of every ``kind`` query on factors ``dims`` at level N,
     with a PPT block or not, on the real path or not.  Built on the first
-    such query and kept: the solver checks A and builds its Schur data on
-    the first solve, and later queries fill only their b, C and x0."""
+    such query and kept, A checked and with its Schur data, so later queries
+    fill only their b, C and x0."""
     tmap, pmap = _maps(dims, N, ppt)
     state = _state_rows(tmap, prod(dims), kind, real)
     n = tmap.dA * tmap.size_in
     if pmap is None:
         rows = _solver_rows(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), real)
-        return _Structure((n,), sparse_rows(rows))
+        return _Structure(sparse_rows(rows, (n,)))
     return _free_form(tmap, pmap, state, real)
 
 
@@ -577,7 +576,7 @@ def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _
     gram = np.real(flat.conj() @ flat.T)
     for arr in (state, gram, kernel.data, kernel.indices, kernel.indptr):
         arr.flags.writeable = False
-    return _Structure(tuple(sides), sparse_rows(-a), state, gram, kernel)
+    return _Structure(sparse_rows(-a, sides), state, gram, kernel)
 
 
 def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
@@ -594,9 +593,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
                    q.reduced_constraint, codec.real)
     rhs = codec.rhs()
     if s.kernel is None:
-        problem = SdpProblem(
-            list(s.block_sizes), [None], s.constraints, rhs, "feasibility"
-        )
+        problem = SdpProblem(list(s.constraints.sizes), [None], s.constraints, rhs)
     else:
         codec.state, codec.kernel = s.state, s.kernel
         # the least-norm solution lies in the span of the rows
@@ -605,7 +602,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
         offsets = [codec.x0, codec.pmap.apply(codec.x0)]
         # b = 0 makes the solve a feasibility test; set_objective fills b
         problem = SdpProblem(
-            list(s.block_sizes),
+            list(s.constraints.sizes),
             [codec.cast(0.5 * (c + c.conj().T)) for c in offsets],
             s.constraints,
             np.zeros(len(s.constraints)),

@@ -31,15 +31,16 @@ of Fujisawa, Kojima & Nakata (Math. Program. 79, 1997) and factored
 densely.  Those products call the CSR kernels of ``scipy.sparse`` directly,
 without its dispatch, in float64 or complex128; A^T y is the CSC kernel on
 A's own arrays.  That module, ``scipy.sparse._sparsetools``, is private,
-and the solver's tests pin the signatures used.  A compiled A is a
-read-only ``SparseRows`` that many problems share: its Hermiticity is
-checked and its Schur data built on the first solve only.  Each solve
-keeps one workspace, sized by m and the largest chunk of the Schur
-formation: every iteration fills the Schur complement and its Cholesky
-factor in place, as SDPA does (Yamashita, Fujisawa & Kojima, Optim.
-Methods Softw. 18, 2003), and no thread shares it.  The step back-off tests definiteness by Cholesky factoring each new
-block (a non-finite block fails); the step lengths and Z^{-1} reuse the
-factors it accepted.  A non-finite direction or iterate ends the solve in
+and the solver's tests pin the signatures used.  A is a ``SparseRows``,
+checked Hermitian and cut into its Schur data when ``sparse_rows`` builds
+it, and read-only from then on, so many problems and threads share one.
+Each solve keeps one workspace, sized by m and the largest chunk of the
+Schur formation: every iteration fills the Schur complement and its
+Cholesky factor in place, as SDPA does (Yamashita, Fujisawa & Kojima,
+Optim. Methods Softw. 18, 2003), and no thread shares it.  The step
+back-off tests definiteness by Cholesky factoring each new block (a
+non-finite block fails); the step lengths and Z^{-1} reuse the factors it
+accepted.  A non-finite direction or iterate ends the solve in
 ``SolverBreakdown``.  Every dense kernel of an iteration calls LAPACK
 directly, skipping the checks of the ``scipy.linalg`` wrappers: ``dpotrf``
 factors the Schur complement and ``dpotrs`` solves with its factor; a
@@ -84,15 +85,12 @@ class SparseRows(sp.csr_array):
     problem compiled from one structure; ``len`` is its row count m, as for a
     dense A.
 
-    ``checked`` holds the block sides whose Hermiticity ``validate`` has
-    confirmed, and ``parts`` the (block sides, ``_schur_parts``) that the
-    first ``solve`` built, so the problems sharing A pay for neither again.
-    Each is set only once complete, so threads sharing A never see half of
-    one.
+    ``sparse_rows`` builds it complete, with ``sizes``, the block sides it
+    was checked Hermitian on, and ``parts``, their ``_schur_parts``; nothing
+    is set on it afterwards.
     """
 
-    checked = None
-    parts = None
+    sizes = None  # on a slice or cast, which sparse_rows did not build
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -102,17 +100,8 @@ class SparseRows(sp.csr_array):
         raise ValueError("a shared constraint matrix is read-only")
 
 
-def sparse_rows(a) -> SparseRows:
-    """A as a canonical, read-only ``SparseRows`` (a: any sparse or dense
-    (m, sum_b n_b^2) matrix)."""
-    rows = SparseRows(a, dtype=np.result_type(a.dtype, float), copy=True)
-    rows.sum_duplicates()
-    for arr in (rows.data, rows.indices, rows.indptr):
-        arr.flags.writeable = False
-    return rows
-
-
-# validate's Hermiticity tolerance, relative to max(1, max |A|)
+# the Hermiticity tolerance of each block of A's rows and of C, relative to
+# max(1, its largest entry)
 SYM_TOL = 1e-12
 
 
@@ -145,16 +134,39 @@ def _asymmetric(rows: sp.csr_matrix, sizes, sym_tol: float) -> list:
     return [bad[bad % len(sizes) == b] // len(sizes) for b in range(len(sizes))]
 
 
+def sparse_rows(a, sizes) -> SparseRows:
+    """A as a canonical, read-only ``SparseRows`` on blocks of sides
+    ``sizes``, checked Hermitian and with its Schur data (a: any sparse or
+    dense (m, sum_b n_b^2) matrix, m >= 1)."""
+    sizes = tuple(sizes)
+    width = sum(n * n for n in sizes)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"constraints shape {a.shape} != (m, {width})")
+    if a.shape[0] == 0:
+        raise ValueError("constraints: m = 0 rows; a problem needs at least one")
+    rows = SparseRows(a, dtype=np.result_type(a.dtype, float), copy=True)
+    rows.sum_duplicates()
+    kind = "Hermitian" if rows.dtype.kind == "c" else "symmetric"
+    for b, bad in enumerate(_asymmetric(rows, sizes, SYM_TOL)):
+        if len(bad):
+            raise ValueError(f"constraint {bad[0]}: block {b} not {kind}")
+    for arr in (rows.data, rows.indices, rows.indptr):
+        arr.flags.writeable = False
+    rows.sizes, rows.parts = sizes, _schur_parts(rows, sizes)
+    return rows
+
+
 @dataclass
 class SdpProblem:
     """Block-diagonal standard-form SDP in (A, b) vec form.
 
-    ``constraints`` is the (m, sum_b n_b^2) matrix A, dense or a
-    ``SparseRows``: row i is the concatenation of the row-major vecs of the
-    Hermitian coefficient matrices (A_i1, ..., A_iB), so the constraints
-    read Re(A conj vec(X)) = rhs with ``rhs`` the real (m,) vector b.
-    ``objective[b]`` is the Hermitian cost matrix for block b (None = zero).
-    ``sense`` is one of "minimize", "maximize", "feasibility".
+    ``constraints`` is the (m, sum_b n_b^2) matrix A, dense, sparse or a
+    ``SparseRows`` from ``sparse_rows``: row i is the concatenation of the
+    row-major vecs of the Hermitian coefficient matrices (A_i1, ..., A_iB),
+    so the constraints read Re(A conj vec(X)) = rhs with ``rhs`` the real
+    (m,) vector b.  ``objective[b]`` is the Hermitian cost matrix for block b
+    (None = zero, so a problem with no cost is a feasibility test).
+    ``sense`` is "minimize" or "maximize".
     """
 
     block_sizes: list[int]
@@ -171,52 +183,38 @@ class SdpProblem:
             start += n * n
         return views
 
-    def validate(self) -> sp.csr_matrix:
-        """Check shapes and Hermiticity; return the constraint matrix as CSR,
-        complex128 if A or a cost block is complex, else float64.
+    def validate(self) -> SparseRows:
+        """Check shapes and Hermiticity; return the constraint matrix as a
+        ``SparseRows``, complex128 if A or a cost block is complex, else
+        float64.
 
-        Hermiticity is tested on the sparse rows, so the check costs memory
-        in proportion to the nonzeros of A, not to m times the block sizes.
-        A ``SparseRows`` is returned as it is, and checked once per block
-        sides.
+        A ``SparseRows`` built on these block sides in that dtype is returned
+        as it is.  Any other A, dense or sparse, goes through ``sparse_rows``,
+        cast first when it is real under a complex cost, which meets complex
+        iterates.
         """
-        if self.sense not in ("minimize", "maximize", "feasibility"):
+        if self.sense not in ("minimize", "maximize"):
             raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
             raise ValueError("objective must supply one matrix (or None) per block")
         a = self.constraints
         data = [a, *(c for c in self.objective if c is not None)]
         dtype = np.dtype(complex if any(np.iscomplexobj(d) for d in data) else float)
-        shared = isinstance(a, SparseRows)
-        if not shared:
-            a = np.asarray(a)
-        width = sum(n * n for n in self.block_sizes)
-        if a.ndim != 2 or a.shape[1] != width:
-            raise ValueError(f"constraints shape {a.shape} != (m, {width})")
+        sizes = tuple(self.block_sizes)
+        if not (isinstance(a, SparseRows) and a.sizes == sizes and a.dtype == dtype):
+            a = a if sp.issparse(a) else np.asarray(a)
+            a = sparse_rows(a.astype(dtype, copy=False), sizes)
         if np.shape(self.rhs) != (a.shape[0],):
             raise ValueError(f"rhs shape {np.shape(self.rhs)} != ({a.shape[0]},)")
-        if a.shape[0] == 0:
-            raise ValueError("constraints: m = 0 rows; a problem needs at least one")
-        sizes = tuple(self.block_sizes)
-        if shared and a.checked == sizes:
-            bad_rows = [()] * len(sizes)
-        else:
-            if not shared:
-                a = sp.csr_matrix(a, dtype=dtype)  # from a dense array: canonical
-            bad_rows = _asymmetric(a, sizes, SYM_TOL)
         kind = "Hermitian" if dtype.kind == "c" else "symmetric"
-        for b, (n, c, bad) in enumerate(zip(self.block_sizes, self.objective, bad_rows)):
-            if c is not None:
-                if c.shape != (n, n):
-                    raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
-                if np.max(np.abs(c - c.conj().T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
-                    raise ValueError(f"objective: block {b} not {kind}")
-            if len(bad):
-                raise ValueError(f"constraint {bad[0]}: block {b} not {kind}")
-        if shared:
-            a.checked = sizes
-        # a real A under a complex cost meets complex iterates
-        return a if a.dtype == dtype else a.astype(dtype)
+        for b, (n, c) in enumerate(zip(self.block_sizes, self.objective)):
+            if c is None:
+                continue
+            if c.shape != (n, n):
+                raise ValueError(f"objective: block {b} shape {c.shape} != {(n, n)}")
+            if np.max(np.abs(c - c.conj().T)) > SYM_TOL * max(1.0, np.max(np.abs(c))):
+                raise ValueError(f"objective: block {b} not {kind}")
+        return a
 
 
 @dataclass
@@ -302,16 +300,6 @@ def _schur_parts(rows, sizes):
     return parts
 
 
-def _shared_parts(rows, sizes):
-    """``_schur_parts`` of A, kept on a ``SparseRows`` A for the next solve."""
-    if not isinstance(rows, SparseRows):
-        return _schur_parts(rows, sizes)
-    sizes = tuple(sizes)
-    if rows.parts is None or rows.parts[0] != sizes:
-        rows.parts = (sizes, _schur_parts(rows, sizes))
-    return rows.parts[1]
-
-
 class _Workspace:
     """The Schur complement's buffers for one solve, filled in place in every
     iteration, as SDPA keeps them (Yamashita, Fujisawa & Kojima, Optim.
@@ -323,9 +311,8 @@ class _Workspace:
     its symmetrized copy and ``factor`` its Cholesky factor, all real.
     """
 
-    def __init__(self, parts, sizes, m: int):
-        self.parts = parts
-        dtype = parts[0][0].dtype
+    def __init__(self, rows: SparseRows):
+        self.parts, sizes, m, dtype = rows.parts, rows.sizes, len(rows), rows.dtype
         # constraints per chunk, block by block
         entries = SCHUR_CHUNK // dtype.itemsize
         self.steps = [min(m, max(1, entries // (n * n))) for n in sizes]
@@ -451,15 +438,13 @@ def solve(
     split = problem.blocks
     sign = -1.0 if problem.sense == "maximize" else 1.0
     cost = _flat(
-        np.zeros((n, n), dtype)
-        if problem.sense == "feasibility" or c is None
-        else sign * 0.5 * (c + c.conj().T)
+        np.zeros((n, n), dtype) if c is None else sign * 0.5 * (c + c.conj().T)
         for n, c in zip(sizes, problem.objective)
     )
     # a contiguous copy: a strided b would take another loop in b.y
     bvec = np.array(problem.rhs, dtype=float)
     m = len(bvec)
-    work = _Workspace(_shared_parts(A, sizes), sizes, m)
+    work = _Workspace(A)
     bnorm = 1.0 + np.linalg.norm(bvec)
     cnorm = 1.0 + np.linalg.norm(cost)
     deg = sum(sizes) + 1

@@ -4,6 +4,14 @@ and the small compile helpers that only tests call.
 No command, application or certify path reaches these; the tests compare
 the library against them.
 
+:class:`SymmetricBasis` holds the dense d^N x sym_dim isometry onto
+Sym^N(C^d) that :func:`build_basis` builds one computational-basis string at
+a time; :func:`lift` and :func:`compress` carry a compressed operator on
+H_A (x) Sym^N to the full tensor space and back, the naive route the
+compressed maps are checked against, and :func:`dicke_overlap_state` is the
+2K-qubit state whose two-qubit reduction is the hierarchy's tightness
+family.
+
 :func:`build_bse_sdp` is a query's compiled SDP alone, and
 :func:`reduce_extension` traces one copy off a compressed extension, the
 one-step map that ``TraceMap`` with any kept-copy count is checked against.
@@ -37,8 +45,9 @@ library's g_N, with no use of the asymptotic estimate beyond an upper end.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, pi, sqrt
+from math import cos, factorial, pi, prod, sqrt
 
 import numpy as np
 
@@ -60,8 +69,9 @@ from dpskit.extensions import (
     _kernel,
     _state_rows,
 )
-from dpskit.operators import HermitianOperator
+from dpskit.operators import HermitianOperator, pure_state
 from dpskit.solver import SdpProblem, hermitian_vecs
+from dpskit.symmetric import occupations
 
 
 def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
@@ -74,6 +84,94 @@ def reduce_extension(x: np.ndarray, dA: int, d: int, N: int) -> np.ndarray:
 def build_bse_sdp(q: ExtensionQuery) -> SdpProblem:
     problem, _ = _compile(q)
     return problem
+
+
+# the largest d^N whose dense isometry build_basis builds
+SPACE_CAP = 4096
+
+
+@dataclass(frozen=True)
+class SymmetricBasis:
+    """Sym^N(C^d) with its isometry into the full N-fold tensor space."""
+
+    d: int
+    N: int
+    multi_indices: tuple[tuple[int, ...], ...]
+    isometry: np.ndarray  # d^N x sym_dim, orthonormal columns
+
+    @property
+    def size(self) -> int:
+        return len(self.multi_indices)
+
+    @property
+    def full_dim(self) -> int:
+        return self.isometry.shape[0]
+
+    def index(self, occ) -> int:
+        return self._lookup[tuple(occ)]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_lookup", {occ: i for i, occ in enumerate(self.multi_indices)}
+        )
+        self.isometry.flags.writeable = False
+
+    def projector(self) -> np.ndarray:
+        return self.isometry @ self.isometry.conj().T
+
+
+def build_basis(d: int, N: int) -> SymmetricBasis:
+    if d**N > SPACE_CAP:
+        raise MemoryError(f"d^N = {d}**{N} exceeds the space cap {SPACE_CAP}")
+    occs = occupations(d, N)
+    cols = {occ: j for j, occ in enumerate(occs)}
+    iso = np.zeros((d**N, len(occs)), dtype=float)
+    # one pass over all strings; weight per column is 1/sqrt(#strings)
+    weight = {
+        occ: 1.0 / sqrt(factorial(N) / prod(factorial(n) for n in occ))
+        for occ in occs
+    }
+    for s in range(d**N):
+        counts = [0] * d
+        rem = s
+        for _ in range(N):
+            rem, digit = divmod(rem, d)
+            counts[digit] += 1
+        occ = tuple(counts)
+        iso[s, cols[occ]] = weight[occ]
+    return SymmetricBasis(d, N, tuple(occs), iso)
+
+
+def lift(x, basis: SymmetricBasis, dA: int) -> HermitianOperator:
+    """(I_A (x) V) x (I_A (x) V)^dag for a compressed x on H_A (x) Sym^N."""
+    x = np.asarray(x, dtype=complex)
+    side = dA * basis.size
+    if x.shape != (side, side):
+        raise ValueError(f"compressed operator side {x.shape} != {side}")
+    v = np.kron(np.eye(dA), basis.isometry)
+    full = v @ x @ v.conj().T
+    return HermitianOperator((dA,) + (basis.d,) * basis.N, full)
+
+
+def compress(full: HermitianOperator, basis: SymmetricBasis, dA: int) -> np.ndarray:
+    """Adjoint of :func:`lift`; exact inverse on Bose-symmetric operators."""
+    v = np.kron(np.eye(dA), basis.isometry)
+    return v.conj().T @ full.entries @ v
+
+
+def dicke_overlap_state(K: int) -> HermitianOperator:
+    """Projector onto the K-excitation permutation state of 2K qubits.
+
+    Its reduction onto two qubits is the hierarchy's tightness family; the
+    remaining 2K-1 qubits form the Bose-symmetric extension of that pair.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if K > 6:
+        raise MemoryError("K > 6 exceeds the 2K-qubit memory cap")
+    basis = build_basis(2, 2 * K)
+    vec = basis.isometry[:, basis.index((K, K))]
+    return pure_state(vec, (2,) * (2 * K))
 
 
 def embed_complex(h) -> np.ndarray:

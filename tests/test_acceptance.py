@@ -45,9 +45,8 @@ from dpskit.operators import (
     pure_state,
 )
 from dpskit.solver import SdpProblem, hermitian_basis, solve
-from dpskit.symmetric import build_basis, lift
 
-from oracles import embed_complex, g_N_via_pencil, g_N_via_root, tridiagonal_C
+from oracles import build_basis, embed_complex, g_N_via_pencil, g_N_via_root, lift, tridiagonal_C
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))
@@ -374,8 +373,7 @@ def test_criterion_10_solver_integrity():
         mats[0] = (-s - sum(y[i] * mats[i] for i in range(1, m))) / y[0]
         b = rng.standard_normal(m)
         b[0] = (1.0 - y[1:] @ b[1:]) / y[0]
-        prob = SdpProblem([n], [None], np.array([a.ravel() for a in mats]), b,
-                          "feasibility")
+        prob = SdpProblem([n], [None], np.array([a.ravel() for a in mats]), b)
         sol = solve(prob)
         assert sol.status == "primal_infeasible"
         yc = sol.dual_multipliers

@@ -40,10 +40,16 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
-from dpskit.symmetric import build_basis
 
 import oracles
-from oracles import g_N_via_pencil, g_N_via_root, jacobi_eval, recurrence_matrix, tridiagonal_C
+from oracles import (
+    build_basis,
+    g_N_via_pencil,
+    g_N_via_root,
+    jacobi_eval,
+    recurrence_matrix,
+    tridiagonal_C,
+)
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 

@@ -27,7 +27,8 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
-from dpskit.symmetric import build_basis
+
+from oracles import build_basis
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))

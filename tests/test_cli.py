@@ -449,6 +449,8 @@ class TestInputHardening:
              {"dims": [4], "re": np.eye(4).tolist()}, "two factors (A, B), got 1"),
             (["purity", "--choi"],
              {"dims": [2, 2], "re": (np.eye(4) / 4).tolist()}, "identity A-marginal"),
+            (["purity", "--choi"],  # SWAP: the transpose map, eigenvalues +-1
+             {"dims": [2, 2], "re": np.eye(4)[[0, 2, 1, 3]].tolist()}, "must be PSD"),
             (["fidelity", "--input"],
              {"ensemble": [
                  {"p": 0.5, "encoded": {"dims": [2], "re": [[1, 0], [0, 0]]},
@@ -458,7 +460,7 @@ class TestInputHardening:
              ]}, "same encoded and source dimensions"),
         ],
         ids=["geometric-bipartite", "purity-one-factor", "purity-marginal",
-             "fidelity-mixed-dims"],
+             "purity-not-cp", "fidelity-mixed-dims"],
     )
     def test_application_input_rejected_before_sweep(
         self, argv, payload, message, tmp_path, monkeypatch, capsys

@@ -31,10 +31,14 @@ from dpskit.operators import (
     random_state,
 )
 from dpskit.solver import SolverBreakdown, solve, sparse_rows
-from dpskit.symmetric import build_basis, compress, dicke_overlap_state, lift, sym_dim
+from dpskit.symmetric import sym_dim
 from oracles import (
+    build_basis,
     build_bse_sdp,
+    compress,
     dense_constraints,
+    dicke_overlap_state,
+    lift,
     reduce_extension,
     schur_parts_reference,
     schur_reference,
@@ -704,10 +708,10 @@ def test_warm_compile_equals_cold(make, path, cold_cache):
     q = make() if path == "real" else _rotated(make())
     cold, codec = _compile(q)
     want = _snapshot(cold, codec)
-    solve(cold, max_iter=3)  # checks A and keeps its Schur data
+    solve(cold, max_iter=3)  # a solve leaves the shared A as it was
     warm, warm_codec = _compile(q)
     assert warm.constraints is cold.constraints
-    assert warm.constraints.checked == tuple(warm.block_sizes)
+    assert warm.constraints.sizes == tuple(warm.block_sizes)
     _assert_same(_snapshot(warm, warm_codec), want)
 
 
@@ -732,8 +736,7 @@ def test_log_det_rounds_leave_next_compile_alone(q):
 def test_threads_share_structures_from_cold_cache(cold_cache):
     """Four threads (more than the cores) compile and solve the same queries
     at once from a cold cache, switching often: every solution equals the
-    serial one bit for bit, so no thread saw a half-built structure or a
-    half-set memo on A."""
+    serial one bit for bit, so no thread saw a half-built structure."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -838,9 +841,11 @@ def test_compile_memory_bounded_by_constraint_matrix(cold_cache):
 def test_validate_memory_bounded_by_constraint_matrix(cold_cache):
     """BB84 PPT N=6 (m = 396, sides 28 and 64): the symmetry check runs on
     the sparse rows, not on dense (m, n, n) stacks of A; the bound is half
-    of A as a dense matrix."""
+    of A as a dense matrix.  A copy of the compiled A is not one that
+    ``sparse_rows`` built, so ``validate`` checks and prepares it anew."""
     problem, _ = _compile(_bb84(6))
     assert len(problem.rhs) == 396
+    problem.constraints = problem.constraints.copy()
     tracemalloc.start()
     try:
         problem.validate()
@@ -857,9 +862,25 @@ def test_validate_names_asymmetric_row_in_second_block(row, cold_cache):
     assert len(problem.rhs) == 68
     a = problem.constraints.toarray()  # the compiled A is shared and read-only
     a[row, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
-    problem.constraints = sparse_rows(a)
+    problem.constraints = a
     with pytest.raises(ValueError, match=rf"^constraint {row}: block 1 not symmetric$"):
         problem.validate()
+
+
+def test_constraint_matrix_built_complete(cold_cache):
+    """``sparse_rows`` checks A as it builds it, and a solve sets nothing on
+    the shared A it reads."""
+    problem, _ = _compile(_bb84(2))
+    a = problem.constraints
+    before = dict(vars(a))
+    solve(problem, max_iter=3)
+    assert vars(a).keys() == before.keys()
+    assert all(vars(a)[key] is value for key, value in before.items())
+    n0, n1 = problem.block_sizes
+    dense = a.toarray()
+    dense[67, n0 * n0 + 2 * n1 + 5] += 1e-6  # entry (2, 5) of block 1
+    with pytest.raises(ValueError, match=r"^constraint 67: block 1 not symmetric$"):
+        sparse_rows(dense, problem.block_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +949,7 @@ def test_solve_keeps_one_schur_buffer_set(monkeypatch):
     problem = _compile(_rotated(_bb84(2)))[0]
     m, sizes = len(problem.rhs), problem.block_sizes
     steps = _three_chunks_per_block(problem, monkeypatch)
-    solve(problem, max_iter=3)  # builds A's Schur data, which later solves share
+    solve(problem, max_iter=3)  # warm up: the traced solve counts only its own
     tracemalloc.start()
     try:
         solve(problem, max_iter=3)

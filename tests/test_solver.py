@@ -77,7 +77,7 @@ def constructed_infeasible(n, m, seed):
     mats[0] = (-s - sum(y[i] * mats[i] for i in range(1, m))) / y[0]
     b = rng.standard_normal(m)
     b[0] = (1.0 - y[1:] @ b[1:]) / y[0]
-    return SdpProblem([n], [None], vecs(*mats), b, "feasibility")
+    return SdpProblem([n], [None], vecs(*mats), b)
 
 
 class TestEmbedding:
@@ -158,7 +158,7 @@ class TestSolve:
         assert_allclose(s.primal_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
 
     def test_contradictory_equalities(self):
-        p = SdpProblem([2], [None], vecs(np.eye(2), np.eye(2)), [1.0, 2.0], "feasibility")
+        p = SdpProblem([2], [None], vecs(np.eye(2), np.eye(2)), [1.0, 2.0])
         s = solve(p)
         assert s.status == "primal_infeasible"
         b = np.array([1.0, 2.0])
@@ -210,7 +210,7 @@ class TestSolve:
         assert abs(a.objective_value - b.objective_value) <= 1e-9
 
     def test_feasibility_interior(self):
-        p = SdpProblem([3], [None], vecs(np.eye(3)), [1.0], "feasibility")
+        p = SdpProblem([3], [None], vecs(np.eye(3)), [1.0])
         s = solve(p)
         assert s.status == "optimal"
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-8
@@ -260,7 +260,7 @@ class TestSolve:
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(dpskit.solver, name, counted)
-        s = solve(SdpProblem([3], [None], vecs(np.eye(3)), [1.0], "feasibility"))
+        s = solve(SdpProblem([3], [None], vecs(np.eye(3)), [1.0]))
         assert (s.status, s.iterations) == ("optimal", 7)
         assert counts == {"_lambda_min": 24, "_inverse_cholesky": 12}
 
@@ -476,7 +476,8 @@ class TestSparseKernels:
         else:
             problem = constructed_optimum(8, 6, 0)[0]
         if case == "shared_a":
-            problem.constraints = dpskit.solver.sparse_rows(problem.constraints)
+            problem.constraints = dpskit.solver.sparse_rows(problem.constraints,
+                                                             problem.block_sizes)
 
         def banned(self, other):
             raise AssertionError("scipy.sparse matmul dispatch inside solve")
@@ -553,7 +554,7 @@ class TestDependentRows:
         e = np.zeros((3, 3))
         e[0, 1] = e[1, 0] = 1.0
         p = SdpProblem([3], [None], vecs(np.eye(3), np.eye(3) + delta * e),
-                       np.array([1.0, 2.0]), "feasibility")
+                       np.array([1.0, 2.0]))
         s = solve(p)
         assert s.status == "primal_infeasible"
         y = s.dual_multipliers

@@ -6,14 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dpskit.operators import partial_trace, pure_state
-from dpskit.symmetric import (
-    build_basis,
-    compress,
-    dicke_overlap_state,
-    lift,
-    occupations,
-    sym_dim,
-)
+from dpskit.symmetric import occupations, sym_dim
+
+from oracles import build_basis, compress, dicke_overlap_state, lift
 
 
 @pytest.mark.parametrize(
