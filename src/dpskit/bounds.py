@@ -4,22 +4,27 @@ complexity estimates, the PPT-only bounds, and the tightness example family.
 
 g_N is one minus the largest root of a designated Jacobi polynomial.  One
 route computes it: the smallest eigenvalue of the tridiagonal recurrence
-matrix (numerically stable; O(deg) memory, on the recurrence's diagonals).
-Every call checks that value against the raw three-term polynomial
-recurrence, an independent computation: by the Sturm property of orthogonal
-polynomials, the sign changes along P_0(x), ..., P_n(x) count the zeros of
-P_n above x, so two counts bracket the largest root.  The test suite keeps
-two further routes as oracles (``tests/oracles.py``): bisection
-root-refinement of the recurrence and the moment-matrix pencil.
+matrix (Golub & Welsch; numerically stable; O(deg) memory), by a direct
+call of LAPACK's ``dstebz`` on the recurrence's diagonals.  Every call
+checks that value against the raw three-term polynomial recurrence, an
+independent computation: by the Sturm property of orthogonal polynomials,
+the sign changes along P_0(x), ..., P_n(x) count the zeros of P_n above x,
+so two counts bracket the largest root.  Both routes read slices of one
+cached coefficient set per parity and power-of-two capacity, so the rows of
+a table share a few sets instead of building one each; the two Sturm counts
+still run on every call.  The test suite keeps two further routes as
+oracles (``tests/oracles.py``): bisection root-refinement of the recurrence
+and the moment-matrix pencil.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import e, lgamma, log10, sqrt
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.special import jv
 
 from .operators import HermitianOperator, depolarize, is_ppt, partial_trace
@@ -44,9 +49,11 @@ __all__ = [
 ]
 
 
-def _jacobi_terms(n: int, alpha: float, beta: float) -> list:
+def _jacobi_terms(n: int, alpha: float, beta: float) -> tuple:
     """Coefficients (a1, a2, a3, a4) of the three-term recurrence
-    a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} of P^{(alpha,beta)}, k = 2..n."""
+    a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} of P^{(alpha,beta)}, k = 2..n:
+    four arrays, the k-th entries in place k - 2.  Each entry depends on k
+    alone, so the terms up to n are a prefix of those up to any larger n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     k = np.arange(2, n + 1, dtype=float)
@@ -55,7 +62,7 @@ def _jacobi_terms(n: int, alpha: float, beta: float) -> list:
     a2 = (c - 1.0) * (alpha * alpha - beta * beta)
     a3 = (c - 1.0) * c * (c - 2.0)
     a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * c
-    return list(zip(a1.tolist(), a2.tolist(), a3.tolist(), a4.tolist()))
+    return a1, a2, a3, a4
 
 
 @dataclass(frozen=True)
@@ -97,25 +104,51 @@ def _gn_params(d: int, N: int) -> tuple[int, int, int]:
     return d - 2, 1, (N + 1) // 2
 
 
-def _roots_above(x: float, deg: int, alpha: float, beta: float, terms: list) -> int:
+# Terms converted to Python floats at a time by the Sturm count: whole
+# lists at deg = 170046 (required_N at delta = 1e-10) would add 22 MiB.
+STURM_CHUNK = 4096
+
+
+def _roots_above(x: float, deg: int, alpha: float, beta: float, terms: tuple) -> int:
     """Number of zeros of P_deg^{(alpha,beta)} above x, from
-    ``terms = _jacobi_terms(deg, alpha, beta)``.
+    ``terms = _jacobi_terms(n, alpha, beta)`` for any n >= deg.
 
     Sturm property of orthogonal polynomials (Szego): it is the number of
     sign changes along P_0(x), ..., P_deg(x), where a zero term is skipped.
-    One scalar pass of the recurrence in Python floats.
+    One scalar pass of the recurrence in Python floats: the four terms'
+    first deg - 1 entries become lists ``STURM_CHUNK`` entries at a time,
+    zipped lazily, so the pass holds no list of tuples and no full lists.
     """
     if deg == 0:
         return 0
     p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
     negative = p < 0.0  # sign of the last nonzero term; P_0 = 1
     count = int(negative)
-    for a1, a2, a3, a4 in terms:
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-        if p != 0.0 and (p < 0.0) != negative:
-            negative = not negative
-            count += 1
+    for lo in range(0, deg - 1, STURM_CHUNK):
+        hi = min(lo + STURM_CHUNK, deg - 1)
+        for a1, a2, a3, a4 in zip(*(t[lo:hi].tolist() for t in terms)):
+            p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+            if p != 0.0 and (p < 0.0) != negative:
+                negative = not negative
+                count += 1
     return count
+
+
+@lru_cache(maxsize=16)
+def _coefficients(alpha: int, beta: int, capacity: int) -> tuple:
+    """(diag, off, terms) of P^{(alpha,beta)} up to degree ``capacity``:
+    ``jacobi_recurrence``'s diagonals, read-only, and ``_jacobi_terms``.
+
+    Every entry is elementwise in its index, so the slices to a degree
+    below ``capacity`` equal a fresh build at that degree bit for bit.
+    g_N asks for power-of-two capacities, and a table's rows of one parity
+    share about log2(deg) sets.
+    """
+    rec = jacobi_recurrence(alpha, beta, capacity)
+    terms = _jacobi_terms(capacity, alpha, beta)
+    for a in (rec.diag, rec.off, *terms):
+        a.flags.writeable = False
+    return rec.diag, rec.off, terms
 
 
 # The eigenvalue route and the recurrence's largest root (refined by
@@ -129,22 +162,34 @@ def g_N(d: int, N: int) -> float:
     """One minus the largest root of the designated Jacobi polynomial.
 
     Computed as the smallest eigenvalue of the tridiagonal recurrence matrix,
-    by bisection on its diagonals alone (O(deg) memory; the dense matrix at
-    N = 34007, which a delta of 1e-8 needs, would take 2.2 GiB).
-    Every call checks it on the raw recurrence: with w = GN_CHECK_RTOL * g_N
-    + GN_CHECK_ATOL, no zero may lie above 1 - g_N + w and one must lie above
-    1 - g_N - w (two Sturm counts, no grid), else the call raises (it
-    indicates a recurrence bug, not noise).
+    by LAPACK's bisection ``dstebz``, called directly, on its diagonals alone
+    (O(deg) memory; the dense matrix at N = 34007, which a delta of 1e-8
+    needs, would take 2.2 GiB).  The diagonals and the raw recurrence's
+    terms are slices of a cached set per parity and power-of-two capacity
+    (``_coefficients``), which a table's rows share.
+    Every call still checks the value on the raw recurrence: with
+    w = GN_CHECK_RTOL * g_N + GN_CHECK_ATOL, no zero may lie above
+    1 - g_N + w and one must lie above 1 - g_N - w (two Sturm counts, no
+    grid), else the call raises (it indicates a recurrence bug, not noise).
 
     Asymptotically g_N = 2 j^2 / (N + d + 1)^2 (1 + O(N^-2)), with j the first
     zero of J_{d-2}.  The familiar 2 j^2 / N^2 is only the leading term: its
     relative error is about 2(d+1)/N, i.e. 3-5% at N = 200 for d = 2..4.
     """
     alpha, beta, deg = _gn_params(d, N)
-    rec = jacobi_recurrence(alpha, beta, deg)
-    val = float(eigvalsh_tridiagonal(rec.diag, rec.off, select="i", select_range=(0, 0))[0])
+    diag, off, terms = _coefficients(alpha, beta, 1 << (deg - 1).bit_length())
+    # eigvalsh_tridiagonal(select="i", select_range=(0, 0)) returns diag[0]
+    # for one row (dstebz takes no empty off-diagonal) and otherwise passes
+    # index range 1..1, absolute tolerance 0 and ascending order
+    if deg == 1:
+        val = float(diag[0])
+    else:
+        _, eig, _, _, info = dstebz(diag[:deg], off[:deg - 1], 2, 0.0, 1.0, 1, 1, 0.0, "E")
+        if info:
+            raise ArithmeticError(f"dstebz failed at (d={d}, N={N}) with info={info}")
+        val = float(eig[0])
     w = GN_CHECK_RTOL * val + GN_CHECK_ATOL
-    poly = (deg, alpha, beta, _jacobi_terms(deg, alpha, beta))
+    poly = (deg, alpha, beta, terms)
     if _roots_above(1.0 - val + w, *poly) or not _roots_above(1.0 - val - w, *poly):
         raise ArithmeticError(
             f"g_N routes disagree at (d={d}, N={N}): the recurrence's largest "
@@ -291,9 +336,10 @@ def frobenius_distance_exact(rho: HermitianOperator, N: int, ppt: bool) -> float
 
 # The largest N whose g_N ``required_N`` evaluates.  Each g_N costs O(N)
 # time and memory (the eigenvalue route, then the check's two recurrence
-# passes), and required_N takes two of them when its estimate is exact:
-# delta = 1e-10 (N = 340091 at d_B = 2) takes ~0.6 s and ~115 MiB on one
-# core of a 2-core Xeon.
+# passes), and required_N takes two of them, one per parity, when its
+# estimate is exact: delta = 1e-10 (N = 340091 at d_B = 2) takes ~0.5 s
+# after import and a ~97 MiB peak (fresh process) on one core of a 2-core
+# Xeon.
 MAX_REQUIRED_N = 500_000
 
 

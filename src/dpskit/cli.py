@@ -227,7 +227,7 @@ def cmd_bounds(args) -> int:
         n_sym, n_ppt, *ops = _generate(complexity_estimate, args.dA, args.dB, args.delta)
         delta_tail = ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
     lines = [header]
-    j = bessel_zero_first(args.dB - 2)
+    j = _generate(bessel_zero_first, args.dB - 2)
     for n in args.N:
         r = bound_report(args.dA, args.dB, n, j)
         row = ",".join(

@@ -262,13 +262,13 @@ def schur_reference(parts, zinv, xb, m: int) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _jacobi_run(x, n: int, alpha: float, beta: float, terms: list):
+def _jacobi_run(x, n: int, alpha: float, beta: float, terms: tuple):
     """P_n^{(alpha,beta)}(x) from ``terms = _jacobi_terms(n, alpha, beta)``,
     elementwise for an array x."""
     if n == 0:
         return np.ones(np.shape(x)) if np.ndim(x) else 1.0
     p_prev, p = 1.0, (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for a1, a2, a3, a4 in terms:
+    for a1, a2, a3, a4 in zip(*(t.tolist() for t in terms)):
         p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
     return p
 

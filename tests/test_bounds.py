@@ -224,35 +224,42 @@ class TestGn:
             want = 1.0 - max(roots_jacobi(deg, alpha, beta)[0])
             assert abs(g_N_via_root(d, n) - want) <= 1e-12
 
-    @staticmethod
-    def _shift_eigenvalue_route(monkeypatch, shift):
+    @pytest.fixture
+    def shift_eigenvalue_route(self, monkeypatch):
         # a diagonal shift moves the eigenvalue route by the shift and
-        # leaves the root route alone
-        recurrence = bounds.jacobi_recurrence
+        # leaves the root route alone.  The coefficient cache is cleared
+        # before the patch, so the shift reaches the next g_N, and at
+        # teardown, so no shifted set outlives the test.
+        def shift(value):
+            recurrence = bounds.jacobi_recurrence
 
-        def shifted(alpha, beta, n):
-            rec = recurrence(alpha, beta, n)
-            return bounds.JacobiRecurrence(alpha, beta, rec.diag + shift, rec.off)
+            def shifted(alpha, beta, n):
+                rec = recurrence(alpha, beta, n)
+                return bounds.JacobiRecurrence(alpha, beta, rec.diag + value, rec.off)
 
-        monkeypatch.setattr(bounds, "jacobi_recurrence", shifted)
+            bounds._coefficients.cache_clear()
+            monkeypatch.setattr(bounds, "jacobi_recurrence", shifted)
 
-    def test_routes_disagreeing_raise(self, monkeypatch):
+        yield shift
+        bounds._coefficients.cache_clear()
+
+    def test_routes_disagreeing_raise(self, shift_eigenvalue_route):
         # g_N(3, 10) is about 0.1, so a 1e-6 shift is 1e-5 relative
-        self._shift_eigenvalue_route(monkeypatch, 1e-6)
+        shift_eigenvalue_route(1e-6)
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
             g_N(3, 10)
 
-    def test_routes_disagreeing_raise_below_1e7(self, monkeypatch):
+    def test_routes_disagreeing_raise_below_1e7(self, shift_eigenvalue_route):
         # g_N(2, 10750) is 1.0003e-7: a 1e-10 shift (0.1 %) lies far inside
         # any absolute tolerance of 1e-7, but not inside one that scales
         assert 1e-7 < g_N(2, 10750) < 1.001e-7
-        self._shift_eigenvalue_route(monkeypatch, 1e-10)
+        shift_eigenvalue_route(1e-10)
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=2, N=10750\)"):
             g_N(2, 10750)
 
-    def test_eigenvalue_route_too_low_raises(self, monkeypatch):
+    def test_eigenvalue_route_too_low_raises(self, shift_eigenvalue_route):
         # a negative shift puts 1 - g_N above the largest root
-        self._shift_eigenvalue_route(monkeypatch, -1e-6)
+        shift_eigenvalue_route(-1e-6)
         with pytest.raises(ArithmeticError, match=r"routes disagree at \(d=3, N=10\)"):
             g_N(3, 10)
 
@@ -260,14 +267,36 @@ class TestGn:
     def test_second_root_raises(self, d, n, monkeypatch):
         # the second-smallest eigenvalue is one minus a true root of the
         # polynomial, but not of its largest
-        eigvalsh_tridiagonal = bounds.eigvalsh_tridiagonal
+        dstebz = bounds.dstebz
 
-        def second(diag, off, select, select_range):
-            return eigvalsh_tridiagonal(diag, off, select=select, select_range=(1, 1))
+        def second(diag, off, select, vl, vu, il, iu, tol, order):
+            return dstebz(diag, off, select, vl, vu, il + 1, iu + 1, tol, order)
 
-        monkeypatch.setattr(bounds, "eigvalsh_tridiagonal", second)
+        monkeypatch.setattr(bounds, "dstebz", second)
         with pytest.raises(ArithmeticError, match=rf"routes disagree at \(d={d}, N={n}\)"):
             g_N(d, n)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_shared_coefficients_change_no_value(self, d):
+        # the rows slice shared coefficient sets: ascending, descending and
+        # a fresh set before each call all give eigvalsh_tridiagonal on a
+        # fresh jacobi_recurrence, bit for bit
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        ns = [*range(1, 401), 10750, 34006, 34007]
+        want = []
+        for n in ns:
+            alpha, beta, deg = _gn_params(d, n)
+            rec = jacobi_recurrence(alpha, beta, deg)
+            want.append(float(eigvalsh_tridiagonal(rec.diag, rec.off, select="i",
+                                                   select_range=(0, 0))[0]))
+        fresh = []
+        for n in ns:
+            bounds._coefficients.cache_clear()
+            fresh.append(g_N(d, n))
+        assert fresh == want
+        assert [g_N(d, n) for n in ns] == want
+        assert [g_N(d, n) for n in reversed(ns)] == want[::-1]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_dense_tridiagonal_eigensolve(self, d):
@@ -307,6 +336,17 @@ class TestRootsAbove:
             points = [*(roots - 1e-9), *(roots + 1e-9), *rng.uniform(-1.0, 1.0, 20)]
             for x in points:
                 assert _roots_above(float(x), *poly) == int(np.sum(roots > x)), (n, x)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_independent_of_chunk_size(self, chunk, monkeypatch):
+        # terms of a larger capacity: the count reads only the first deg - 1
+        terms = _jacobi_terms(64, 3, 1)
+        points = np.linspace(-1.0, 1.0, 41)
+        whole = [_roots_above(float(x), deg, 3, 1, terms) for deg in (1, 2, 9, 40)
+                 for x in points]
+        monkeypatch.setattr(bounds, "STURM_CHUNK", chunk)
+        assert [_roots_above(float(x), deg, 3, 1, terms) for deg in (1, 2, 9, 40)
+                for x in points] == whole
 
 
 class TestBesselZero:

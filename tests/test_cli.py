@@ -356,6 +356,7 @@ class TestInputHardening:
             ["purity", "--channel", "depolarizing-qubit", "--p", "1.5"],
             ["bounds", "--dB", "1", "--N", "2"],
             ["bounds", "--dA", "0"],
+            ["bounds", "--dB", "60", "--N", "1..3"],
             ["complexity", "--dB", "1", "--delta", "0.1"],
             ["certify", "--input", "STATE", "--maxN", "1"],
         ],
