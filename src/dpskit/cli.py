@@ -2,7 +2,8 @@
 
 Commands: membership, bounds, fidelity, purity, geometric, certify,
 complexity.  Exit codes: 0 success, 2 input error, 3 resource/budget
-(the dimension budget, or running out of memory while compiling or solving),
+(an SDP whose predicted peak exceeds ``extensions.PEAK_BYTES``, or running
+out of memory while compiling or solving),
 4 solver breakdown or linear-algebra failure.  All outputs are
 deterministic given the inputs and tolerances, apart from the wall_time_s
 column.
@@ -19,9 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import applications as apps
-from .bounds import bessel_zero_first, bound_report, complexity_estimate
+from .bounds import MAX_REQUIRED_N, bessel_zero_first, bound_report, complexity_estimate
 from .certify import certify
-from .extensions import BudgetExceeded, ExtensionQuery, budget_dim, check_membership
+from .extensions import BudgetExceeded, ExtensionQuery, check_membership
 from .operators import (
     HermitianOperator,
     complex_from_json,
@@ -60,26 +61,24 @@ def _check_args(args):
     delta = getattr(args, "delta", None)
     if delta is not None and not 0.0 < delta < 2.0:
         raise _InputError(f"delta {delta} outside (0, 2)")
-    try:
-        budget_dim()
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
 
 
 def _parse_range(text: str) -> list[int]:
-    """"2..4" -> [2, 3, 4]; "3" -> [3]; "1,4,6" -> [1, 4, 6]; all N >= 1."""
+    """"2..4" -> [2, 3, 4]; "3" -> [3]; "1,4,6" -> [1, 4, 6]; every N in
+    1..MAX_REQUIRED_N, checked before a range's list is built."""
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = (int(t) for t in text.split(".."))
-            values = list(range(lo, hi + 1))
+            values = None
         else:
             values = [int(t) for t in text.split(",")]
+            lo, hi = min(values), max(values)
     except ValueError as exc:
         raise _InputError(f"cannot parse N range {text!r}") from exc
-    if not values or min(values) < 1:
-        raise _InputError(f"N range {text!r} must be nonempty, with every N >= 1")
-    return values
+    if not 1 <= lo <= hi <= MAX_REQUIRED_N:
+        raise _InputError(f"N range {text!r} must be nonempty, with every N in 1..{MAX_REQUIRED_N}")
+    return list(range(lo, hi + 1)) if values is None else values
 
 
 def _read_json(path: str, parse, what: str = ""):
@@ -168,17 +167,17 @@ def _sweep_rows(points, worker, jobs: int):
         return list(pool.map(worker, points))
 
 
-def _bound_sweep_command(args, make_pair):
+def _bound_sweep_command(args, bounds, subject):
+    """One CSV row per (N, PPT) point: bounds(subject, N, ppt) at the
+    command's tolerance and iteration cap."""
     ppt_values = [False, True] if args.ppt == "both" else [args.ppt == "true"]
     points = [(n, ppt) for n in args.N for ppt in ppt_values]
-
-    budget_hit = False
 
     def worker(point):
         n, ppt = point
         t0 = time.perf_counter()
         try:
-            pair = make_pair(n, ppt)
+            pair = bounds(subject, n, ppt, tol=args.tol, max_iter=args.max_iter)
             wall = time.perf_counter() - t0
             return (n, ppt, _fmt(pair.upper), _fmt(pair.lower), pair.status, wall)
         except BudgetExceeded as exc:
@@ -188,17 +187,14 @@ def _bound_sweep_command(args, make_pair):
     rows = _sweep_rows(points, worker, args.jobs)
     lines = ["N,ppt,upper,lower,status,wall_time_s"]
     for n, ppt, upper, lower, status, wall in rows:
-        if status == "budget_exceeded":
-            budget_hit = True
         lines.append(f"{n},{str(ppt).lower()},{upper},{lower},{status},{wall:.3f}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_BUDGET if any(row[4] == "budget_exceeded" for row in rows) else EXIT_OK
 
 
 def cmd_membership(args) -> int:
     rho = _read_state(args.input, "membership")
     verdicts = {}
-    budget_hit = False
     for n in args.N:
         try:
             res = check_membership(
@@ -210,9 +206,8 @@ def cmd_membership(args) -> int:
         except BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             verdicts[str(n)] = "budget_exceeded"
-            budget_hit = True
     _emit(json.dumps(verdicts, sort_keys=True) + "\n", args.out)
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return EXIT_BUDGET if "budget_exceeded" in verdicts.values() else EXIT_OK
 
 
 def cmd_bounds(args) -> int:
@@ -230,21 +225,9 @@ def cmd_bounds(args) -> int:
     j = _generate(bessel_zero_first, args.dB - 2)
     for n in args.N:
         r = bound_report(args.dA, args.dB, n, j)
-        row = ",".join(
-            [str(args.dA), str(args.dB), str(n)]
-            + [
-                _fmt(v)
-                for v in (
-                    r.g_N,
-                    r.p_c_sym,
-                    r.p_c_ppt,
-                    r.robustness_sym,
-                    r.robustness_ppt,
-                    r.dist_trace_sym,
-                    r.dist_trace_ppt,
-                )
-            ]
-        )
+        values = (r.g_N, r.p_c_sym, r.p_c_ppt, r.robustness_sym, r.robustness_ppt,
+                  r.dist_trace_sym, r.dist_trace_ppt)
+        row = ",".join([str(args.dA), str(args.dB), str(n)] + [_fmt(v) for v in values])
         if delta_cols:
             row += "," + delta_tail
         lines.append(row)
@@ -261,12 +244,7 @@ def cmd_fidelity(args) -> int:
         problem = _read_ensemble(args.input)
     else:
         raise _InputError("fidelity needs --bb84, --qutrit-grid, or --input")
-    return _bound_sweep_command(
-        args,
-        lambda n, ppt: apps.fidelity_bounds(
-            problem, n, ppt, tol=args.tol, max_iter=args.max_iter
-        ),
-    )
+    return _bound_sweep_command(args, apps.fidelity_bounds, problem)
 
 
 def cmd_purity(args) -> int:
@@ -278,12 +256,7 @@ def cmd_purity(args) -> int:
         choi = _generate(apps.check_choi, _read_operator(args.choi))
     else:
         raise _InputError("purity needs --channel or --choi")
-    return _bound_sweep_command(
-        args,
-        lambda n, ppt: apps.output_purity_bounds(
-            choi, n, ppt, tol=args.tol, max_iter=args.max_iter
-        ),
-    )
+    return _bound_sweep_command(args, apps.output_purity_bounds, choi)
 
 
 def cmd_geometric(args) -> int:
@@ -295,17 +268,14 @@ def cmd_geometric(args) -> int:
         psi = _generate(apps.check_tripartite_pure, _read_state_vector(args.input))
     else:
         raise _InputError("geometric needs --state ghz|w or --input")
-    return _bound_sweep_command(
-        args,
-        lambda n, ppt: apps.geometric_entanglement_bounds(
-            psi, n, ppt, tol=args.tol, max_iter=args.max_iter
-        ),
-    )
+    return _bound_sweep_command(args, apps.geometric_entanglement_bounds, psi)
 
 
 def cmd_certify(args) -> int:
     if args.maxN < 2:
         raise _InputError(f"--maxN must be >= 2, got {args.maxN}")
+    if args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed}")
     rho = _read_state(args.input, "certify")
     if rho.nfactors != 2:
         raise _InputError(f"certify input needs exactly two factors, got {rho.nfactors}")
@@ -322,15 +292,10 @@ def cmd_complexity(args) -> int:
         complexity_estimate, args.dA, args.dB, args.delta
     )
     payload = {
-        "dA": args.dA,
-        "dB": args.dB,
-        "delta": args.delta,
-        "required_N_sym": n_sym,
-        "required_N_ppt": n_ppt,
-        "log10_ops_sym": sym_ops,
-        "log10_ops_ppt": ppt_ops,
-        "log10_simplified_sym": sym_s,
-        "log10_simplified_ppt": ppt_s,
+        "dA": args.dA, "dB": args.dB, "delta": args.delta,
+        "required_N_sym": n_sym, "required_N_ppt": n_ppt,
+        "log10_ops_sym": sym_ops, "log10_ops_ppt": ppt_ops,
+        "log10_simplified_sym": sym_s, "log10_simplified_ppt": ppt_s,
     }
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return EXIT_OK

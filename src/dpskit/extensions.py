@@ -45,12 +45,13 @@ its own right-hand side b, cost C and (free form) x0 (``_structure``,
 ``_compile``).
 
 ``_Codec`` reads either form back: the extension, the witness with its
-certified cone floor, the objective.
+certified cone floor, the objective.  Before it builds any map, ``sdp_size``
+predicts the SDP's m, block sides and peak bytes from the query alone, and a
+query over ``PEAK_BYTES`` raises ``BudgetExceeded``.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +70,7 @@ from .solver import (
     hermitian_vecs,
     solve,
     sparse_rows,
+    workspace_bytes,
 )
 from .symmetric import occupations, sym_dim
 
@@ -79,33 +81,18 @@ __all__ = [
     "LocalMap",
     "TraceMap",
     "PptMap",
-    "budget_dim",
     "check_membership",
     "optimize_over_cone",
     "ConeOptimum",
+    "sdp_size",
     "verify_witness",
 ]
 
-BUDGET_ENV = "DPSKIT_BUDGET_DIM"
-DEFAULT_BUDGET_DIM = 192
-
 
 class BudgetExceeded(RuntimeError):
-    """The compressed SDP would exceed the configured dimension budget."""
-
-
-def budget_dim() -> int:
-    """The compressed-side cap from DPSKIT_BUDGET_DIM (ValueError if invalid)."""
-    raw = os.environ.get(BUDGET_ENV, "")
-    if not raw:
-        return DEFAULT_BUDGET_DIM
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
-    return value
+    """The query's SDP would need more than ``PEAK_BYTES`` (``sdp_size``), or
+    it ran out of memory while compiling or solving; the message names the
+    query, m, the block sides and the predicted peak."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +128,8 @@ class ExtensionQuery:
             raise ValueError("a trace_match (membership) query takes no objective")
         if kind != "trace_match" and self.objective is None:
             raise ValueError(f"{kind} requires an objective operator")
+        if self.objective is not None and self.objective.dim != self.rho.dim:
+            raise ValueError(f"objective side {self.objective.dim} != rho side {self.rho.dim}")
 
 
 @dataclass
@@ -327,15 +316,6 @@ class _Codec:
         return self.tmap.dA * self.tmap.size_in
 
     @property
-    def m(self) -> int:
-        """The equality rows the query compiles to: X's free parameters when
-        a PPT block is present, else the state rows."""
-        q = self.query
-        n = {"trace_match": q.rho.dim, "identity_marginal": self.tmap.dA}
-        s = self.basis_size(n[q.reduced_constraint]) if q.reduced_constraint in n else 1
-        return self.basis_size(self.nx) - s if self.pmap is not None else s
-
-    @property
     def infeasible(self) -> str:
         """The solver status that proves the query's own constraints infeasible."""
         return "primal_infeasible" if self.kernel is None else "dual_infeasible"
@@ -347,9 +327,6 @@ class _Codec:
     def basis(self, n: int) -> np.ndarray:
         """The Hermitian basis members on side n that rows run over."""
         return hermitian_basis(n, self.real)
-
-    def basis_size(self, n: int) -> int:
-        return n * (n + 1) // 2 if self.real else n * n
 
     def rhs(self) -> np.ndarray:
         """r, the right-hand sides of the query's state rows <R_i, X> = r_i
@@ -451,17 +428,66 @@ def _maps(dims: tuple, N: int, ppt: bool) -> tuple[TraceMap, PptMap | None]:
     return TraceMap(dA, dBs, N), pmap
 
 
-def _codec(q: ExtensionQuery) -> _Codec:
-    """The maps and arithmetic of a query, after the dimension budget check."""
-    dA, *dBs = q.rho.factor_dims
-    nx = dA * prod(sym_dim(d, q.N) for d in dBs)
-    if nx > budget_dim():
-        raise BudgetExceeded(
-            f"d_A*prod_i sym_dim(d_i,N) = {nx} exceeds "
-            f"{BUDGET_ENV} = {budget_dim()}"
-        )
+# ``sdp_size``'s predicted peak counts, besides the Schur workspace and the
+# state rows, SOLVE_COPIES vec-space arrays (sum_b n_b^2 entries of A's
+# dtype: the iterate, its directions, residuals and HKM images, the inverse
+# Cholesky factors and Z^{-1}), FREE_FORM_COPIES more for the free form's
+# structure (A, its two Schur copies, the kernel basis), and the RSS that a
+# first solve adds whatever its size (LAPACK's pages, allocator arenas).
+SOLVE_COPIES, FREE_FORM_COPIES, FIRST_SOLVE_BYTES = 30, 34, 6 << 20
+# A query whose predicted peak exceeds PEAK_BYTES raises BudgetExceeded.
+# Measured (peak RSS less RSS after import, fresh process, 2-core Xeon)
+# against predicted MiB:
+#   qubit PPT membership, N = 8, 13, 17, 22: real 12/14, 33/33, 52/52, 95/94;
+#     complex 27/28, 61/57, 106/101, 227/214
+#   qutrit fidelity PPT, N = 2, 3, 4, 5: 7.2/9.2, 29/30, 58/57, 142/137
+#   qutrit fidelity without PPT, N = 10, 14: 17/22, 46/59
+PEAK_BYTES = 1 << 30
+
+
+def sdp_size(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> tuple[int, tuple, int]:
+    """(m, block sides, predicted peak bytes) of the SDP of a ``kind`` query
+    on factors ``dims`` at level N, with a PPT block or not, on the real path
+    or not (the ``_structure`` key), in closed form: no map is built.
+
+    The peak is sized as SDPA sizes its workspace (Yamashita, Fujisawa &
+    Kojima, Optim. Methods Softw. 18, 2003): the solver's
+    ``workspace_bytes``, a fixed count of vec-space arrays, the compile's
+    dense state rows (s n_X^2 complex entries) and FIRST_SOLVE_BYTES.
+    """
+    dA, *dBs = dims
+    count = (lambda n: n * (n + 1) // 2) if real else (lambda n: n * n)
+    nx = dA * prod(sym_dim(d, N) for d in dBs)
+    s = {"trace_match": count(prod(dims)), "identity_marginal": count(dA)}.get(kind, 1)
+    sides, m, copies = (nx,), s, SOLVE_COPIES
+    if ppt:
+        k = transposed_copies(N)
+        sides = (nx, dA * prod(sym_dim(d, N - k) * sym_dim(d, k) for d in dBs))
+        m, copies = count(nx) - s, SOLVE_COPIES + FREE_FORM_COPIES
+    item = 8 if real else 16
+    vecs = copies * item * sum(n * n for n in sides)
+    return m, sides, workspace_bytes(m, sides, item) + vecs + 16 * s * nx * nx + FIRST_SOLVE_BYTES
+
+
+def _size(q: ExtensionQuery) -> tuple[bool, int, str]:
+    """Whether the query takes the real path, its predicted peak bytes, and
+    the query with its SDP's size in words."""
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
+    m, sides, peak = sdp_size(q.rho.factor_dims, q.N, _has_ppt_block(q), q.reduced_constraint, real)
+    return real, peak, (
+        f"the N={q.N}{' PPT' if q.ppt else ''} {q.reduced_constraint} query on factors "
+        f"{q.rho.factor_dims} (m = {m} equality rows, block sides {list(sides)}, "
+        f"predicted peak {peak / 2**20:.1f} MiB)"
+    )
+
+
+def _codec(q: ExtensionQuery) -> _Codec:
+    """The maps and arithmetic of a query whose predicted peak is at most
+    PEAK_BYTES (BudgetExceeded otherwise, before any map is built)."""
+    real, peak, size = _size(q)
+    if peak > PEAK_BYTES:
+        raise BudgetExceeded(f"{size} exceeds the {PEAK_BYTES / 2**20:.0f} MiB limit")
     return _Codec(q, *_maps(q.rho.factor_dims, q.N, _has_ppt_block(q)), real)
 
 
@@ -615,15 +641,12 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
 
 @contextmanager
 def _memory_budget(q: ExtensionQuery):
-    """Report running out of memory as BudgetExceeded, naming the query and m."""
+    """Report running out of memory as BudgetExceeded, naming the query and
+    its size."""
     try:
         yield
     except MemoryError as exc:
-        ppt = " PPT" if q.ppt else ""
-        raise BudgetExceeded(
-            f"out of memory on the N={q.N}{ppt} {q.reduced_constraint} query "
-            f"on factors {q.rho.factor_dims} (m = {_codec(q).m} equality rows)"
-        ) from exc
+        raise BudgetExceeded(f"out of memory on {_size(q)[2]}") from exc
 
 
 FEAS_EQUALITY_TOL = 1e-7

@@ -73,6 +73,7 @@ __all__ = [
     "hermitian_basis",
     "hermitian_vecs",
     "solve",
+    "workspace_bytes",
 ]
 
 
@@ -300,6 +301,20 @@ def _schur_parts(rows, sizes):
     return parts
 
 
+def _chunks(m: int, sizes, itemsize: int) -> tuple[list[int], int]:
+    """Constraints per chunk of Schur formation, block by block, and the
+    entries of the largest chunk's stack."""
+    steps = [min(m, max(1, SCHUR_CHUNK // itemsize // (n * n))) for n in sizes]
+    return steps, max(k * n * n for k, n in zip(steps, sizes))
+
+
+def workspace_bytes(m: int, sizes, itemsize: int) -> int:
+    """The bytes of the ``_Workspace`` of m rows on blocks of sides ``sizes``
+    with A's entries of ``itemsize`` bytes."""
+    steps, size = _chunks(m, sizes, itemsize)
+    return itemsize * (2 * size + m * max(steps)) + 8 * 3 * m * m
+
+
 class _Workspace:
     """The Schur complement's buffers for one solve, filled in place in every
     iteration, as SDPA keeps them (Yamashita, Fujisawa & Kojima, Optim.
@@ -313,10 +328,7 @@ class _Workspace:
 
     def __init__(self, rows: SparseRows):
         self.parts, sizes, m, dtype = rows.parts, rows.sizes, len(rows), rows.dtype
-        # constraints per chunk, block by block
-        entries = SCHUR_CHUNK // dtype.itemsize
-        self.steps = [min(m, max(1, entries // (n * n))) for n in sizes]
-        size = max(k * n * n for k, n in zip(self.steps, sizes))
+        self.steps, size = _chunks(m, sizes, dtype.itemsize)
         self.chunk, self.half = np.empty(size, dtype), np.empty(size, dtype)
         self.out = np.empty(m * max(self.steps), dtype)
         self.raw, self.M, self.factor = (np.empty((m, m)) for _ in range(3))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpskit.cli import main
+from dpskit.extensions import sdp_size
 from dpskit.operators import HermitianOperator, identity, operator_to_json, pure_state
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
@@ -54,7 +55,9 @@ class TestMembership:
         assert main(["membership", "--input", str(bad), "--N", "2"]) == 2
 
     def test_budget_exit_3(self, mixed_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPSKIT_BUDGET_DIM", "3")
+        # one byte below the query's own predicted peak
+        peak = sdp_size((2, 2), 2, False, "trace_match", True)[2]
+        monkeypatch.setattr("dpskit.extensions.PEAK_BYTES", peak - 1)
         out = tmp_path / "verdict.json"
         code = main(["membership", "--input", mixed_file, "--N", "2", "--out", str(out)])
         assert code == 3
@@ -243,7 +246,9 @@ class TestSweeps:
         assert capped[2] == full[2]
 
     def test_budget_partial_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPSKIT_BUDGET_DIM", "14")
+        # room for every N = 2 query, not for N = 3 with a PPT block
+        peak = sdp_size((4, 2), 2, True, "identity_marginal", True)[2]
+        monkeypatch.setattr("dpskit.extensions.PEAK_BYTES", peak)
         out = tmp_path / "partial.csv"
         code = main(["fidelity", "--bb84", "1.0", "--N", "2..3", "--out", str(out)])
         assert code == 3
@@ -337,12 +342,6 @@ class TestInputHardening:
         assert main(["geometric", "--input", str(src), "--N", "2"]) == 2
         assert "malformed state vector" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
-    def test_invalid_budget_env_exit_2(self, raw, mixed_file, monkeypatch, capsys):
-        monkeypatch.setenv("DPSKIT_BUDGET_DIM", raw)
-        assert main(["membership", "--input", mixed_file, "--N", "2"]) == 2
-        assert "DPSKIT_BUDGET_DIM" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -359,6 +358,9 @@ class TestInputHardening:
             ["bounds", "--dB", "60", "--N", "1..3"],
             ["complexity", "--dB", "1", "--delta", "0.1"],
             ["certify", "--input", "STATE", "--maxN", "1"],
+            ["certify", "--input", "STATE", "--maxN", "2", "--seed", "-1"],
+            ["bounds", "--N", "500001"],
+            ["bounds", "--N", "1..1000000000"],
         ],
         ids=lambda argv: " ".join(a for a in argv if a not in ("--input", "STATE")),
     )

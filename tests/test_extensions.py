@@ -8,17 +8,22 @@ from numpy.testing import assert_allclose
 
 import dpskit.solver
 from dpskit.extensions import (
+    FIRST_SOLVE_BYTES,
     BudgetExceeded,
     ExtensionQuery,
     PptMap,
     TraceMap,
     _compile,
     _kernel,
+    _maps,
+    _ppt_local,
     _refine_witness,
     _solve_over_cone,
     _structure,
+    _trace_local,
     check_membership,
     optimize_over_cone,
+    sdp_size,
     verify_witness,
 )
 from dpskit.operators import (
@@ -30,7 +35,7 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
-from dpskit.solver import SolverBreakdown, solve, sparse_rows
+from dpskit.solver import SolverBreakdown, hermitian_vecs, solve, sparse_rows, workspace_bytes
 from dpskit.symmetric import sym_dim
 from oracles import (
     build_basis,
@@ -201,7 +206,9 @@ def test_block_sides_dB2_N2():
 
 
 def test_budget_cap(monkeypatch):
-    monkeypatch.setenv("DPSKIT_BUDGET_DIM", "4")
+    # one byte below the query's own predicted peak
+    peak = sdp_size((2, 2), 2, False, "trace_match", False)[2]
+    monkeypatch.setattr("dpskit.extensions.PEAK_BYTES", peak - 1)
     rho = random_state([2, 2], 4, 2)
     with pytest.raises(BudgetExceeded):
         build_bse_sdp(ExtensionQuery(rho=rho, N=2, ppt=False))
@@ -220,6 +227,10 @@ def test_query_validation():
         ExtensionQuery(rho=BELL, N=2, reduced_constraint="unit_trace")
     with pytest.raises(ValueError, match="unknown reduced_constraint"):
         ExtensionQuery(rho=BELL, N=2, objective=BELL, reduced_constraint="trace")
+    # an objective must act on rho's space
+    with pytest.raises(ValueError, match=r"^objective side 8 != rho side 4$"):
+        ExtensionQuery(rho=BELL, N=2, objective=identity((2, 2, 2)),
+                       reduced_constraint="unit_trace")
 
 
 # ---------------------------------------------------------------------------
@@ -961,6 +972,21 @@ def test_solve_keeps_one_schur_buffer_set(monkeypatch):
     assert peak <= one_set + 8 * 8 * (m * m + sum(n * n for n in sizes))
 
 
+@pytest.mark.parametrize("chunk", [None, 4096], ids=["default-chunk", "small-chunk"])
+@pytest.mark.parametrize("path", ["real", "complex"])
+def test_workspace_bytes_count_the_buffers(path, chunk, monkeypatch):
+    """``workspace_bytes`` is what a solve's ``_Workspace`` allocates, also
+    when a block's Schur formation takes several chunks."""
+    problem, _ = _compile(_bb84(3) if path == "real" else _rotated(_bb84(3)))
+    if chunk:
+        monkeypatch.setattr(dpskit.solver, "SCHUR_CHUNK", chunk)
+    a = problem.constraints
+    work = dpskit.solver._Workspace(a)
+    assert chunk is None or max(work.steps) < len(a)
+    buffers = (work.chunk, work.half, work.out, work.raw, work.M, work.factor)
+    assert sum(b.nbytes for b in buffers) == workspace_bytes(len(a), a.sizes, a.dtype.itemsize)
+
+
 def test_threads_solve_different_problems_on_one_a():
     """Four threads (more than the cores) solve two BB84 queries, noise 0.1
     and 0.3, at once: one A, other b, C and x0.  Each solution equals its
@@ -1015,9 +1041,11 @@ def _qubit_membership(N):
 def test_free_form_sizes(make, N, real, m):
     # m = the free parameters of X: 676, 3250, 384 and 7072 rows with a
     # primal PPT block and its link rows
-    problem, codec = _compile(make(N))
+    q = make(N)
+    problem, codec = _compile(q)
     assert codec.real == real
-    assert len(problem.rhs) == codec.m == m
+    size = sdp_size(q.rho.factor_dims, N, True, q.reduced_constraint, real)
+    assert len(problem.rhs) == size[0] == m
 
 
 @pytest.mark.parametrize("path", ["real", "complex"])
@@ -1044,7 +1072,7 @@ def test_kernel_spans_state_row_kernel(make, path):
     # and the F_k span the whole kernel: rank = parameters - state rows
     as_real = np.hstack([kernel.real, kernel.imag])
     assert np.linalg.matrix_rank(as_real) == len(kernel)
-    assert len(kernel) == codec.basis_size(codec.nx) - len(rows)
+    assert len(kernel) == hermitian_vecs(codec.nx, codec.real).shape[0] - len(rows)
     # F_k is Hermitian (real symmetric on the real path)
     f = kernel.reshape(len(kernel), codec.nx, codec.nx)
     assert np.array_equal(f, f.conj().swapaxes(1, 2))
@@ -1180,6 +1208,68 @@ def test_memory_error_reported_as_budget(monkeypatch):
         optimize_over_cone(_bb84(7))
     with pytest.raises(BudgetExceeded, match=r"N=11 PPT trace_match .*m = 560 "):
         check_membership(_qubit_membership(11))
+
+
+def test_refused_query_builds_no_map():
+    """PPT membership at N = 100 is refused from its predicted peak alone,
+    before any map is built; the message names N, m, the sides and the MiB."""
+    misses = [f.cache_info().misses for f in (_trace_local, _ppt_local)]
+    with pytest.raises(BudgetExceeded, match=r"^the N=100 PPT trace_match query on factors "
+                       r"\(2, 2\) \(m = 20493 equality rows, block sides \[202, 5202\], "
+                       r"predicted peak \d+\.\d MiB\) exceeds the 1024 MiB limit$"):
+        check_membership(ExtensionQuery(rho=_WERNER, N=100, ppt=True))
+    assert [f.cache_info().misses for f in (_trace_local, _ppt_local)] == misses
+
+
+def _random_query(dims, N, ppt, kind, real):
+    rho = random_state(dims, prod(dims), 1)
+    if real:
+        rho = rho.replace_entries(rho.entries.real)
+    objective = None if kind == "trace_match" else rho
+    return ExtensionQuery(rho=rho, N=N, ppt=ppt, objective=objective, reduced_constraint=kind)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["trace_match", "identity_marginal", "unit_trace"])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)],
+                         ids=["qubit", "qutrit", "tripartite"])
+def test_sdp_size_matches_compiled_constraints(dims, kind, real, monkeypatch):
+    """``sdp_size`` gives the m and block sides of the compiled A exactly,
+    at every N, with and without a PPT block (none at N = 1)."""
+    monkeypatch.setattr("dpskit.extensions.PEAK_BYTES", np.inf)  # compiled, never solved
+    for N in range(1, 7 if len(dims) == 2 else 4):
+        for ppt in (False, True):
+            problem, codec = _compile(_random_query(dims, N, ppt, kind, real))
+            assert codec.real == real
+            m, sides, _ = sdp_size(dims, N, codec.pmap is not None, kind, real)
+            assert (m, sides) == (len(problem.constraints), problem.constraints.sizes)
+            _structure.cache_clear()  # the larger structures are not kept
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _bb84(3), lambda: _qubit_membership(6), lambda: replace(_bb84(6), ppt=False),
+     lambda: _rotated(replace(_bb84(6), ppt=False)), lambda: _qutrit(3)],
+    ids=["free-real-bb84-N3", "free-complex-qubit-N6", "rows-real-bb84-N6",
+         "rows-complex-bb84-N6", "free-real-qutrit-N3"],
+)
+def test_predicted_peak_bounds_traced_peak(make):
+    """What compile plus solve allocate, from cold caches, as tracemalloc
+    sees it, stays within the predicted peak less FIRST_SOLVE_BYTES, the
+    part of it that no Python allocation makes."""
+    q = make()
+    for cache in (_structure, _maps, _trace_local, _ppt_local):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        problem, codec = _compile(q)
+        solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    predicted = sdp_size(q.rho.factor_dims, q.N, codec.pmap is not None,
+                         q.reduced_constraint, codec.real)[2]
+    assert peak <= predicted - FIRST_SOLVE_BYTES
 
 
 # ---------------------------------------------------------------------------
