@@ -170,11 +170,9 @@ def qutrit_grid_problem(epsilon: float) -> EstimationProblem:
 
 
 def identity_choi(d: int) -> HermitianOperator:
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + i, j * d + j] = 1.0
-    return HermitianOperator((d, d), m)
+    """|vec I><vec I|, the (unnormalized) Choi operator of the identity on C^d."""
+    v = np.eye(d).ravel()
+    return HermitianOperator((d, d), np.outer(v, v))
 
 
 def depolarizing_choi(d: int, p: float) -> HermitianOperator:

@@ -25,7 +25,7 @@ from math import e, lgamma, log10, sqrt
 
 import numpy as np
 from scipy.linalg.lapack import dstebz
-from scipy.special import jv
+from scipy.special import jn_zeros
 
 from .operators import HermitianOperator, depolarize, is_ppt, partial_trace
 
@@ -198,32 +198,11 @@ def g_N(d: int, N: int) -> float:
     return val
 
 
-def bessel_zero_first(nu: float) -> float:
-    """First positive zero of J_nu: a bracketing scan, then bisection on jv
-    down to a bracket 1e-12 wide."""
-    if nu < 0 or nu > 50:
-        raise ValueError("order must lie in [0, 50]")
-    x = max(float(nu), 1e-6)
-    step = 0.1 * max(1.0, (nu + 1.0) ** (1.0 / 3.0))
-    f_lo = jv(nu, x)
-    while f_lo <= 0.0:  # guard: start inside the positive lobe
-        x *= 0.5
-        f_lo = jv(nu, x)
-        if x < 1e-12:
-            raise ArithmeticError("failed to bracket the first Bessel zero")
-    while True:
-        x2 = x + step
-        f_hi = jv(nu, x2)
-        if f_lo > 0.0 and f_hi < 0.0:
-            break
-        x, f_lo = x2, f_hi
-    while x2 - x > 1e-12:  # invariant: jv(nu, x) > 0 >= jv(nu, x2)
-        mid = 0.5 * (x + x2)
-        if jv(nu, mid) > 0.0:
-            x = mid
-        else:
-            x2 = mid
-    return 0.5 * (x + x2)
+def bessel_zero_first(nu: int) -> float:
+    """First positive zero of J_nu for an integer order nu in [0, 50]."""
+    if nu != int(nu) or not 0 <= nu <= 50:
+        raise ValueError(f"order must be an integer in [0, 50], got {nu}")
+    return float(jn_zeros(int(nu), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,8 @@ def cmd_fidelity(args) -> int:
         problem = _generate(apps.bb84_two_copy_problem, args.bb84)
     elif args.qutrit_grid is not None:
         problem = _generate(apps.qutrit_grid_problem, args.qutrit_grid)
-    elif args.input:
-        problem = _read_ensemble(args.input)
     else:
-        raise _InputError("fidelity needs --bb84, --qutrit-grid, or --input")
+        problem = _read_ensemble(args.input)
     return _bound_sweep_command(args, apps.fidelity_bounds, problem)
 
 
@@ -251,11 +249,9 @@ def cmd_purity(args) -> int:
     if args.channel == "identity-qubit":
         choi = apps.identity_choi(2)
     elif args.channel == "depolarizing-qubit":
-        choi = _generate(apps.depolarizing_choi, 2, args.p)
-    elif args.choi:
-        choi = _generate(apps.check_choi, _read_operator(args.choi))
+        choi = _generate(apps.depolarizing_choi, 2, 0.0 if args.p is None else args.p)
     else:
-        raise _InputError("purity needs --channel or --choi")
+        choi = _generate(apps.check_choi, _read_operator(args.choi))
     return _bound_sweep_command(args, apps.output_purity_bounds, choi)
 
 
@@ -264,10 +260,8 @@ def cmd_geometric(args) -> int:
         psi = apps.ghz_state()
     elif args.state == "w":
         psi = apps.w_state()
-    elif args.input:
-        psi = _generate(apps.check_tripartite_pure, _read_state_vector(args.input))
     else:
-        raise _InputError("geometric needs --state ghz|w or --input")
+        psi = _generate(apps.check_tripartite_pure, _read_state_vector(args.input))
     return _bound_sweep_command(args, apps.geometric_entanglement_bounds, psi)
 
 
@@ -337,22 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} bound sweep")
         common(p, solves=True)
         p.add_argument("--ppt", choices=["both", "true", "false"], default="both")
+        source = p.add_mutually_exclusive_group(required=True)
         if name == "fidelity":
-            p.add_argument("--bb84", type=float, default=None,
-                           help="two-copy BB84 generator with this epsilon")
-            p.add_argument("--qutrit-grid", dest="qutrit_grid", type=float,
-                           default=None, help="36-state qutrit generator")
-            p.add_argument("--input", default=None, help="ensemble JSON file")
+            source.add_argument("--bb84", type=float,
+                                help="two-copy BB84 generator with this epsilon")
+            source.add_argument("--qutrit-grid", dest="qutrit_grid", type=float,
+                                help="36-state qutrit generator")
+            source.add_argument("--input", help="ensemble JSON file")
         elif name == "purity":
-            p.add_argument("--channel",
-                           choices=["identity-qubit", "depolarizing-qubit"],
-                           default=None)
-            p.add_argument("--p", type=float, default=0.0,
-                           help="depolarizing probability")
-            p.add_argument("--choi", default=None, help="Choi operator JSON file")
+            source.add_argument("--channel", choices=["identity-qubit", "depolarizing-qubit"])
+            source.add_argument("--choi", help="Choi operator JSON file")
+            p.add_argument("--p", type=float, default=None,
+                           help="depolarizing probability (default 0), with "
+                           "--channel depolarizing-qubit only")
         else:
-            p.add_argument("--state", choices=["ghz", "w"], default=None)
-            p.add_argument("--input", default=None, help="pure-state JSON file")
+            source.add_argument("--state", choices=["ghz", "w"])
+            source.add_argument("--input", help="pure-state JSON file")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("certify", help="separability certification: witness, "
@@ -383,6 +377,8 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    if getattr(args, "p", None) is not None and args.channel != "depolarizing-qubit":
+        _parser.error("argument --p: only --channel depolarizing-qubit reads it")
     try:
         _check_args(args)
         return args.func(args)

@@ -6,8 +6,8 @@ subspace, so the decision variable is always the *compressed* extension X
 on H_A (x) Sym^N(H_1) (x) ... (x) Sym^N(H_k).  k = 1 is the bipartite
 hierarchy, k >= 2 its locally symmetric multipartite variant.
 
-Every map that connects X to physics is a :class:`LocalMap` I_A (x) L, with
-L a real sparse matrix on vec of the symmetric part:
+Every map that connects X to physics is a :class:`LocalMap` I_A (x) L, one
+real sparse matrix on the vec of X:
 
 * :class:`TraceMap` : X -> trace over all but M copies of every party
   (M = 1 in the compiled constraints, any M for the rank loop),
@@ -17,9 +17,11 @@ L a real sparse matrix on vec of the symmetric part:
 Both map classes take (d_A, the extended factor dims, N, ...), so nothing
 downstream needs the d^N isometry of :mod:`dpskit.symmetric`.
 
-A multiparty L is the Kronecker product of the per-party matrices.  All
-coefficients are exact occupation-number combinatorics; the naive
-lift/operate/compress pipeline is kept in the test suite as an oracle only.
+The matrix is the Kronecker product of the per-party matrices, A's the
+identity, and ``apply``, ``adjoint`` and the free form's Gamma(F_k) all
+multiply by it.  All coefficients are exact occupation-number
+combinatorics; the naive lift/operate/compress pipeline is kept in the
+test suite as an oracle only.
 
 A unit_trace query without a PPT block needs no SDP: its optimum is the
 top eigenvalue of L^dag(objective) (``optimize_over_cone``).  Any other
@@ -212,51 +214,33 @@ def _vec_order(sides) -> np.ndarray:
 class LocalMap:
     """I_A (x) L between operators on H_A (x) K_in and H_A (x) K_out.
 
-    ``factors`` holds one (L_i, s_in_i, s_out_i) per party; L is their
-    Kronecker product, a real sparse (s_out^2, s_in^2) matrix acting on the
-    row-major vec of the K-part.  ``apply`` and ``adjoint`` accept leading
-    batch axes.
+    ``factors`` holds one (L_i, s_in_i, s_out_i) per party.  ``matrix`` is
+    the Kronecker product of I_{d_A^2}, A's local map, and the L_i, reordered
+    to act on the row-major vec of the whole operator: a real sparse
+    ((d_A s_out)^2, (d_A s_in)^2) matrix.  ``apply`` and ``adjoint`` accept
+    leading batch axes and return C-contiguous arrays.
     """
 
     def __init__(self, dA: int, factors):
         mats, sides_in, sides_out = zip(*factors)
-        L = mats[0]
-        for m in mats[1:]:
-            L = sp.kron(L, m, format="csr")
-        if len(mats) > 1:
-            L = L[_vec_order(sides_out)][:, _vec_order(sides_in)]
+        mat = sp.identity(dA * dA, format="csr")
+        for m in mats:
+            mat = sp.kron(mat, m, format="csr")
         self.dA = dA
-        self.L = L.tocsr()
         self.size_in, self.size_out = prod(sides_in), prod(sides_out)
+        self.matrix = mat[_vec_order((dA,) + sides_out)][:, _vec_order((dA,) + sides_in)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._act(self.L, x, self.size_in, self.size_out)
-
-    def matrix(self) -> sp.csr_matrix:
-        """I_A (x) L as a sparse matrix on the row-major vec of the operator."""
-        dA, s_in, s_out = self.dA, self.size_in, self.size_out
-        L = self.L.tocoo()
-        (oi, oj), (ki, kj) = np.divmod(L.row, s_out), np.divmod(L.col, s_in)
-        a, b = (c[:, None] for c in np.divmod(np.arange(dA * dA), dA))
-        rows = ((a * s_out + oi) * dA + b) * s_out + oj
-        cols = ((a * s_in + ki) * dA + b) * s_in + kj
-        return sp.csr_matrix(
-            (np.tile(L.data, dA * dA), (rows.ravel(), cols.ravel())),
-            shape=((dA * s_out) ** 2, (dA * s_in) ** 2),
-        )
+        return self._times(self.matrix, x, self.dA * self.size_out)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._act(self.L.T, y, self.size_out, self.size_in)
+        return self._times(self.matrix.T, y, self.dA * self.size_in)
 
-    def _act(self, mat, x, s_in: int, s_out: int) -> np.ndarray:
-        dA = self.dA
+    @staticmethod
+    def _times(mat, x, side: int) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        lead = x.shape[:-2]
-        # (..., a, k, a', k') -> columns vec(k, k'), one per (..., a, a')
-        xk = x.reshape(lead + (dA, s_in, dA, s_in)).swapaxes(-3, -2)
-        yk = (mat @ xk.reshape(-1, s_in * s_in).T).T
-        y = yk.reshape(lead + (dA, dA, s_out, s_out)).swapaxes(-3, -2)
-        return y.reshape(lead + (dA * s_out, dA * s_out))
+        y = mat @ x.reshape(-1, x.shape[-1] ** 2).T
+        return np.ascontiguousarray(y.T).reshape(x.shape[:-2] + (side, side))
 
 
 class TraceMap(LocalMap):
@@ -597,7 +581,7 @@ def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _
     flat = state.reshape(len(state), -1)
     kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
     sides = [n, tmap.dA * pmap.size_out]
-    vecs = [kernel, _hermitize(kernel @ pmap.matrix().T, sides[1])]
+    vecs = [kernel, _hermitize(kernel @ pmap.matrix.T, sides[1])]
     a = sp.hstack([_solver_rows(v, real) for v in vecs])
     gram = np.real(flat.conj() @ flat.T)
     for arr in (state, gram, kernel.data, kernel.indices, kernel.indptr):
@@ -810,10 +794,10 @@ def _solve_over_cone(
 def _cone_optimum(
     q: ExtensionQuery, tmap: LocalMap, x: np.ndarray, status: str, iterations: int
 ) -> ConeOptimum:
-    lam = tmap.apply(x)
+    lam = tmap.apply(x)  # Hermitian only to the solver's accuracy
     return ConeOptimum(
         value=float(np.real(np.vdot(q.objective.entries, lam))),
-        optimizer=HermitianOperator(q.rho.factor_dims, lam, hermitian_tol=1e-6),
+        optimizer=HermitianOperator(q.rho.factor_dims, 0.5 * (lam + lam.conj().T)),
         status=status,
         iterations=iterations,
         extension=x,

@@ -9,7 +9,7 @@ Subsystems are always addressed by positional factor index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -38,7 +38,8 @@ __all__ = [
 
 NORM_KINDS = ("trace", "operator", "frobenius")
 
-DEFAULT_HERMITIAN_TOL = 1e-10
+# the largest anti-Hermitian entry that the constructor symmetrizes away
+HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,12 @@ class HermitianOperator:
     """A Hermitian matrix over ``H_1 x ... x H_k`` with ``dim H_i = factor_dims[i]``.
 
     The constructor symmetrizes ``(M + M^dag)/2`` when the anti-Hermitian part
-    is within ``hermitian_tol`` (max-entry norm) and rejects the input
+    is within ``HERMITIAN_TOL`` (max-entry norm) and rejects the input
     otherwise.  ``entries`` is frozen (read-only ndarray).
     """
 
     factor_dims: tuple[int, ...]
     entries: np.ndarray
-    hermitian_tol: float = field(default=DEFAULT_HERMITIAN_TOL, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.factor_dims)
@@ -67,10 +67,10 @@ class HermitianOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite (NaN or inf) entries")
         defect = np.max(np.abs(m - m.conj().T)) if side else 0.0
-        if defect > self.hermitian_tol:
+        if defect > HERMITIAN_TOL:
             raise ValueError(
                 f"matrix is not Hermitian within tolerance "
-                f"({defect:.3e} > {self.hermitian_tol:.3e})"
+                f"({defect:.3e} > {HERMITIAN_TOL:.3e})"
             )
         m = 0.5 * (m + m.conj().T)
         m.flags.writeable = False
@@ -89,11 +89,11 @@ class HermitianOperator:
         return float(np.trace(self.entries).real)
 
     def replace_entries(self, entries) -> "HermitianOperator":
-        return HermitianOperator(self.factor_dims, entries, self.hermitian_tol)
+        return HermitianOperator(self.factor_dims, entries)
 
     def regroup(self, factor_dims) -> "HermitianOperator":
         """Reinterpret the same matrix over a different factor split."""
-        return HermitianOperator(tuple(factor_dims), self.entries, self.hermitian_tol)
+        return HermitianOperator(tuple(factor_dims), self.entries)
 
     # small algebra; results keep the factor structure of the left operand
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
@@ -160,11 +160,7 @@ def partial_trace(x: HermitianOperator, traced_factors) -> HermitianOperator:
     out_idx = [f for f in kept] + [k + f for f in kept]
     res = np.einsum(t, row_idx + col_idx, out_idx)
     side = prod(x.factor_dims[f] for f in kept)
-    return HermitianOperator(
-        tuple(x.factor_dims[f] for f in kept),
-        res.reshape(side, side),
-        x.hermitian_tol,
-    )
+    return HermitianOperator(tuple(x.factor_dims[f] for f in kept), res.reshape(side, side))
 
 
 def partial_transpose(x: HermitianOperator, transposed_factors) -> HermitianOperator:
@@ -176,7 +172,7 @@ def partial_transpose(x: HermitianOperator, transposed_factors) -> HermitianOper
     for f in tr:
         perm[f], perm[k + f] = perm[k + f], perm[f]
     res = np.transpose(t, perm).reshape(x.dim, x.dim)
-    return HermitianOperator(x.factor_dims, res, x.hermitian_tol)
+    return HermitianOperator(x.factor_dims, res)
 
 
 def eig_hermitian(x: HermitianOperator):
@@ -216,17 +212,11 @@ def depolarize(rho: HermitianOperator, p: float, factor: int) -> HermitianOperat
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     (f,) = _check_factors(rho, [factor])
-    d = rho.factor_dims[f]
-    if rho.nfactors == 1:
-        mixed = np.eye(d, dtype=complex) * (rho.trace() / d)
-        return rho.replace_entries((1.0 - p) * rho.entries + p * mixed)
-    reduced = partial_trace(rho, [f])
-    # kron appends the fresh identity factor last, then we permute it home
-    noisy = kron(reduced, identity([d]) * (1.0 / d))
-    perm = list(range(rho.nfactors - 1))
-    perm.insert(f, rho.nfactors - 1)
-    noisy = permute_factors(noisy, perm)
-    return rho.replace_entries((1.0 - p) * rho.entries + p * noisy.entries)
+    k, d = rho.nfactors, rho.factor_dims[f]
+    # tr_f(rho) (x) I_d/d puts the fresh factor's axes last; move them home
+    reduced = np.trace(_as_tensor(rho), axis1=f, axis2=k + f)
+    noisy = np.moveaxis(np.multiply.outer(reduced, np.eye(d) / d), (-2, -1), (f, k + f))
+    return rho.replace_entries((1.0 - p) * rho.entries + p * noisy.reshape(rho.dim, rho.dim))
 
 
 def permute_factors(x: HermitianOperator, perm) -> HermitianOperator:
@@ -238,9 +228,7 @@ def permute_factors(x: HermitianOperator, perm) -> HermitianOperator:
     k = x.nfactors
     axes = perm + [k + f for f in perm]
     dims = tuple(x.factor_dims[f] for f in perm)
-    return HermitianOperator(
-        dims, np.transpose(t, axes).reshape(x.dim, x.dim), x.hermitian_tol
-    )
+    return HermitianOperator(dims, np.transpose(t, axes).reshape(x.dim, x.dim))
 
 
 def random_state(dims, rank: int, seed: int) -> HermitianOperator:

@@ -216,7 +216,7 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
     side = codec.tmap.dA * codec.pmap.size_out
     dest = np.zeros((kernel.shape[0], n * n + side * side), dtype)
     start = 0
-    for v in (kernel, _hermitize(kernel @ codec.pmap.matrix().T, side)):
+    for v in (kernel, _hermitize(kernel @ codec.pmap.matrix.T, side)):
         v = v.tocoo()
         dest[v.row, start + v.col] = v.data.real if real else v.data
         start += v.shape[1]

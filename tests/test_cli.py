@@ -155,7 +155,9 @@ class TestSweeps:
         assert outs[0] == outs[1]
 
     def test_fidelity_requires_source(self):
-        assert main(["fidelity", "--N", "2"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", "--N", "2"])
+        assert exc.value.code == 2
 
     def test_fidelity_jobs_flag(self, tmp_path):
         out = tmp_path / "par.csv"
@@ -415,6 +417,24 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--bb84", "0.1", "--qutrit-grid", "0.2"],
+            ["purity", "--channel", "identity-qubit", "--p", "0.7"],
+            ["purity", "--choi", "STATE", "--channel", "identity-qubit"],
+            ["geometric", "--state", "ghz", "--input", "STATE"],
+        ],
+        ids=["fidelity two sources", "purity --p without its channel",
+             "purity two sources", "geometric two sources"],
+    )
+    def test_conflicting_input_flags_exit_2(self, argv, mixed_file, capsys):
+        argv = [mixed_file if a == "STATE" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv", [["membership", "--ppt"], ["certify"]], ids=["membership", "certify"]

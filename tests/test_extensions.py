@@ -143,6 +143,32 @@ def test_batched_adjoint_matches_per_element():
             assert np.array_equal(bi, m.adjoint(gi))
 
 
+@pytest.mark.parametrize("dims, N", [((2, 2), 3), ((2, 3), 2), ((2, 2, 3), 2)],
+                         ids=["qubit", "qubit-qutrit", "3-factor"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "batch", "batch2"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_maps_return_contiguous_adjoint_pairs(dims, N, lead, dtype):
+    # C-contiguous outputs keep later tensordots on the same summation order
+    dA, *dBs = dims
+    rng = np.random.default_rng(13)
+
+    def draw(side):
+        g = rng.standard_normal(lead + (side, side))
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal(g.shape)
+        return g
+
+    for m in (TraceMap(dA, dBs, N, 1), PptMap(dA, dBs, N, N // 2)):
+        x, y = draw(dA * m.size_in), draw(dA * m.size_out)
+        lx, ly = m.apply(x), m.adjoint(y)
+        for out, side in ((lx, dA * m.size_out), (ly, dA * m.size_in)):
+            assert out.flags.c_contiguous
+            assert out.shape == lead + (side, side)
+        lhs = np.sum(lx.conj() * y, axis=(-2, -1))
+        rhs = np.sum(x.conj() * ly, axis=(-2, -1))
+        assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+
+
 def naive_reduce(x, dA, d, N):
     # lift to the full space, trace the last copy, compress onto Sym^{N-1}
     full = lift(x, build_basis(d, N), dA)

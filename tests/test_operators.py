@@ -217,6 +217,18 @@ class TestDepolarize:
         with pytest.raises(ValueError):
             depolarize(BELL, 1.5, 0)
 
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    def test_every_factor_of_three_matches_definition(self, factor, p):
+        # tr_f(rho) (x) I/d, the fresh factor permuted back to position f
+        rho = random_state([2, 3, 2], 5, 11)
+        d = rho.factor_dims[factor]
+        perm = [0, 1]
+        perm.insert(factor, 2)
+        noisy = permute_factors(kron(partial_trace(rho, [factor]), identity([d]) * (1.0 / d)), perm)
+        want = rho.replace_entries((1.0 - p) * rho.entries + p * noisy.entries)
+        assert depolarize(rho, p, factor).entries.tobytes() == want.entries.tobytes()
+
 
 class TestPpt:
     def test_maximally_mixed(self):
