@@ -1,6 +1,9 @@
 """Separability certification: disentangling preimages and rank loops.
 
-Two kinds of evidence certify a PPT state rho as separable:
+An NPT state is entangled at once: every level's membership query has a
+PPT block, so ``check_membership`` decides it by the Peres test, with the
+witness (|v><v|)^{T_B} and no SDP.  Two kinds of evidence certify a PPT
+state rho as separable:
 
 * The disentangling theorems: depolarizing B with probability
   :func:`dpskit.bounds.critical_p` sends every sigma in S^N or S_p^N into
@@ -37,6 +40,7 @@ from .extensions import (
     PptMap,
     TraceMap,
     _compile,
+    _shared_map,
     _verify_feasible,
     check_membership,
     transposed_copies,
@@ -97,10 +101,10 @@ def rank_loop_check(
     if extension.shape != (side, side):
         raise ValueError("extension side does not match dA * sym_dim")
     rank_full = numerical_rank(extension)
-    rank_left = numerical_rank(TraceMap(dA, (d,), N, K).apply(extension))
+    rank_left = numerical_rank(_shared_map(TraceMap, dA, (d,), N, K).apply(extension))
     # Lambda_{B^{N-K}}: trace A off, then all but N - K copies
     sym = np.einsum("asat->st", extension.reshape(dA, side // dA, dA, side // dA))
-    rank_right = numerical_rank(TraceMap(1, (d,), N, N - K).apply(sym))
+    rank_right = numerical_rank(_shared_map(TraceMap, 1, (d,), N, N - K).apply(sym))
     loop = rank_full <= max(rank_left, rank_right)
     return loop, RankProfile(rank_full, rank_left, rank_right, K)
 
@@ -222,8 +226,9 @@ def certify(
 ) -> CertifyResult:
     """PPT-hierarchy sweep, N = 2..maxN, with separability evidence.
 
-    First, at each N, one PPT membership solve decides "entangled" (with a
-    dual witness) or finds an extension.  For a feasible level, the two
+    First, at each N, one PPT membership query decides "entangled" (with a
+    witness: the partial transpose's, with no solve, for an NPT rho, else
+    the solver's dual one) or finds an extension.  For a feasible level, the two
     disentangling routes (S^N, then S_p^N) each test rho's preimage: one
     ``eigvalsh`` rejects a preimage that is not PSD, and one membership
     solve tests the rest.  Only when no level's routes decide does the
@@ -270,7 +275,8 @@ def certify(
         for k in [k_sp] + [k for k in range(1, n) if k != k_sp]:
             # x was re-verified PPT at the S_p^N cut; other cuts need the check
             if k != k_sp:
-                lam = float(np.linalg.eigvalsh(PptMap(dA, (dB,), n, n - k).apply(x))[0])
+                gamma = _shared_map(PptMap, dA, (dB,), n, n - k)
+                lam = float(np.linalg.eigvalsh(gamma.apply(x))[0])
                 if lam < -FEAS_PSD_TOL:
                     continue
             loop, profile = rank_loop_check(x, dA, dB, n, k)

@@ -24,8 +24,10 @@ combinatorics; the naive lift/operate/compress pipeline is kept in the
 test suite as an oracle only.
 
 A unit_trace query without a PPT block needs no SDP: its optimum is the
-top eigenvalue of L^dag(objective) (``optimize_over_cone``).  Any other
-query compiles to one of two SDP forms (``_compile``):
+top eigenvalue of L^dag(objective) (``optimize_over_cone``), and neither
+does membership of an NPT state with one, which the Peres test decides
+exactly (``_peres``: S_p^N lies inside the PPT set).  Any other query
+compiles to one of two SDP forms (``_compile``):
 
 * without a PPT block, X is the solver's primal block, tied to the data by
   its few state rows (trace_match: Lambda = rho; identity_marginal:
@@ -62,12 +64,13 @@ from math import comb, prod, sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .operators import HermitianOperator
+from .operators import HermitianOperator, partial_transpose
 from .solver import (
     SdpProblem,
     SdpSolution,
     SolverBreakdown,
     SparseRows,
+    _cholesky,
     hermitian_basis,
     hermitian_vecs,
     solve,
@@ -404,12 +407,18 @@ def _has_ppt_block(q: ExtensionQuery) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _shared_map(cls: type, dA: int, dims: tuple, N: int, count: int) -> LocalMap:
+    """``cls(dA, dims, N, count)``, a ``TraceMap`` or ``PptMap``, built once
+    per key and shared: never modify it."""
+    return cls(dA, dims, N, count)
+
+
 def _maps(dims: tuple, N: int, ppt: bool) -> tuple[TraceMap, PptMap | None]:
     """The trace map of level N on factors ``dims`` and, with a PPT block,
-    Gamma.  Cached: never modify them."""
+    Gamma (``_shared_map``s)."""
     dA, *dBs = dims
-    pmap = PptMap(dA, dBs, N, transposed_copies(N)) if ppt else None
-    return TraceMap(dA, dBs, N), pmap
+    pmap = _shared_map(PptMap, dA, tuple(dBs), N, transposed_copies(N)) if ppt else None
+    return _shared_map(TraceMap, dA, tuple(dBs), N, 1), pmap
 
 
 # ``sdp_size``'s predicted peak counts, besides the Schur workspace and the
@@ -639,18 +648,48 @@ FEAS_PSD_TOL = 1e-7
 
 
 def _verify_feasible(x: np.ndarray, codec: _Codec) -> tuple[bool, str]:
+    """Whether x meets the query's state rows within FEAS_EQUALITY_TOL and
+    x and its PPT block have lambda_min >= -FEAS_PSD_TOL, with the detail.
+
+    A block passes when block + FEAS_PSD_TOL*I has a Cholesky factor; the
+    smallest eigenvalue is computed only to word a failure."""
     q = codec.query
     eq = float(np.max(np.abs(codec.tmap.apply(x) - q.rho.entries)))
-    if eq > FEAS_EQUALITY_TOL:
+    if not eq <= FEAS_EQUALITY_TOL:  # a NaN residual fails too
         return False, f"reduced-state residual {eq:.2e}"
-    lam = float(np.linalg.eigvalsh(x)[0])
-    if lam < -FEAS_PSD_TOL:
-        return False, f"extension min eigenvalue {lam:.2e}"
+    blocks = [("extension", x)]
     if codec.pmap is not None:
-        lam_p = float(np.linalg.eigvalsh(codec.pmap.apply(x))[0])
-        if lam_p < -FEAS_PSD_TOL:
-            return False, f"PPT block min eigenvalue {lam_p:.2e}"
+        blocks.append(("PPT block", codec.pmap.apply(x)))
+    for name, block in blocks:
+        try:
+            _cholesky(block + FEAS_PSD_TOL * np.eye(len(block)))
+        except np.linalg.LinAlgError:
+            lam = float(np.linalg.eigvalsh(block)[0])
+            return False, f"{name} min eigenvalue {lam:.2e}"
     return True, f"residual {eq:.2e}"
+
+
+def _peres(rho: HermitianOperator) -> MembershipResult | None:
+    """The Peres test's verdict on rho against S_p^N, N >= 2, or None when
+    it cannot decide (lambda_min(rho^{T_B}) >= -FEAS_PSD_TOL) and the query
+    takes its SDP.
+
+    Tracing the PPT cut down to one transposed copy of each B keeps
+    X^{T_{B^K}} >= 0, and Bose symmetry makes that copy's marginal rho's, so
+    every member Lambda of S_p^N has Lambda^{T_B} >= 0 (T_B: every factor
+    after A).  For v the eigenvector of lambda_min(rho^{T_B}), the unit-norm
+    W = (|v><v|)^{T_B} then has cone floor exactly 0, as
+    tr(W Lambda) = <v| Lambda^{T_B} |v> >= 0, and tr(W rho) = lambda_min.
+    ``_refine_witness`` recomputes tr(W rho) from W and checks it.
+    """
+    b = list(range(1, rho.nfactors))
+    pt = partial_transpose(rho, b).entries
+    lam, vec = np.linalg.eigh(pt if np.imag(pt).any() else pt.real)
+    if lam[0] >= -FEAS_PSD_TOL:
+        return None
+    v = vec[:, 0]
+    w = partial_transpose(HermitianOperator(rho.factor_dims, np.outer(v, v.conj())), b)
+    return _refine_witness(rho, w, 0.0, "partial transpose (Peres)")
 
 
 def check_membership(
@@ -658,6 +697,9 @@ def check_membership(
 ) -> MembershipResult:
     """Does rho admit an N (PPT) Bose-symmetric extension?
 
+    A query with a PPT block first takes the Peres test (``_peres``): an
+    NPT rho is "infeasible" with the witness (|v><v|)^{T_B}, whose cone
+    floor is 0, and no SDP is compiled.  Every other query is solved.
     Feasible verdicts always ship an explicit compressed extension that has
     been re-verified against the defining conditions.  Infeasible verdicts
     ship the dual entanglement witness W, checked against the solver's own
@@ -669,6 +711,9 @@ def check_membership(
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("check_membership requires a trace_match query")
+    peres = _peres(q.rho) if _has_ppt_block(q) else None
+    if peres is not None:
+        return peres
     with _memory_budget(q):
         problem, codec = _compile(q)
         try:
@@ -692,7 +737,8 @@ def check_membership(
 
 
 def _refine_witness(
-    rho: HermitianOperator, w: HermitianOperator, floor: float
+    rho: HermitianOperator, w: HermitianOperator, floor: float,
+    route: str = "dual certificate",
 ) -> MembershipResult:
     """The verdict on witness W with certified cone floor ``floor``.
 
@@ -716,7 +762,7 @@ def _refine_witness(
         w = w.replace_entries(w.entries + shift * np.eye(w.dim))
     return MembershipResult(
         "infeasible", witness=w,
-        detail=f"dual certificate; certified cone floor {floor + shift:.2e}",
+        detail=f"{route}; certified cone floor {floor + shift:.2e}",
     )
 
 

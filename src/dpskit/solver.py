@@ -44,10 +44,19 @@ accepted.  A non-finite direction or iterate ends the solve in
 ``SolverBreakdown``.  Every dense kernel of an iteration calls LAPACK
 directly, skipping the checks of the ``scipy.linalg`` wrappers: ``dpotrf``
 factors the Schur complement and ``dpotrs`` solves with its factor; a
-block's kernels follow its dtype: ``dpotrf``/``zpotrf`` factor it,
-``dtrtri``/``ztrtri`` invert its factor, and a step length takes only the
-smallest eigenvalue of L^{-1} dX L^{-H} from ``dsyevr``/``zheevr``, not the
-full spectrum (as SDPT3 does).
+block's kernels follow its dtype: ``dpotrf``/``zpotrf`` factor it and
+``dtrtri``/``ztrtri`` invert its factor.
+
+A step length (``_step_length``) starts from a cap, 1 for the predictor
+and 1/step_frac for the corrector, past which the step no longer depends
+on it, lowered by the bounds of tau and kappa.  Each block of X and Z, the
+one that set the last step first, is then tested at the current alpha by
+one Cholesky factorization of X_b + alpha dX_b: a block that factors cannot
+lower alpha.  Only a block that fails takes an eigenvalue, the smallest of
+L^{-1} dX_b L^{-H} alone from ``dsyevr``/``zheevr``, not the full spectrum
+(as SDPT3 does; on the cost of step lengths see Toh, Comput. Optim. Appl.
+21, 2002).  The primal infeasibility test likewise skips its eigenvalues
+when a diagonal entry of A^T y / b.y already exceeds its threshold.
 
 The dual, max b.y subject to Z = C - sum_i y_i A_i >= 0, is an LMI in the
 free variables y.  ``dpskit.extensions`` poses its PPT queries that way,
@@ -433,6 +442,38 @@ def _max_step(r: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
+def _step_length(blocks, scalars, cap: float, first: int = 0) -> tuple[float, int]:
+    """The largest alpha <= cap with every x + alpha*d >= 0 and every
+    v + alpha*dv >= 0, and the index of the block that set it (``first``
+    if none did).
+
+    ``blocks`` holds (x, r, d) with x positive definite and
+    r = _inverse_cholesky(x); ``scalars`` holds (v, dv) with v > 0.  The
+    scalars lower the cap first.  Then each block, ``first`` before the
+    others, is tested at the current alpha by one Cholesky factorization of
+    x + alpha*d: a block that factors cannot lower alpha, so only a block
+    that fails takes ``_max_step``'s smallest eigenvalue.  A non-finite
+    block fails the test and then raises in ``_max_step``, as
+    ``SolverBreakdown``.
+    """
+    alpha, binder = cap, first
+    for v, dv in scalars:
+        if dv < 0:
+            alpha = min(alpha, -v / dv)
+    try:
+        for b in [first] + [b for b in range(len(blocks)) if b != first]:
+            x, r, d = blocks[b]
+            try:
+                _cholesky(x + alpha * d)
+            except np.linalg.LinAlgError:
+                step = _max_step(r, d)
+                if step < alpha:
+                    alpha, binder = step, b
+    except np.linalg.LinAlgError as exc:  # a non-finite direction
+        raise SolverBreakdown(f"step length: {exc}") from exc
+    return alpha, binder
+
+
 def solve(
     problem: SdpProblem,
     tol: float = 1e-8,
@@ -473,6 +514,7 @@ def solve(
     it = 0
     pres = dres = gap = np.inf
     best = None
+    binder = 0  # the block that last set a step length, tested first
 
     for it in range(1, max_iter + 1):
         mu = (np.vdot(X, Z).real + tau * kappa) / deg
@@ -498,8 +540,11 @@ def solve(
         # infeasibility certificates straight off the homogeneous iterate
         if by > tol:
             yn = y / by
-            viol = max(-_lambda_min(-cb) for cb in split(_rmatvec(A, yn)))
-            if viol <= tol * (1.0 + np.linalg.norm(yn)):
+            ay, bound = split(_rmatvec(A, yn)), tol * (1.0 + np.linalg.norm(yn))
+            # lambda_max of a block is at least each of its diagonal entries
+            if all(cb.diagonal().real.max() <= bound for cb in ay) and all(
+                -_lambda_min(-cb) <= bound for cb in ay
+            ):
                 status = "primal_infeasible"
                 break
         if cx < -tol:
@@ -562,21 +607,16 @@ def solve(
             dkappa = target - (kappa / tau) * dtau
             return dX, dy1 + dtau * dy2, dZ, dtau, dkappa
 
-        def max_alpha(dX, dZ, dtau, dkappa):
-            alpha = np.inf
-            try:
-                for rx, dxb, rz, dzb in zip(Rx, split(dX), Rz, split(dZ)):
-                    alpha = min(alpha, _max_step(rx, dxb), _max_step(rz, dzb))
-            except np.linalg.LinAlgError as exc:  # a non-finite direction
-                raise SolverBreakdown(f"step length: {exc}") from exc
-            if dtau < 0:
-                alpha = min(alpha, -tau / dtau)
-            if dkappa < 0:
-                alpha = min(alpha, -kappa / dkappa)
+        def max_alpha(dX, dZ, dtau, dkappa, cap):
+            nonlocal binder
+            blocks = list(zip(Xb + split(Z), Rx + Rz, split(dX) + split(dZ)))
+            alpha, binder = _step_length(blocks, ((tau, dtau), (kappa, dkappa)), cap, binder)
             return alpha
 
+        # past 1 (predictor) and 1/step_frac (corrector) the step does not
+        # depend on alpha_max
         dXa, dya, dZa, dtaua, dkappaa = build(0.0, 0.0, 0.0)
-        alpha_a = min(1.0, max_alpha(dXa, dZa, dtaua, dkappaa))
+        alpha_a = max_alpha(dXa, dZa, dtaua, dkappaa, 1.0)
         mu_aff = (
             np.vdot(X + alpha_a * dXa, Z + alpha_a * dZa).real
             + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)
@@ -588,7 +628,7 @@ def solve(
             for zinv_b, dzb, dxb in zip(Zinv, split(dZa), split(dXa))
         )
         dX, dy, dZ, dtau, dkappa = build(sigma * mu, corr, dtaua * dkappaa)
-        alpha = min(1.0, step_frac * max_alpha(dX, dZ, dtau, dkappa))
+        alpha = step_frac * max_alpha(dX, dZ, dtau, dkappa, 1.0 / step_frac)
         if not np.isfinite(alpha) or alpha <= 1e-12:
             break
 

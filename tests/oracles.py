@@ -20,6 +20,12 @@ one-step map that ``TraceMap`` with any kept-copy count is checked against.
 that :func:`schur_parts_reference` cuts, the way the solver did before it
 kept one workspace per solve.
 
+:func:`step_length_oracle` is the solver's step rule as it was before it
+tested blocks by Cholesky: the smallest eigenvalue of every block's
+congruence-scaled direction.  :func:`band_state` mixes an NPT state with
+white noise until its partial transpose sits just below 0, where the Peres
+test cannot decide and membership still takes its SDP.
+
 :func:`embed_complex` and :func:`unembed_real` map Hermitian data to the
 real symmetric embedding ``[[Re H, -Im H], [Im H, Re H]]`` and back, the
 route by which the solver once took complex data; the solver's native
@@ -69,7 +75,7 @@ from dpskit.extensions import (
     _kernel,
     _state_rows,
 )
-from dpskit.operators import HermitianOperator, pure_state
+from dpskit.operators import HermitianOperator, identity, partial_transpose, pure_state
 from dpskit.solver import SdpProblem, hermitian_vecs
 from dpskit.symmetric import occupations
 
@@ -172,6 +178,29 @@ def dicke_overlap_state(K: int) -> HermitianOperator:
     basis = build_basis(2, 2 * K)
     vec = basis.isometry[:, basis.index((K, K))]
     return pure_state(vec, (2,) * (2 * K))
+
+
+def step_length_oracle(blocks, scalars, cap: float) -> float:
+    """The largest alpha <= cap with every x + alpha*d >= 0 and every
+    v + alpha*dv >= 0, from ``_max_step`` on every block ((x, r, d) with
+    r = _inverse_cholesky(x)) and every scalar pair (v, dv)."""
+    alpha = np.inf
+    for _, r, d in blocks:
+        alpha = min(alpha, dpskit.solver._max_step(r, d))
+    for v, dv in scalars:
+        if dv < 0:
+            alpha = min(alpha, -v / dv)
+    return min(cap, alpha)
+
+
+def band_state(rho: HermitianOperator, lam: float = -5e-8) -> HermitianOperator:
+    """t rho + (1 - t) I/d, the mixture of an NPT rho with white noise whose
+    partial transpose over every factor after A has smallest eigenvalue
+    ``lam``: that eigenvalue is t mu + (1 - t)/d, mu rho's own."""
+    pt = partial_transpose(rho, list(range(1, rho.nfactors))).entries
+    mu, d = float(np.linalg.eigvalsh(pt)[0]), rho.dim
+    t = (1.0 / d - lam) / (1.0 / d - mu)
+    return t * rho + identity(rho.factor_dims) * ((1.0 - t) / d)
 
 
 def embed_complex(h) -> np.ndarray:

@@ -28,7 +28,7 @@ from dpskit.operators import (
     random_state,
 )
 
-from oracles import build_basis
+from oracles import band_state, build_basis
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 PRODUCT = pure_state([1, 0, 0, 0], (2, 2))
@@ -300,13 +300,16 @@ class TestCertify:
     @pytest.mark.parametrize(
         "rho, verdict, solves",
         [
-            # membership only: the witness is checked against its certificate
-            (BELL, "entangled", 1),
-            (QUBIT_QUTRIT_NPT, "entangled", 1),
+            # NPT: the Peres test decides membership with no solve
+            (BELL, "entangled", 0),
+            (QUBIT_QUTRIT_NPT, "entangled", 0),
             # membership, then the S^N preimage's membership
             (MIXED, "separable", 2),
+            # lambda_min(rho^{T_B}) = -5e-8, above -FEAS_PSD_TOL: membership
+            # only, the witness checked against its certificate
+            (band_state(BELL), "entangled", 1),
         ],
-        ids=["bell", "qubit-qutrit", "maximally-mixed"],
+        ids=["bell", "qubit-qutrit", "maximally-mixed", "band"],
     )
     def test_solve_count(self, rho, verdict, solves, monkeypatch):
         # the product state's single solve is test_feasible_level_solved_once
@@ -370,8 +373,10 @@ class TestCertify:
             ("products", r"S\^N preimage not PSD \(lambda_min -\S+\); "
                          r"S_p\^N preimage not PSD \(lambda_min -\S+\)"),
             # both preimages are PSD and have no (PPT) 2-extension
+            # (the S_p^N preimage is NPT, so the Peres test decides it)
             ("rank-2+noise", r"S\^N preimage not 2-extendable \(infeasible: dual certificate\); "
-                             r"S_p\^N preimage not 2-extendable \(infeasible: dual certificate\)"),
+                             r"S_p\^N preimage not 2-extendable \(infeasible: partial transpose "
+                             r"\(Peres\); certified cone floor 0\.00e\+00\)"),
         ],
     )
     def test_undecided_names_each_route(self, case, routes):
@@ -417,6 +422,27 @@ class TestCertify:
         assert (res.verdict, res.N, res.detail) == ("separable", 3, "rank loop at K=1")
         assert res.profile.K == 1
         assert checked == [(2, 1), (3, 2), (3, 1)]
+
+    def test_each_map_built_once(self, monkeypatch):
+        # the rank checks and the other cuts' PPT tests share the compiled
+        # queries' maps: a pass builds each distinct map once, and a second
+        # pass builds none
+        import dpskit.extensions as ext
+
+        built = []
+        init = ext.LocalMap.__init__
+
+        def recording(self, dA, factors):
+            built.append((type(self), dA, tuple(id(f[0]) for f in factors)))
+            init(self, dA, factors)
+
+        monkeypatch.setattr(ext.LocalMap, "__init__", recording)
+        ext._shared_map.cache_clear()
+        assert certify(PRODUCT, maxN=3).verdict == "separable"
+        assert len(built) == len(set(built)) >= 5
+        first = len(built)
+        assert certify(PRODUCT, maxN=3).verdict == "separable"
+        assert len(built) == first
 
     def test_json_payload(self):
         res = certify(PRODUCT, maxN=2)

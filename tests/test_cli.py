@@ -40,6 +40,17 @@ class TestMembership:
         assert code == 0
         assert json.loads(out.read_text()) == {"2": "infeasible"}
 
+    def test_bell_ppt_sweep_runs_no_solve(self, bell_file, tmp_path, monkeypatch):
+        # with a PPT block the Peres test decides an NPT state at every N
+        def forbidden(*args, **kwargs):
+            raise AssertionError("membership ran a solve")
+
+        monkeypatch.setattr("dpskit.extensions.solve", forbidden)
+        out = tmp_path / "verdict.json"
+        argv = ["membership", "--input", bell_file, "--N", "2..4", "--ppt", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text()) == dict.fromkeys(("2", "3", "4"), "infeasible")
+
     def test_mixed_sweep_ppt(self, mixed_file, tmp_path):
         out = tmp_path / "verdict.json"
         code = main(

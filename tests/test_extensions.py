@@ -8,19 +8,22 @@ from numpy.testing import assert_allclose
 
 import dpskit.solver
 from dpskit.extensions import (
+    FEAS_PSD_TOL,
     FIRST_SOLVE_BYTES,
     BudgetExceeded,
     ExtensionQuery,
     PptMap,
     TraceMap,
+    _Codec,
     _compile,
     _kernel,
-    _maps,
     _ppt_local,
     _refine_witness,
+    _shared_map,
     _solve_over_cone,
     _structure,
     _trace_local,
+    _verify_feasible,
     check_membership,
     optimize_over_cone,
     sdp_size,
@@ -38,6 +41,7 @@ from dpskit.operators import (
 from dpskit.solver import SolverBreakdown, hermitian_vecs, solve, sparse_rows, workspace_bytes
 from dpskit.symmetric import sym_dim
 from oracles import (
+    band_state,
     build_basis,
     build_bse_sdp,
     compress,
@@ -1220,9 +1224,146 @@ def test_membership_undecided_when_floor_cannot_be_certified(monkeypatch):
         return w, floor - 10.0
 
     monkeypatch.setattr(_Codec, "witness", sunk)
-    res = check_membership(ExtensionQuery(rho=BELL, N=2, ppt=True))
-    assert res.verdict == "undecided"
-    assert res.detail.startswith("witness cone floor ")
+    # with a PPT block, the Peres test decides Bell itself; a band state
+    # (lambda_min(rho^{T_B}) in [-FEAS_PSD_TOL, 0)) still takes the solve
+    for q in (ExtensionQuery(rho=BELL, N=2, ppt=False),
+              ExtensionQuery(rho=band_state(BELL), N=2, ppt=True)):
+        res = check_membership(q)
+        assert res.verdict == "undecided"
+        assert res.detail.startswith("witness cone floor ")
+
+
+# real NPT inputs: 2x2, 2x3 and the three-factor GHZ, whose partial
+# transpose over every factor after A has lambda_min -0.5, about -0.024 and
+# -0.5
+_QUBIT_QUTRIT = 0.7 * random_state((2, 3), 3, 1) + 0.3 * (identity((2, 3)) * (1 / 6))
+_NPT = {
+    "bell": BELL,
+    "qubit-qutrit": _QUBIT_QUTRIT.replace_entries(_QUBIT_QUTRIT.entries.real),
+    "ghz": GHZ,
+}
+
+
+def _counting_solve(monkeypatch):
+    """The list that every later solve of ``check_membership`` appends to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("dpskit.extensions.solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("name", list(_NPT))
+def test_peres_decides_npt_without_a_solve(name, path, N, monkeypatch):
+    rho = _NPT[name] if path == "real" else _phase_rotation(_NPT[name])
+    calls = _counting_solve(monkeypatch)
+    _structure.cache_clear()
+    res = check_membership(ExtensionQuery(rho=rho, N=N, ppt=True))
+    assert (res.verdict, calls, _structure.cache_info().misses) == ("infeasible", [], 0)
+    assert res.detail == "partial transpose (Peres); certified cone floor 0.00e+00"
+    b = list(range(1, rho.nfactors))
+    w = res.witness
+    # W = (|v><v|)^{T_B}: unit norm, W^{T_B} >= 0, and tr(W rho) is the
+    # smallest eigenvalue of rho^{T_B}
+    assert np.linalg.norm(w.entries) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(partial_transpose(w, b).entries)[0] >= -1e-12
+    lam = np.linalg.eigvalsh(partial_transpose(rho, b).entries)[0]
+    assert float(np.vdot(w.entries, rho.entries).real) == pytest.approx(lam, abs=1e-12)
+    assert np.imag(w.entries).any() == (path == "complex")
+
+
+@pytest.mark.parametrize("name", ["bell", "qubit-qutrit"])
+def test_peres_witness_floor_via_aux_sdp(name):
+    # the cone floor 0 that the Peres verdict reports, checked by the
+    # auxiliary cone optimization
+    for N in (2, 3):
+        q = ExtensionQuery(rho=_NPT[name], N=N, ppt=True)
+        assert verify_witness(q, check_membership(q).witness) >= -1e-7
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("name", list(_NPT))
+def test_band_states_take_one_solve(name, path, monkeypatch):
+    # lambda_min(rho^{T_B}) = -5e-8 lies above -FEAS_PSD_TOL: the Peres
+    # test leaves the verdict to the SDP
+    rho = band_state(_NPT[name])
+    rho = rho if path == "real" else _phase_rotation(rho)
+    lam = np.linalg.eigvalsh(partial_transpose(rho, list(range(1, rho.nfactors))).entries)[0]
+    assert -FEAS_PSD_TOL < lam < 0.0
+    calls = _counting_solve(monkeypatch)
+    res = check_membership(ExtensionQuery(rho=rho, N=2, ppt=True))
+    assert len(calls) == 1
+    assert res.verdict != "infeasible" or res.detail.startswith("dual certificate")
+
+
+@pytest.mark.parametrize(
+    "q",
+    [ExtensionQuery(rho=_WERNER, N=2, ppt=True), ExtensionQuery(rho=_WERNER, N=3, ppt=True),
+     ExtensionQuery(rho=SEP3, N=2, ppt=True), _rotated(_qubit_membership(3)),
+     ExtensionQuery(rho=BELL, N=2, ppt=False), ExtensionQuery(rho=GHZ, N=1, ppt=True)],
+    ids=["werner-N2", "werner-N3", "sep3-N2", "complex-qubit-N3", "bell-no-ppt", "ghz-N1"],
+)
+def test_queries_the_peres_test_cannot_decide_take_one_solve(q, monkeypatch):
+    # PPT inputs, and NPT ones with no PPT block, keep their one solve
+    calls = _counting_solve(monkeypatch)
+    check_membership(q)
+    assert len(calls) == 1
+
+
+def test_npt_decided_beyond_the_budget():
+    # N = 100 would be refused from its predicted peak; the Peres test
+    # needs no map, and its answer holds at every N
+    misses = [f.cache_info().misses for f in (_trace_local, _ppt_local)]
+    res = check_membership(ExtensionQuery(rho=BELL, N=100, ppt=True))
+    assert res.verdict == "infeasible"
+    assert [f.cache_info().misses for f in (_trace_local, _ppt_local)] == misses
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("block", ["extension", "PPT block"])
+def test_verify_feasible_cholesky_matches_eigenvalue_rule(block, path, sign):
+    # lambda_min at -FEAS_PSD_TOL (1 -+ 1e-3): the Cholesky test of
+    # x + FEAS_PSD_TOL*I gives the eigenvalue rule's verdict and detail.  At
+    # N = 1 the trace map is the identity and Gamma is rho's partial transpose
+    lam = -FEAS_PSD_TOL * (1.0 - sign * 1e-3)
+    rng = np.random.default_rng(3)
+    u = np.eye(1)
+    for _ in range(2):
+        g = rng.standard_normal((2, 2))
+        if path == "complex":
+            g = g + 1j * rng.standard_normal((2, 2))
+        u = np.kron(u, np.linalg.qr(g)[0])
+    if block == "extension":
+        x = np.diag([lam, 0.2, 0.3, 0.5]).astype(complex)
+    else:
+        # p Bell + q I: lambda_min q = 0.25 + lam, and q - p/2 = lam after T_B
+        x = 0.5 * BELL.entries + (0.25 + lam) * np.eye(4)
+    x = u @ x @ u.conj().T  # a local unitary keeps both spectra
+    x = 0.5 * (x + x.conj().T)
+    q = ExtensionQuery(rho=HermitianOperator((2, 2), x), N=1, ppt=True)
+    codec = _Codec(q, TraceMap(2, (2,), 1), PptMap(2, (2,), 1, 1), real=False)
+    test = x if block == "extension" else codec.pmap.apply(x)
+    eig = float(np.linalg.eigvalsh(test)[0])
+    assert eig == pytest.approx(lam, abs=1e-13)
+    expected = (True, f"residual {0.0:.2e}") if eig >= -FEAS_PSD_TOL else (
+        False, f"{block} min eigenvalue {eig:.2e}")
+    assert _verify_feasible(x, codec) == expected
+    assert expected[0] == (sign > 0)
+
+
+@pytest.mark.parametrize("ppt", [False, True])
+def test_verify_feasible_rejects_non_finite_extension(ppt):
+    q = ExtensionQuery(rho=identity((2, 2)) * 0.25, N=2, ppt=ppt)
+    _, codec = _compile(q)
+    x = np.eye(6, dtype=complex) / 6
+    x[0, 0] = np.nan
+    assert _verify_feasible(x, codec) == (False, "reduced-state residual nan")
 
 
 def test_memory_error_reported_as_budget(monkeypatch):
@@ -1284,7 +1425,7 @@ def test_predicted_peak_bounds_traced_peak(make):
     sees it, stays within the predicted peak less FIRST_SOLVE_BYTES, the
     part of it that no Python allocation makes."""
     q = make()
-    for cache in (_structure, _maps, _trace_local, _ppt_local):
+    for cache in (_structure, _shared_map, _trace_local, _ppt_local):
         cache.cache_clear()
     tracemalloc.start()
     try:

@@ -16,7 +16,7 @@ from dpskit.solver import (
     hermitian_basis,
     solve,
 )
-from oracles import embed_complex, unembed_real
+from oracles import embed_complex, step_length_oracle, unembed_real
 
 
 def sym(rng, n):
@@ -251,10 +251,12 @@ class TestSolve:
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-9
 
     def test_one_definiteness_test_per_block_and_step(self, monkeypatch):
-        # per block and step: the predictor's and the corrector's max-step
-        # smallest eigenvalues of X and Z, and the back-off's two inverse
-        # Cholesky factors, which the next iteration reuses
-        counts = {"_lambda_min": 0, "_inverse_cholesky": 0}
+        # per block and step: one Cholesky test of X and of Z at the
+        # predictor's and at the corrector's step length, and the back-off's
+        # two inverse Cholesky factors, which the next iteration reuses; only
+        # a block whose test fails takes a smallest eigenvalue.  Every
+        # _cholesky call: 6 Schur factors, 12 inverse factors, 24 tests
+        counts = dict.fromkeys(("_cholesky", "_lambda_min", "_max_step", "_inverse_cholesky"), 0)
         for name, fn in [(name, getattr(dpskit.solver, name)) for name in counts]:
             def counted(*args, _name=name, _fn=fn, **kwargs):
                 counts[_name] += 1
@@ -262,7 +264,9 @@ class TestSolve:
             monkeypatch.setattr(dpskit.solver, name, counted)
         s = solve(SdpProblem([3], [None], vecs(np.eye(3)), [1.0]))
         assert (s.status, s.iterations) == ("optimal", 7)
-        assert counts == {"_lambda_min": 24, "_inverse_cholesky": 12}
+        assert counts == {
+            "_cholesky": 42, "_lambda_min": 5, "_max_step": 5, "_inverse_cholesky": 12,
+        }
 
     def test_no_full_spectrum_or_wrapped_factorization(self, monkeypatch):
         # every dense kernel of the loop is a direct LAPACK call
@@ -291,25 +295,26 @@ class TestSolve:
         problem, _ = constructed_optimum(4, 3, 0)
         with pytest.raises(SolverBreakdown):
             solve(problem)
+        # with a PPT block, the Peres test would decide Bell with no solve
         bell = pure_state([1, 0, 0, 1], (2, 2))
-        res = check_membership(ExtensionQuery(rho=bell, N=2, ppt=True))
+        res = check_membership(ExtensionQuery(rho=bell, N=2, ppt=False))
         assert res.verdict == "undecided"
         assert res.detail.startswith("solver breakdown: step length: ")
 
     def test_back_off_rejects_nan_block(self, monkeypatch):
         # the step length is finite, but the direction it was taken along
         # then gains a NaN: no new iterate with a NaN block is accepted
-        max_step = dpskit.solver._max_step
+        step_length = dpskit.solver._step_length
         calls = []
 
-        def poison_after(r, dx):
-            step = max_step(r, dx)
+        def poison_after(blocks, scalars, cap, first=0):
+            step = step_length(blocks, scalars, cap, first)
             calls.append(1)
-            if len(calls) == 4:  # dZ of the first corrector, a view of it
-                dx[1, 1] = np.nan
+            if len(calls) == 2:  # the first corrector: dZ, through its block view
+                blocks[-1][2][1, 1] = np.nan
             return step
 
-        monkeypatch.setattr(dpskit.solver, "_max_step", poison_after)
+        monkeypatch.setattr(dpskit.solver, "_step_length", poison_after)
         problem, _ = constructed_optimum(4, 3, 0)
         with pytest.raises(SolverBreakdown, match="back-off"):
             solve(problem)
@@ -529,6 +534,54 @@ class TestKernels:
         a[1, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
             dpskit.solver._lambda_min(a)
+
+
+class TestStepLength:
+    """The solver's step rule, which takes an eigenvalue only for a block
+    that fails its Cholesky test, against every block's eigenvalue."""
+
+    @staticmethod
+    def _case(seed, blocks, complex_):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(blocks):
+            n = int(rng.integers(1, 7))
+
+            def square():
+                g = rng.standard_normal((n, n))
+                return g + 1j * rng.standard_normal((n, n)) if complex_ else g
+
+            g, h = square(), square()
+            x = g @ g.conj().T + n * np.eye(n)
+            # directions from far inside the cone to far past its boundary
+            d = (h + h.conj().T) * rng.choice([0.01, 0.1, 1.0, 10.0])
+            out.append((x, dpskit.solver._inverse_cholesky(x), d))
+        scalars = [(float(rng.uniform(0.5, 2)), float(rng.uniform(-2, 2))) for _ in range(2)]
+        return out, scalars
+
+    @pytest.mark.parametrize("cap", [1.0, 1.0 / 0.98])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_matches_every_block_eigenvalue_rule(self, complex_, blocks, cap):
+        bound = set()
+        for seed in range(40):
+            case, scalars = self._case(seed, blocks, complex_)
+            for first in range(blocks):
+                alpha, binder = dpskit.solver._step_length(case, scalars, cap, first)
+                assert alpha == step_length_oracle(case, scalars, cap)
+                assert 0 <= binder < blocks
+                bound.add(alpha < cap)
+        assert bound == {True, False}  # some cases bind below the cap, some do not
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_nan_direction_raises(self, complex_):
+        case, scalars = self._case(0, 3, complex_)
+        x, r, d = case[2]
+        d = d.copy()
+        d[0, 0] = np.nan
+        case[2] = (x, r, d)
+        with pytest.raises(SolverBreakdown, match="step length"):
+            dpskit.solver._step_length(case, scalars, 1.0)
 
 
 class TestDependentRows:
