@@ -113,14 +113,16 @@ def _bound_pair(
 
 
 def estimation_operator(problem: EstimationProblem) -> HermitianOperator:
-    """rho_AB = sum_i p_i encoded_i (x) source_i, flattened to two factors."""
-    first = problem.ensemble[0]
-    d_a = first[1].dim
-    d_b = first[2].dim
-    acc = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for p, enc, src in problem.ensemble:
-        acc += p * np.kron(enc.entries, src.entries)
-    return HermitianOperator((d_a, d_b), acc)
+    """rho_AB = sum_i p_i encoded_i (x) source_i, flattened to two factors.
+
+    One contraction over the stacked members; each term is rounded as
+    p_i * kron(encoded_i, source_i) and the terms are summed in order."""
+    p, enc, src = zip(*problem.ensemble)
+    e = np.array([op.entries for op in enc])
+    s = np.array([op.entries for op in src])
+    d_a, d_b = e.shape[1], s.shape[1]
+    rho = np.einsum("iab,icd,i->acbd", e, s, np.array(p, dtype=float))
+    return HermitianOperator((d_a, d_b), rho.reshape(d_a * d_b, d_a * d_b))
 
 
 def fidelity_bounds(

@@ -38,15 +38,17 @@ compiles to one of two SDP forms (``_compile``):
   in the solver's dual form (Lofberg, "Dualize it", Optim. Methods Softw.
   24, 2009).  Gamma is the one ``PptMap`` of S_p^N, across
   A B^{ceil(N/2)} | B^{floor(N/2)}.  The rows are X's free parameters, and
-  the PPT block costs no row: BB84 PPT N=7 has 518 rows instead of 3250
+  the PPT block costs no row.  A cone query keeps only the parameters
+  inside the classes of the local sign flips that fix its data
+  (``_grading``): BB84 PPT N=7 has 266 rows, against 518 ungraded and 3250
   with a primal PPT block and its link rows.
 
-Neither form's constraint matrix A depends on the data: it is built once
-per structure, keyed by (factor dims, N, PPT block, reduced_constraint, real
-path), as read-only sparse rows that every query with that key shares, and
-the solver checks A and prepares its Schur data once.  A query fills only
-its own right-hand side b, cost C and (free form) x0 (``_structure``,
-``_compile``).
+Neither form's constraint matrix A depends on the data beyond its grading:
+it is built once per structure, keyed by (factor dims, N, PPT block,
+reduced_constraint, real path, grading), as read-only sparse rows that every
+query with that key shares, and the solver checks A and prepares its Schur
+data once.  A query fills only its own right-hand side b, cost C and (free
+form) x0 (``_structure``, ``_compile``).
 
 ``_Codec`` reads either form back: the extension, the witness with its
 certified cone floor, the objective.  Before it builds any map, ``sdp_size``
@@ -287,12 +289,15 @@ class _Codec:
     parameterize X = x0 + sum_k y_k F_k (row k of ``kernel`` is vec F_k);
     otherwise all three are None and X is the solver's primal block 0.
     ``state`` and ``kernel`` belong to the query's shared ``_Structure``.
+    A graded cone query (``grading``: the class of each index of X, see
+    ``_grading``) keeps only the state rows and F_k of X zero off its classes.
     """
 
     query: ExtensionQuery
     tmap: LocalMap
     pmap: PptMap | None  # Gamma, the PPT block's map; None without one
     real: bool
+    grading: tuple | None = None
     state: np.ndarray | None = None
     x0: np.ndarray | None = None
     kernel: sp.csr_matrix | None = None
@@ -311,19 +316,16 @@ class _Codec:
         """Hermitian h as the solver's data: its real part on the real path."""
         return np.real(h) if self.real else h
 
-    def basis(self, n: int) -> np.ndarray:
-        """The Hermitian basis members on side n that rows run over."""
-        return hermitian_basis(n, self.real)
-
     def rhs(self) -> np.ndarray:
         """r, the right-hand sides of the query's state rows <R_i, X> = r_i
         (R from ``_state_rows``)."""
         q = self.query
         if q.reduced_constraint == "trace_match":
-            h = self.basis(q.rho.dim)
+            h = _basis(q.rho.dim, self.real)
             return np.real(np.sum(h.conj() * q.rho.entries, axis=(1, 2)))
         if q.reduced_constraint == "identity_marginal":
-            return np.real(np.trace(self.basis(self.tmap.dA), axis1=1, axis2=2))
+            f = _marginal_basis(self.tmap.dA, self.real, self.grading)
+            return np.real(np.trace(f, axis1=1, axis2=2))
         return np.ones(1)  # unit_trace
 
     def set_objective(self, problem: SdpProblem, w: np.ndarray, sense: str):
@@ -380,7 +382,7 @@ class _Codec:
             rows = self.state.reshape(len(self.state), -1)
             gram = np.real(rows.conj() @ rows.T)
             coef = np.linalg.solve(gram, np.real(rows.conj() @ g.ravel()))
-        w = np.tensordot(coef, self.basis(q.rho.dim), axes=1)
+        w = np.tensordot(coef, _basis(q.rho.dim, self.real), axes=1)
         w = 0.5 * (w + w.conj().T)
         scale = float(np.linalg.norm(w))
         if scale == 0.0:
@@ -421,6 +423,114 @@ def _maps(dims: tuple, N: int, ppt: bool) -> tuple[TraceMap, PptMap | None]:
     return _shared_map(TraceMap, dA, tuple(dBs), N, 1), pmap
 
 
+@lru_cache(maxsize=None)
+def _basis(n: int, real: bool) -> np.ndarray:
+    """``hermitian_basis(n, real)``, built once per key and read-only."""
+    basis = hermitian_basis(n, real)
+    basis.flags.writeable = False
+    return basis
+
+
+# An entry of rho or of the objective counts as nonzero for the grading above
+# GRADING_RTOL times the operator's largest entry: the qutrit grid's
+# cancelling sums leave residues of 1.5e-17 where its pattern has zeros.
+GRADING_RTOL = 1e-14
+
+
+@lru_cache(maxsize=None)
+def _occupation_bits(d: int, N: int, first: int) -> np.ndarray:
+    """The parity vector of each basis vector of Sym^N(C^d), occupations(d, N)
+    mod 2, as an int64 bit mask on bits first, ..., first + d - 1."""
+    occ = np.array(occupations(d, N), dtype=np.int64)
+    bits = (occ % 2) @ (np.int64(1) << np.arange(first, first + d, dtype=np.int64))
+    bits.flags.writeable = False
+    return bits
+
+
+def _product_bits(masks) -> np.ndarray:
+    """The bit masks of a product basis in row-major order, the XOR of one
+    mask of every factor's ``masks``."""
+    out = masks[0]
+    for m in masks[1:]:
+        out = np.bitwise_xor.outer(out, m).ravel()
+    return out
+
+
+def _grading(q: ExtensionQuery) -> tuple | None:
+    """The classes of X's indices under the local sign flips that fix rho
+    and the objective: a label per index of X, or None for a single class
+    or a query that is not graded.
+
+    Every basis vector of every factor gets one bit.  A flip g, a 0/1 vector
+    over the bits acting as diag((-1)^g) on each factor, fixes the entry
+    rho_(i),(j) when g . v_ij = 0 over GF(2), with v_ij = sum_f
+    (e_{f,i_f} + e_{f,j_f}).  So the flips that fix rho and the objective
+    annihilate the row space R of the v_ij of their nonzero entries (above
+    GRADING_RTOL).  On the symmetric basis a flip multiplies index
+    (a, occ_1, ..., occ_k) of X by (-1)^(g . c), c = e_a + (occ_f mod 2)_f,
+    so an entry of X is fixed when its two indices' c agree modulo R: c
+    reduced modulo R is the class.
+
+    The maps and the cone commute with every flip, so averaging a feasible
+    X over the group gives a feasible X, zero off its classes, of the same
+    value: the optimum is reached there (the diagonal case of Gatermann &
+    Parrilo, J. Pure Appl. Algebra 192, 2004).  Only cone queries with a
+    PPT block, compiled to the free form, are graded.  The rows form keeps
+    X as the primal block, where dropping state rows would enlarge the
+    feasible set.  Membership (trace_match) stays ungraded because
+    ``certify``'s rank search explores the compiled feasible set, and a
+    sign-symmetric extension can have higher rank than the lowest one.
+    """
+    dims = q.rho.factor_dims
+    if q.reduced_constraint == "trace_match" or not _has_ppt_block(q) or sum(dims) > 63:
+        return None  # past 63 bits the masks leave int64: ungraded
+    first = np.cumsum((0,) + dims)
+    units = [np.int64(1) << np.arange(first[f], first[f + 1], dtype=np.int64)
+             for f in range(len(dims))]
+    c = _product_bits(units)
+    rows = [np.zeros(1, np.int64)]  # the trivial equation: never a pivot, never empty
+    for op in (q.rho, q.objective):
+        mag = np.abs(op.entries)
+        i, j = np.nonzero(mag > GRADING_RTOL * mag.max())
+        rows.append(c[i] ^ c[j])
+    eqs = sum(map(len, rows))
+    rows.append(_product_bits(units[:1] + [_occupation_bits(d, q.N, first[f + 1])
+                                            for f, d in enumerate(dims[1:])]))
+    v = np.concatenate(rows)
+    # Gaussian elimination over GF(2) with pivots among the equations only:
+    # each pivot clears its bit from every other row, X's rows included, so
+    # they end reduced modulo R, with every pivot bit 0
+    for b in range(first[-1]):
+        hit = (v >> b) & 1 == 1
+        pivot = np.argmax(hit[:eqs])
+        if hit[pivot]:
+            v[hit] ^= v[pivot]
+    _, label = np.unique(v[eqs:], return_inverse=True)
+    return tuple(label.tolist()) if label.max() > 0 else None
+
+
+def _inside(classes: np.ndarray, real: bool) -> np.ndarray:
+    """Which members of ``hermitian_vecs(len(classes), real)`` lie inside one
+    class: those whose entries (i, j) have classes[i] == classes[j]."""
+    n = len(classes)
+    iu, ju = np.triu_indices(n, 1)
+    return np.concatenate([np.ones(n, bool), np.repeat(classes[iu] == classes[ju], 1 if real else 2)])
+
+
+def _a_classes(grading: tuple, dA: int) -> np.ndarray:
+    """The classes of A's indices: those of X's indices (a, first occupation)."""
+    return np.asarray(grading)[:: len(grading) // dA]
+
+
+def _marginal_basis(dA: int, real: bool, grading: tuple | None) -> np.ndarray:
+    """The Hermitian basis members of A whose Lambda_A entries an
+    identity_marginal query pins: all, or with a grading those inside A's
+    classes.  Every other member's row vanishes on X zero off its classes,
+    with right-hand side tr F = 0."""
+    f = _basis(dA, real)
+    return f if grading is None else f[_inside(_a_classes(grading, dA), real)]
+
+
 # ``sdp_size``'s predicted peak counts, besides the Schur workspace and the
 # state rows, SOLVE_COPIES vec-space arrays (sum_b n_b^2 entries of A's
 # dtype: the iterate, its directions, residuals and HKM images, the inverse
@@ -433,15 +543,20 @@ SOLVE_COPIES, FREE_FORM_COPIES, FIRST_SOLVE_BYTES = 30, 34, 6 << 20
 # against predicted MiB:
 #   qubit PPT membership, N = 8, 13, 17, 22: real 12/14, 33/33, 52/52, 95/94;
 #     complex 27/28, 61/57, 106/101, 227/214
-#   qutrit fidelity PPT, N = 2, 3, 4, 5: 7.2/9.2, 29/30, 58/57, 142/137
+#   qutrit fidelity PPT, N = 2, 3, 4, 5, one class: 7.2/9.2, 29/30, 58/57, 142/137;
+#     graded (4 classes): 6.8/7.1, 13/14, 29/31, 43/47
 #   qutrit fidelity without PPT, N = 10, 14: 17/22, 46/59
 PEAK_BYTES = 1 << 30
 
 
-def sdp_size(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> tuple[int, tuple, int]:
+def sdp_size(
+    dims: tuple, N: int, ppt: bool, kind: str, real: bool, grading: tuple | None = None
+) -> tuple[int, tuple, int]:
     """(m, block sides, predicted peak bytes) of the SDP of a ``kind`` query
     on factors ``dims`` at level N, with a PPT block or not, on the real path
-    or not (the ``_structure`` key), in closed form: no map is built.
+    or not, graded or not (the ``_structure`` key), in closed form: no map is
+    built.  A grading keeps, per class of size c, c(c+1)/2 (real) or c^2
+    parameters of X, and the state rows of A's classes (``_marginal_basis``).
 
     The peak is sized as SDPA sizes its workspace (Yamashita, Fujisawa &
     Kojima, Optim. Methods Softw. 18, 2003): the solver's
@@ -449,26 +564,34 @@ def sdp_size(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> tuple[int
     dense state rows (s n_X^2 complex entries) and FIRST_SOLVE_BYTES.
     """
     dA, *dBs = dims
-    count = (lambda n: n * (n + 1) // 2) if real else (lambda n: n * n)
     nx = dA * prod(sym_dim(d, N) for d in dBs)
-    s = {"trace_match": count(prod(dims)), "identity_marginal": count(dA)}.get(kind, 1)
+    x_classes, a_classes = [nx], [dA]
+    if grading is not None:
+        x_classes, a_classes = np.bincount(grading), np.bincount(_a_classes(grading, dA))
+
+    def count(classes) -> int:
+        return sum(int(c) * (int(c) + 1) // 2 if real else int(c) ** 2 for c in classes)
+
+    s = {"trace_match": count([prod(dims)]), "identity_marginal": count(a_classes)}.get(kind, 1)
     sides, m, copies = (nx,), s, SOLVE_COPIES
     if ppt:
         k = transposed_copies(N)
         sides = (nx, dA * prod(sym_dim(d, N - k) * sym_dim(d, k) for d in dBs))
-        m, copies = count(nx) - s, SOLVE_COPIES + FREE_FORM_COPIES
+        m, copies = count(x_classes) - s, SOLVE_COPIES + FREE_FORM_COPIES
     item = 8 if real else 16
     vecs = copies * item * sum(n * n for n in sides)
     return m, sides, workspace_bytes(m, sides, item) + vecs + 16 * s * nx * nx + FIRST_SOLVE_BYTES
 
 
-def _size(q: ExtensionQuery) -> tuple[bool, int, str]:
-    """Whether the query takes the real path, its predicted peak bytes, and
-    the query with its SDP's size in words."""
+def _size(q: ExtensionQuery) -> tuple[bool, tuple | None, int, str]:
+    """Whether the query takes the real path, its grading (``_grading``),
+    its predicted peak bytes, and the query with its SDP's size in words."""
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
-    m, sides, peak = sdp_size(q.rho.factor_dims, q.N, _has_ppt_block(q), q.reduced_constraint, real)
-    return real, peak, (
+    grading = _grading(q)
+    m, sides, peak = sdp_size(q.rho.factor_dims, q.N, _has_ppt_block(q), q.reduced_constraint,
+                              real, grading)
+    return real, grading, peak, (
         f"the N={q.N}{' PPT' if q.ppt else ''} {q.reduced_constraint} query on factors "
         f"{q.rho.factor_dims} (m = {m} equality rows, block sides {list(sides)}, "
         f"predicted peak {peak / 2**20:.1f} MiB)"
@@ -478,21 +601,23 @@ def _size(q: ExtensionQuery) -> tuple[bool, int, str]:
 def _codec(q: ExtensionQuery) -> _Codec:
     """The maps and arithmetic of a query whose predicted peak is at most
     PEAK_BYTES (BudgetExceeded otherwise, before any map is built)."""
-    real, peak, size = _size(q)
+    real, grading, peak, size = _size(q)
     if peak > PEAK_BYTES:
         raise BudgetExceeded(f"{size} exceeds the {PEAK_BYTES / 2**20:.0f} MiB limit")
-    return _Codec(q, *_maps(q.rho.factor_dims, q.N, _has_ppt_block(q)), real)
+    return _Codec(q, *_maps(q.rho.factor_dims, q.N, _has_ppt_block(q)), real, grading)
 
 
-def _state_rows(tmap: LocalMap, dim: int, kind: str, real: bool) -> np.ndarray:
+def _state_rows(
+    tmap: LocalMap, dim: int, kind: str, real: bool, grading: tuple | None
+) -> np.ndarray:
     """R, the Hermitian state rows <R_i, X> = r_i of a ``kind`` query on a
     state of side ``dim`` (``_Codec.rhs`` gives r): L^dag of the basis
     members of the part of Lambda that ``kind`` pins."""
     if kind == "trace_match":
-        return tmap.adjoint(hermitian_basis(dim, real))
+        return tmap.adjoint(_basis(dim, real))
     if kind == "identity_marginal":
         # <F (x) I_B, Lambda> = tr F  for an orthonormal Hermitian basis of A
-        f = hermitian_basis(tmap.dA, real)
+        f = _marginal_basis(tmap.dA, real, grading)
         return tmap.adjoint(np.kron(f, np.eye(dim // tmap.dA)))
     return np.eye(tmap.dA * tmap.size_in, dtype=complex)[None]  # unit_trace
 
@@ -560,21 +685,25 @@ class _Structure:
 
 
 @lru_cache(maxsize=None)
-def _structure(dims: tuple, N: int, ppt: bool, kind: str, real: bool) -> _Structure:
+def _structure(
+    dims: tuple, N: int, ppt: bool, kind: str, real: bool, grading: tuple | None
+) -> _Structure:
     """The structure of every ``kind`` query on factors ``dims`` at level N,
-    with a PPT block or not, on the real path or not.  Built on the first
-    such query and kept, A checked and with its Schur data, so later queries
-    fill only their b, C and x0."""
+    with a PPT block or not, on the real path or not, with its grading or
+    none.  Built on the first such query and kept, A checked and with its
+    Schur data, so later queries fill only their b, C and x0."""
     tmap, pmap = _maps(dims, N, ppt)
-    state = _state_rows(tmap, prod(dims), kind, real)
+    state = _state_rows(tmap, prod(dims), kind, real, grading)
     n = tmap.dA * tmap.size_in
     if pmap is None:
         rows = _solver_rows(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), real)
         return _Structure(sparse_rows(rows, (n,)))
-    return _free_form(tmap, pmap, state, real)
+    return _free_form(tmap, pmap, state, real, grading)
 
 
-def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _Structure:
+def _free_form(
+    tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool, grading: tuple | None
+) -> _Structure:
     """The LMIs X(y) >= 0 and Gamma(X(y)) >= 0 over X(y) = x0 + sum_k y_k F_k,
     as the dual slack C - sum_k y_k A_k of the solver's standard form:
     C = (x0, Gamma(x0)) and A_k = -(F_k, Gamma(F_k)).  Only C depends on the
@@ -583,10 +712,15 @@ def _free_form(tmap: TraceMap, pmap: PptMap, state: np.ndarray, real: bool) -> _
     x0 is the least-norm solution of the state rows and the F_k an
     orthonormal, sparse basis of their kernel, so X(y) meets the state rows
     for every y and no PPT block costs an equality row (Lofberg, "Dualize
-    it", Optim. Methods Softw. 24, 2009).
+    it", Optim. Methods Softw. 24, 2009).  With a grading the F_k run over
+    the Hermitian basis members inside one class only, so every X(y) is zero
+    off its classes, and ``state`` holds only the rows that such X meet
+    (``_marginal_basis``).
     """
     n = tmap.dA * tmap.size_in
     basis = hermitian_vecs(n, real)
+    if grading is not None:
+        basis = basis[_inside(np.asarray(grading), real)]
     flat = state.reshape(len(state), -1)
     kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
     sides = [n, tmap.dA * pmap.size_out]
@@ -609,7 +743,7 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     """
     codec = _codec(q)
     s = _structure(q.rho.factor_dims, q.N, codec.pmap is not None,
-                   q.reduced_constraint, codec.real)
+                   q.reduced_constraint, codec.real, codec.grading)
     rhs = codec.rhs()
     if s.kernel is None:
         problem = SdpProblem(list(s.constraints.sizes), [None], s.constraints, rhs)
@@ -639,7 +773,7 @@ def _memory_budget(q: ExtensionQuery):
     try:
         yield
     except MemoryError as exc:
-        raise BudgetExceeded(f"out of memory on {_size(q)[2]}") from exc
+        raise BudgetExceeded(f"out of memory on {_size(q)[3]}") from exc
 
 
 FEAS_EQUALITY_TOL = 1e-7

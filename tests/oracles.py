@@ -15,6 +15,9 @@ family.
 :func:`build_bse_sdp` is a query's compiled SDP alone, and
 :func:`reduce_extension` traces one copy off a compressed extension, the
 one-step map that ``TraceMap`` with any kept-copy count is checked against.
+:func:`one_class` and :func:`compile_ungraded` compile cone queries with a
+single class, over all of X's parameters, the structure that graded
+queries are checked against; :func:`dense_constraints` writes either.
 
 :func:`schur_reference` forms the solver's Schur complement from the parts
 that :func:`schur_parts_reference` cuts, the way the solver did before it
@@ -51,12 +54,14 @@ library's g_N, with no use of the asymptotic estimate beyond an upper end.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, factorial, pi, prod, sqrt
 
 import numpy as np
 
+import dpskit.extensions
 import dpskit.solver
 from dpskit.bounds import (
     JacobiRecurrence,
@@ -72,6 +77,7 @@ from dpskit.extensions import (
     _codec,
     _compile,
     _hermitize,
+    _inside,
     _kernel,
     _state_rows,
 )
@@ -232,7 +238,7 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
     codec = _codec(q)
     real, n = codec.real, codec.nx
     dtype = float if real else complex
-    state = _state_rows(codec.tmap, q.rho.dim, q.reduced_constraint, real)
+    state = _state_rows(codec.tmap, q.rho.dim, q.reduced_constraint, real, codec.grading)
     if codec.pmap is None:
         rows = np.zeros((len(state), n, n), dtype)
         rows[...] = codec.cast(state)
@@ -240,6 +246,8 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
         rows *= 0.5
         return rows.reshape(len(state), -1)
     basis = hermitian_vecs(n, real)
+    if codec.grading is not None:
+        basis = basis[_inside(np.asarray(codec.grading), real)]
     flat = state.reshape(len(state), -1)
     kernel = (_kernel(np.real(basis.conj() @ flat.T).T).T @ basis).tocsr()
     side = codec.tmap.dA * codec.pmap.size_out
@@ -251,6 +259,24 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
         start += v.shape[1]
     np.negative(dest, out=dest)
     return dest
+
+
+@contextmanager
+def one_class():
+    """Every query compiled inside the block takes a single class: the free
+    form over all of X's parameters, as before cone queries were graded."""
+    graded = dpskit.extensions._grading
+    dpskit.extensions._grading = lambda q: None
+    try:
+        yield
+    finally:
+        dpskit.extensions._grading = graded
+
+
+def compile_ungraded(q: ExtensionQuery):
+    """``_compile(q)`` with a single class: the ungraded structure."""
+    with one_class():
+        return _compile(q)
 
 
 def schur_parts_reference(rows, sizes):

@@ -67,6 +67,17 @@ class TestEstimationOperator:
         want[0, 0] = want[3, 3] = 0.5
         assert_allclose(rho.entries, want, atol=1e-14)
 
+    @pytest.mark.parametrize("make", [bb84_two_copy_problem, qutrit_grid_problem],
+                             ids=["bb84", "qutrit"])
+    def test_equals_kron_sum_bit_for_bit(self, make):
+        for eps in np.linspace(0.0, 1.0, 21):
+            prob = make(eps)
+            acc = np.zeros((prob.ensemble[0][1].dim * prob.ensemble[0][2].dim,) * 2, complex)
+            for p, enc, src in prob.ensemble:
+                acc += p * np.kron(enc.entries, src.entries)
+            want = HermitianOperator(estimation_operator(prob).factor_dims, acc)
+            assert estimation_operator(prob).entries.tobytes() == want.entries.tobytes()
+
     def test_bb84_trace_and_rank(self):
         rho = estimation_operator(bb84_two_copy_problem(0.3))
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)

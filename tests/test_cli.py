@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpskit.applications import bb84_two_copy_problem, estimation_operator
 from dpskit.cli import main
-from dpskit.extensions import sdp_size
+from dpskit.extensions import ExtensionQuery, _grading, sdp_size
 from dpskit.operators import HermitianOperator, identity, operator_to_json, pure_state
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
@@ -259,8 +260,12 @@ class TestSweeps:
         assert capped[2] == full[2]
 
     def test_budget_partial_csv(self, tmp_path, monkeypatch):
-        # room for every N = 2 query, not for N = 3 with a PPT block
-        peak = sdp_size((4, 2), 2, True, "identity_marginal", True)[2]
+        # room for every N = 2 query, not for N = 3 with a PPT block, both
+        # graded by the sign flips that fix their data
+        rho = estimation_operator(bb84_two_copy_problem(1.0))
+        grading = _grading(ExtensionQuery(rho=rho, N=2, ppt=True, objective=rho,
+                                          reduced_constraint="identity_marginal"))
+        peak = sdp_size((4, 2), 2, True, "identity_marginal", True, grading)[2]
         monkeypatch.setattr("dpskit.extensions.PEAK_BYTES", peak)
         out = tmp_path / "partial.csv"
         code = main(["fidelity", "--bb84", "1.0", "--N", "2..3", "--out", str(out)])
@@ -546,7 +551,7 @@ def test_linalg_error_exit_4(argv, mixed_file, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, expect",
     [(["membership", "--input", "STATE", "--N", "2", "--ppt"], "m = 11 "),
-     (["fidelity", "--bb84", "0.1", "--N", "2", "--ppt", "true"], "m = 68 "),
+     (["fidelity", "--bb84", "0.1", "--N", "2", "--ppt", "true"], "m = 36 "),
      (["certify", "--input", "STATE", "--maxN", "2"], "m = 11 ")],
     ids=["membership", "fidelity", "certify"],
 )

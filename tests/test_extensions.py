@@ -10,12 +10,16 @@ import dpskit.solver
 from dpskit.extensions import (
     FEAS_PSD_TOL,
     FIRST_SOLVE_BYTES,
+    GRADING_RTOL,
     BudgetExceeded,
     ExtensionQuery,
     PptMap,
     TraceMap,
+    _basis,
     _Codec,
     _compile,
+    _grading,
+    _inside,
     _kernel,
     _ppt_local,
     _refine_witness,
@@ -38,16 +42,25 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
-from dpskit.solver import SolverBreakdown, hermitian_vecs, solve, sparse_rows, workspace_bytes
+from dpskit.solver import (
+    SolverBreakdown,
+    hermitian_basis,
+    hermitian_vecs,
+    solve,
+    sparse_rows,
+    workspace_bytes,
+)
 from dpskit.symmetric import sym_dim
 from oracles import (
     band_state,
     build_basis,
     build_bse_sdp,
+    compile_ungraded,
     compress,
     dense_constraints,
     dicke_overlap_state,
     lift,
+    one_class,
     reduce_extension,
     schur_parts_reference,
     schur_reference,
@@ -574,32 +587,54 @@ def _w_geometric(N):
     return _unit_trace_query(rho_ab, rho_ab, N)
 
 
+def _ghz_geometric(N):
+    rho_ab = partial_trace(GHZ, [2])
+    return _unit_trace_query(rho_ab, rho_ab, N)
+
+
+def _generic(dims, kind="identity_marginal", real=True):
+    """Queries at level N on a random full-rank state of ``dims`` (its own
+    objective): no sign flip fixes it, so they compile to a single class."""
+    return lambda N: _random_query(dims, N, True, kind, real)
+
+
 @pytest.mark.parametrize(
     "make, N, m, sides",
     [
-        (_bb84, 2, 68, [12, 16]),
-        (_bb84, 3, 126, [16, 24]),
-        (_bb84, 4, 200, [20, 36]),
-        (_qutrit, 2, 165, [18, 27]),
+        (_bb84, 2, 36, [12, 16]),
+        (_bb84, 3, 66, [16, 24]),
+        (_bb84, 4, 104, [20, 36]),
+        (_qutrit, 2, 48, [18, 27]),
+        (_generic((4, 2)), 2, 68, [12, 16]),
+        (_generic((4, 2)), 3, 126, [16, 24]),
+        (_generic((4, 2)), 4, 200, [20, 36]),
+        (_generic((3, 3)), 2, 165, [18, 27]),
     ],
-    ids=["bb84-N2", "bb84-N3", "bb84-N4", "qutrit-N2"],
+    ids=["bb84-N2", "bb84-N3", "bb84-N4", "qutrit-N2",
+         "generic-4x2-N2", "generic-4x2-N3", "generic-4x2-N4", "generic-3x3-N2"],
 )
 def test_real_data_compiles_to_real_sizes(make, N, m, sides):
     q = make(N)
     problem, codec = _compile(q)
     assert codec.real
     assert (len(problem.rhs), problem.block_sizes) == (m, sides)
-    # m = n_x(n_x+1)/2 parameters of X less d_A(d_A+1)/2 state rows for
-    # Lambda_A = I; the PPT block costs no row
-    d_a = q.rho.factor_dims[0]
-    n_x = sides[0]
-    assert m == n_x * (n_x + 1) // 2 - d_a * (d_a + 1) // 2
+    # m = c(c+1)/2 parameters of X per class of c indices less a(a+1)/2
+    # state rows for Lambda_A = I per class of a indices of A (one class
+    # each on generic data); the PPT block costs no row
+    d_a, n_x = q.rho.factor_dims[0], sides[0]
+    grading = codec.grading or (0,) * n_x
+    count = lambda classes: sum(c * (c + 1) // 2 for c in np.bincount(classes))
+    assert m == count(grading) - count(grading[:: n_x // d_a])
 
 
 def test_complex_data_keeps_native_sides():
+    # the phase rotation keeps the entry pattern, and so the two classes
     problem, codec = _compile(_rotated(_bb84(2)))
     assert not codec.real
     assert problem.constraints.dtype == complex
+    assert (len(problem.rhs), problem.block_sizes) == (64, [12, 16])
+    problem, codec = _compile(_generic((4, 2), real=False)(2))
+    assert not codec.real and codec.grading is None
     assert (len(problem.rhs), problem.block_sizes) == (128, [12, 16])
 
 
@@ -801,6 +836,15 @@ def test_threads_share_structures_from_cold_cache(cold_cache):
     assert got == want * 4
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_hermitian_basis_built_once_and_read_only(real):
+    basis = _basis(5, real)
+    assert _basis(5, real) is basis
+    assert np.array_equal(basis, hermitian_basis(5, real))
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0, 0] = 1.0
+
+
 def test_cached_structure_is_read_only():
     problem, codec = _compile(_bb84(2))
     a = problem.constraints
@@ -866,39 +910,43 @@ def _dense_nbytes(problem):
 
 
 def test_compile_memory_bounded_by_constraint_matrix(cold_cache):
-    """BB84 PPT N=5 (real path, m = 290): the kernel basis, its PPT images
-    and A are built sparse; the bound is 3 times A as a dense matrix."""
-    q = _bb84(5)
-    tracemalloc.start()
-    try:
-        problem, codec = _compile(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert codec.real and len(problem.rhs) == 290
-    assert peak <= 3 * _dense_nbytes(problem)
+    """PPT N=5 fidelity on a generic (4, 2) state (real path, m = 290) and
+    on BB84 (graded, m = 150): the kernel basis, its PPT images and A are
+    built sparse; the bound is 3 times A as a dense matrix."""
+    for make, m in ((_generic((4, 2)), 290), (_bb84, 150)):
+        q = make(5)
+        tracemalloc.start()
+        try:
+            problem, codec = _compile(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codec.real and len(problem.rhs) == m
+        assert peak <= 3 * _dense_nbytes(problem)
 
 
 def test_validate_memory_bounded_by_constraint_matrix(cold_cache):
-    """BB84 PPT N=6 (m = 396, sides 28 and 64): the symmetry check runs on
-    the sparse rows, not on dense (m, n, n) stacks of A; the bound is half
-    of A as a dense matrix.  A copy of the compiled A is not one that
-    ``sparse_rows`` built, so ``validate`` checks and prepares it anew."""
-    problem, _ = _compile(_bb84(6))
-    assert len(problem.rhs) == 396
-    problem.constraints = problem.constraints.copy()
-    tracemalloc.start()
-    try:
-        problem.validate()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * _dense_nbytes(problem)
+    """PPT N=6 fidelity on a generic (4, 2) state (m = 396, sides 28 and 64)
+    and on BB84 (graded, m = 204): the symmetry check runs on the sparse
+    rows, not on dense (m, n, n) stacks of A; the bound is half of A as a
+    dense matrix.  A copy of the compiled A is not one that ``sparse_rows``
+    built, so ``validate`` checks and prepares it anew."""
+    for make, m in ((_generic((4, 2)), 396), (_bb84, 204)):
+        problem, _ = _compile(make(6))
+        assert len(problem.rhs) == m
+        problem.constraints = problem.constraints.copy()
+        tracemalloc.start()
+        try:
+            problem.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * _dense_nbytes(problem)
 
 
 @pytest.mark.parametrize("row", [0, 57, 67])
 def test_validate_names_asymmetric_row_in_second_block(row, cold_cache):
-    problem, _ = _compile(_bb84(2))
+    problem, _ = _compile(_generic((4, 2))(2))
     n0, n1 = problem.block_sizes
     assert len(problem.rhs) == 68
     a = problem.constraints.toarray()  # the compiled A is shared and read-only
@@ -911,7 +959,7 @@ def test_validate_names_asymmetric_row_in_second_block(row, cold_cache):
 def test_constraint_matrix_built_complete(cold_cache):
     """``sparse_rows`` checks A as it builds it, and a solve sets nothing on
     the shared A it reads."""
-    problem, _ = _compile(_bb84(2))
+    problem, _ = _compile(_generic((4, 2))(2))
     a = problem.constraints
     before = dict(vars(a))
     solve(problem, max_iter=3)
@@ -970,10 +1018,10 @@ def _three_chunks_per_block(problem, monkeypatch):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["shared_a", "dense_a"])
 def test_workspace_schur_equals_reference_in_chunks(dense, monkeypatch):
-    """BB84 PPT N=2 on the complex path (m = 128, sides 12 and 16), in 4 and
-    6 chunks; with A also given dense, which ``validate`` turns into a
-    ``csr_matrix`` on every solve."""
-    q = _rotated(_bb84(2))
+    """PPT N=2 fidelity on a generic complex (4, 2) state (m = 128, sides 12
+    and 16), in 4 and 6 chunks; with A also given dense, which ``validate``
+    turns into a ``csr_matrix`` on every solve."""
+    q = _generic((4, 2), real=False)(2)
     problem = _compile(q)[0]
     if dense:
         problem = replace(problem, constraints=dense_constraints(q))
@@ -987,7 +1035,7 @@ def test_solve_keeps_one_schur_buffer_set(monkeypatch):
     chunk's columns of M, complex here, and three real m x m matrices) plus
     8 (m^2 + sum n_b^2) doubles for everything else: buffers kept per chunk
     would exceed it."""
-    problem = _compile(_rotated(_bb84(2)))[0]
+    problem = _compile(_generic((4, 2), real=False)(2))[0]
     m, sizes = len(problem.rhs), problem.block_sizes
     steps = _three_chunks_per_block(problem, monkeypatch)
     solve(problem, max_iter=3)  # warm up: the traced solve counts only its own
@@ -1064,17 +1112,20 @@ def _qubit_membership(N):
 
 @pytest.mark.parametrize(
     "make, N, real, m",
-    [(_bb84, 4, True, 200), (_bb84, 7, True, 518), (_qutrit, 2, True, 165),
-     (_qubit_membership, 11, False, 560)],
-    ids=["bb84-N4", "bb84-N7", "qutrit-N2", "qubit-membership-N11"],
+    [(_bb84, 4, True, 104), (_bb84, 7, True, 266), (_qutrit, 2, True, 48),
+     (_qubit_membership, 11, False, 560), (_generic((4, 2)), 4, True, 200),
+     (_generic((4, 2)), 7, True, 518), (_generic((3, 3)), 2, True, 165)],
+    ids=["bb84-N4", "bb84-N7", "qutrit-N2", "qubit-membership-N11",
+         "generic-4x2-N4", "generic-4x2-N7", "generic-3x3-N2"],
 )
 def test_free_form_sizes(make, N, real, m):
     # m = the free parameters of X: 676, 3250, 384 and 7072 rows with a
-    # primal PPT block and its link rows
+    # primal PPT block and its link rows on generic data (and membership);
+    # the paper's inputs keep only those of X zero off its classes
     q = make(N)
     problem, codec = _compile(q)
     assert codec.real == real
-    size = sdp_size(q.rho.factor_dims, N, True, q.reduced_constraint, real)
+    size = sdp_size(q.rho.factor_dims, N, True, q.reduced_constraint, real, codec.grading)
     assert len(problem.rhs) == size[0] == m
 
 
@@ -1086,8 +1137,11 @@ def test_free_form_sizes(make, N, real, m):
         lambda: _bb84(3),
         lambda: _depolarizing_purity(3),
         lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True),
+        lambda: _generic((4, 2))(3),
+        lambda: _generic((2, 2), "unit_trace")(3),
     ],
-    ids=["trace_match", "identity_marginal", "unit_trace", "tripartite"],
+    ids=["trace_match", "identity_marginal", "unit_trace", "tripartite",
+         "identity_marginal-generic", "unit_trace-generic"],
 )
 def test_kernel_spans_state_row_kernel(make, path):
     q = make() if path == "real" else _rotated(make())
@@ -1102,7 +1156,10 @@ def test_kernel_spans_state_row_kernel(make, path):
     # and the F_k span the whole kernel: rank = parameters - state rows
     as_real = np.hstack([kernel.real, kernel.imag])
     assert np.linalg.matrix_rank(as_real) == len(kernel)
-    assert len(kernel) == hermitian_vecs(codec.nx, codec.real).shape[0] - len(rows)
+    members = hermitian_vecs(codec.nx, codec.real).shape[0]
+    if codec.grading is not None:
+        members = np.count_nonzero(_inside(np.asarray(codec.grading), codec.real))
+    assert len(kernel) == members - len(rows)
     # F_k is Hermitian (real symmetric on the real path)
     f = kernel.reshape(len(kernel), codec.nx, codec.nx)
     assert np.array_equal(f, f.conj().swapaxes(1, 2))
@@ -1372,6 +1429,8 @@ def test_memory_error_reported_as_budget(monkeypatch):
 
     monkeypatch.setattr("dpskit.extensions._compile", exhausted)
     with pytest.raises(BudgetExceeded, match=r"N=7 PPT identity_marginal .*m = 518 "):
+        optimize_over_cone(_generic((4, 2))(7))
+    with pytest.raises(BudgetExceeded, match=r"N=7 PPT identity_marginal .*m = 266 "):
         optimize_over_cone(_bb84(7))
     with pytest.raises(BudgetExceeded, match=r"N=11 PPT trace_match .*m = 560 "):
         check_membership(_qubit_membership(11))
@@ -1435,18 +1494,141 @@ def test_predicted_peak_bounds_traced_peak(make):
     finally:
         tracemalloc.stop()
     predicted = sdp_size(q.rho.factor_dims, q.N, codec.pmap is not None,
-                         q.reduced_constraint, codec.real)[2]
+                         q.reduced_constraint, codec.real, codec.grading)[2]
     assert peak <= predicted - FIRST_SOLVE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# cone queries graded by the local sign flips that fix their data
+# ---------------------------------------------------------------------------
+
+
+def _classes(q) -> int:
+    grading = _grading(q)
+    return 1 if grading is None else len(set(grading))
+
+
+@pytest.mark.parametrize(
+    "make, Ns, classes",
+    [(_bb84, (2, 3, 4, 5, 7), 2), (_qutrit, (2, 3, 4), 4), (_depolarizing_purity, (2, 3, 4), 2),
+     (_w_geometric, (2, 3, 4), 2), (_ghz_geometric, (2, 3, 4), 4)],
+    ids=["bb84", "qutrit", "purity", "w", "ghz"],
+)
+def test_paper_inputs_grade_into_classes(make, Ns, classes):
+    for N in Ns:
+        assert _classes(make(N)) == _classes(_rotated(make(N))) == classes
+
+
+def test_qutrit_grid_residues_count_as_zero():
+    """The grid's cancelling sums leave entries of about 1e-17 where its
+    pattern has zeros; below GRADING_RTOL of the largest they are ignored."""
+    mag = np.abs(_qutrit(2).rho.entries)
+    residue = mag[(mag > 0) & (mag <= GRADING_RTOL * mag.max())]
+    assert len(residue) and residue.max() < 1e-16
+    assert _classes(_qutrit(2)) == 4
+
+
+def _with_entry(op, i, j, value):
+    """op with value added at (i, j) and (j, i)."""
+    extra = np.zeros_like(op.entries)
+    extra[i, j] = extra[j, i] = value
+    return op.replace_entries(op.entries + extra)
+
+
+def test_generic_inputs_take_one_class():
+    assert _grading(_generic((4, 2))(3)) is None
+    assert _grading(_generic((3, 3), "unit_trace", real=False)(2)) is None
+    q = _bb84(3)
+    rho = q.rho.entries
+    i, j = 0, 1  # a zero of BB84's pattern that no sign flip keeps
+    assert rho[i, j] == 0
+    big = np.abs(rho).max()
+    for scale, classes in ((1e-12, 1), (1e-15, 2)):
+        broken = _with_entry(q.rho, i, j, scale * big)
+        assert _classes(replace(q, rho=broken, objective=broken)) == classes
+        assert _classes(replace(q, objective=broken)) == classes
+    # a symmetric rho with an objective that no flip fixes
+    assert _classes(replace(q, objective=random_state((4, 2), 8, 5))) == 1
+
+
+def test_ungraded_queries_take_no_grading():
+    """Membership and every query without a PPT block keep one class."""
+    rho = _bb84(3).rho
+    for q in (ExtensionQuery(rho=rho * (1 / rho.trace()), N=3, ppt=True),
+              replace(_bb84(3), ppt=False), replace(_bb84(3), N=1),
+              ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True)):
+        assert _grading(q) is None
+        assert _compile(q)[1].grading is None
+    # diagonal data whose factors have 64 basis vectors between them: one
+    # bit each would leave the int64 masks, so it stays ungraded too
+    for d_a, graded in ((60, True), (61, False)):
+        diag = identity((d_a, 3)) * (1 / (3 * d_a))
+        q = ExtensionQuery(rho=diag, N=2, ppt=True, objective=diag, reduced_constraint="unit_trace")
+        assert (_grading(q) is not None) == graded
+
+
+_GRADED = [
+    pytest.param(make, N, id=f"{name}-N{N}")
+    for name, make, Ns in [("bb84", _bb84, (2, 3, 4)), ("qutrit", _qutrit, (2, 3)),
+                           ("purity", _depolarizing_purity, (2, 3, 4)),
+                           ("ghz", _ghz_geometric, (2, 3, 4)), ("w", _w_geometric, (2, 3, 4))]
+    for N in Ns
+]
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("make, N", _GRADED)
+def test_free_form_is_zero_off_classes(make, N, path):
+    q = make(N) if path == "real" else _rotated(make(N))
+    problem, codec = _compile(q)
+    classes = np.asarray(codec.grading)
+    off = classes[:, None] != classes[None, :]
+    f = codec.kernel.toarray().reshape(-1, codec.nx, codec.nx)
+    assert off.any() and not f[:, off].any()
+    assert not codec.x0[off].any()
+    assert not codec.state[:, off].any()
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+@pytest.mark.parametrize("make, N", _GRADED + [
+    pytest.param(lambda N: replace(_bb84(N), objective=random_state((4, 2), 8, 5)), 2,
+                 id="bb84-random-objective-N2")])
+def test_graded_optimum_equals_ungraded(make, N, path):
+    q = make(N) if path == "real" else _rotated(make(N))
+    graded = optimize_over_cone(q)
+    with one_class():
+        ungraded = optimize_over_cone(q)
+    assert graded.status == ungraded.status == "optimal"
+    assert abs(graded.value - ungraded.value) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make, m",
+    [(_bb84, {2: 36, 3: 66, 4: 104, 5: 150, 7: 266}), (_qutrit, {2: 48, 3: 126, 4: 276, 5: 528}),
+     (_depolarizing_purity, {2: 11, 3: 19, 4: 29}), (_ghz_geometric, {2: 7, 3: 11, 4: 17}),
+     (_w_geometric, {2: 11, 3: 19, 4: 29})],
+    ids=["bb84", "qutrit", "purity", "ghz", "w"],
+)
+def test_sdp_size_matches_graded_compile(make, m):
+    """On graded inputs ``sdp_size`` gives the compiled m and block sides
+    exactly, and the sides are those of the ungraded compile."""
+    for N, want in m.items():
+        for q in (make(N), _rotated(make(N))):  # GHZ's diagonal data stays real
+            real = not any(np.imag(op.entries).any() for op in (q.rho, q.objective))
+            size = sdp_size(q.rho.factor_dims, N, True, q.reduced_constraint, real, _grading(q))
+            if real:
+                assert size[0] == want
+            if size[0] > 300:
+                continue  # predicted only: the compile is checked at lower N
+            problem, codec = _compile(q)
+            assert codec.real == real
+            assert size[:2] == (len(problem.rhs), tuple(problem.block_sizes))
+            assert tuple(compile_ungraded(q)[0].block_sizes) == size[1]
 
 
 # ---------------------------------------------------------------------------
 # unit_trace queries without a PPT block: the top eigenspace of L^dag(objective)
 # ---------------------------------------------------------------------------
-
-
-def _ghz_geometric(N):
-    rho_ab = partial_trace(GHZ, [2])
-    return _unit_trace_query(rho_ab, rho_ab, N)
 
 
 def _eigen_route_cases():
