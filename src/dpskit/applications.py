@@ -70,6 +70,8 @@ class EstimationProblem:
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total}, not 1")
         for _, _, src in self.ensemble:
+            if src.dim < 2:
+                raise ValueError(f"source states need dimension >= 2, got {src.dim}")
             purity = float(np.trace(src.entries @ src.entries).real)
             if abs(purity - 1.0) > 1e-10:
                 raise ValueError("source states must be pure")
@@ -183,10 +185,12 @@ def depolarizing_choi(d: int, p: float) -> HermitianOperator:
 
 
 def check_choi(choi: HermitianOperator) -> HermitianOperator:
-    """``choi`` if it has two factors, tr_B = I_A and is PSD (the map is
-    completely positive), else ValueError."""
+    """``choi`` if it has two factors, d_B >= 2, tr_B = I_A and is PSD (the
+    map is completely positive), else ValueError."""
     if choi.nfactors != 2:
         raise ValueError(f"Choi operator needs two factors (A, B), got {choi.nfactors}")
+    if choi.factor_dims[1] < 2:
+        raise ValueError(f"Choi operator needs d_B >= 2, got {choi.factor_dims[1]}")
     marg = partial_trace(choi, [1]).entries
     if np.max(np.abs(marg - np.eye(choi.factor_dims[0]))) > 1e-8:
         raise ValueError("Choi operator must have identity A-marginal")
@@ -221,9 +225,12 @@ def w_state() -> HermitianOperator:
 
 
 def check_tripartite_pure(psi: HermitianOperator) -> HermitianOperator:
-    """``psi`` if it is a pure state on three factors, else ValueError."""
+    """``psi`` if it is a pure state on three factors, B of dimension >= 2,
+    else ValueError."""
     if psi.nfactors != 3:
         raise ValueError(f"expected a tripartite state, got {psi.nfactors} factors")
+    if psi.factor_dims[1] < 2:
+        raise ValueError(f"factor B needs dimension >= 2, got {psi.factor_dims[1]}")
     purity = float(np.trace(psi.entries @ psi.entries).real)
     if abs(purity - 1.0) > 1e-8:
         raise ValueError("geometric entanglement bounds need a pure state")

@@ -198,8 +198,11 @@ def g_N(d: int, N: int) -> float:
     return val
 
 
+@lru_cache(maxsize=None)
 def bessel_zero_first(nu: int) -> float:
-    """First positive zero of J_nu for an integer order nu in [0, 50]."""
+    """First positive zero of J_nu for an integer order nu in [0, 50];
+    each order is found once per process, so a table over many N reads it
+    from the cache."""
     if nu != int(nu) or not 0 <= nu <= 50:
         raise ValueError(f"order must be an integer in [0, 50], got {nu}")
     return float(jn_zeros(int(nu), 1)[0])
@@ -272,17 +275,11 @@ class BoundReport:
     ppt_distances_valid: bool  # the PPT distance guarantees need N >= 2
 
 
-def bound_report(
-    d_A: int, d_B: int, N: int, bessel_zero: float | None = None
-) -> BoundReport:
-    """Every closed-form bound at (d_A, d_B, N).
-
-    ``bessel_zero`` is ``bessel_zero_first(d_B - 2)``, found here when not
-    given; a table over many N finds it once and passes it to every row.
-    """
+def bound_report(d_A: int, d_B: int, N: int) -> BoundReport:
+    """Every closed-form bound at (d_A, d_B, N)."""
     d = d_B
+    j = bessel_zero_first(d - 2)
     g = g_N(d, N)
-    j = bessel_zero_first(d - 2) if bessel_zero is None else bessel_zero
     return BoundReport(
         d_A=d_A,
         d_B=d_B,
@@ -377,7 +374,7 @@ def complexity_estimate(d_A: int, d_B: int, delta: float):
     return n_sym, n_ppt, sym_ops, ppt_ops, sym_simplified, ppt_simplified
 
 
-def ppt_alone(rho: HermitianOperator, tol: float = 1e-9):
+def ppt_alone(rho: HermitianOperator):
     """Local depolarizing that renders any PPT state separable, plus bounds.
 
     Returns (p_A, p_B, tilde, rg_bound, trace_bound).  Requires d_A >= 3,
@@ -388,7 +385,7 @@ def ppt_alone(rho: HermitianOperator, tol: float = 1e-9):
     d_A, d_B = rho.factor_dims
     if d_A < 3 or d_B < 2:
         raise ValueError("requires d_A >= 3 and d_B >= 2")
-    if not is_ppt(rho, [1], tol):
+    if not is_ppt(rho, [1]):
         raise ValueError("input state is not PPT")
     p_a = d_A * (d_A - 3) / (d_A**2 - 1)
     p_b = d_B * (d_B - 2) / (d_B**2 - 1)

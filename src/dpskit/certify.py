@@ -110,12 +110,13 @@ def rank_loop_check(
 
 
 # the log-det search: rounds per pass, solver tolerance of each round, the
-# weight's regularization eps, and the number of random restarts after the
-# first pass
+# weight's regularization eps, the number of random restarts after the
+# first pass and the seed of their weights
 RANK_MIN_ROUNDS = 8
 RANK_MIN_SOLVE_TOL = 1e-8
 RANK_MIN_EPS = 1e-4
 RANK_MIN_RESTARTS = 2
+RANK_MIN_SEED = 0
 
 
 def _rank_and_weight(x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -126,10 +127,7 @@ def _rank_and_weight(x: np.ndarray) -> tuple[int, np.ndarray]:
     return _rank(w), 0.5 * (weight + weight.conj().T)
 
 
-def rank_min_heuristic(
-    q: ExtensionQuery, extension: np.ndarray, rounds: int = RANK_MIN_ROUNDS,
-    seed: int = 0,
-) -> np.ndarray:
+def rank_min_heuristic(q: ExtensionQuery, extension: np.ndarray) -> np.ndarray:
     """Search the feasible set for a low-rank extension by log-det reweighting.
 
     Round k minimizes <W_k, X> over the feasible set of the membership query
@@ -138,11 +136,12 @@ def rank_min_heuristic(
     both its rank and the next weight.  The first pass starts from
     ``extension``, a feasible extension of ``q`` (the one
     :func:`check_membership` returns), which is re-verified here (ValueError
-    if it fails) and is round 1's iterate.  ``RANK_MIN_RESTARTS`` further
-    passes reseed with random positive weights, which breaks the symmetry
-    that can trap the reweighting at the analytic center (highly symmetric
-    inputs like the maximally mixed state need this).  A pass ends early
-    when a round fails to give a re-verified iterate.
+    if it fails) and is round 1's iterate.  A pass has up to
+    ``RANK_MIN_ROUNDS`` rounds.  ``RANK_MIN_RESTARTS`` further passes reseed
+    with random positive weights (seed ``RANK_MIN_SEED``), which breaks the
+    symmetry that can trap the reweighting at the analytic center (highly
+    symmetric inputs like the maximally mixed state need this).  A pass ends
+    early when a round fails to give a re-verified iterate.
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("rank_min_heuristic requires a trace_match query")
@@ -150,8 +149,7 @@ def rank_min_heuristic(
     ok, detail = _verify_feasible(extension, codec)
     if not ok:
         raise ValueError(f"extension is not feasible: {detail}")
-    rng = np.random.default_rng(seed)
-    rounds = max(rounds, 1)
+    rng = np.random.default_rng(RANK_MIN_SEED)
     best_rank, weight = _rank_and_weight(extension)
     best_x = extension
     for start in range(RANK_MIN_RESTARTS + 1):
@@ -164,7 +162,7 @@ def rank_min_heuristic(
             weight = g @ g.conj().T
             weight = weight / np.trace(weight).real
         # the first pass's round 1 is the extension itself
-        for _ in range(rounds - (start == 0)):
+        for _ in range(RANK_MIN_ROUNDS - (start == 0)):
             codec.set_objective(problem, weight, "minimize")
             try:
                 sol = solve(problem, tol=RANK_MIN_SOLVE_TOL)
@@ -220,10 +218,7 @@ class CertifyResult:
 ROUTES = ((False, "S^N"), (True, "S_p^N"))
 
 
-def certify(
-    rho: HermitianOperator, maxN: int = 4, rounds: int = RANK_MIN_ROUNDS,
-    seed: int = 0,
-) -> CertifyResult:
+def certify(rho: HermitianOperator, maxN: int = 4) -> CertifyResult:
     """PPT-hierarchy sweep, N = 2..maxN, with separability evidence.
 
     First, at each N, one PPT membership query decides "entangled" (with a
@@ -270,7 +265,7 @@ def certify(
         levels.append((q, res.extension, outcomes))
     for q, extension, outcomes in levels:
         n = q.N
-        x = rank_min_heuristic(q, extension, rounds=rounds, seed=seed)
+        x = rank_min_heuristic(q, extension)
         k_sp = n - transposed_copies(n)
         for k in [k_sp] + [k for k in range(1, n) if k != k_sp]:
             # x was re-verified PPT at the S_p^N cut; other cuts need the check

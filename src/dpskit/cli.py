@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import applications as apps
-from .bounds import MAX_REQUIRED_N, bessel_zero_first, bound_report, complexity_estimate
+from .bounds import MAX_REQUIRED_N, bound_report, complexity_estimate
 from .certify import certify
 from .extensions import BudgetExceeded, ExtensionQuery, check_membership
 from .operators import (
@@ -97,11 +97,16 @@ def _read_operator(path: str) -> HermitianOperator:
 
 
 def _read_state(path: str, command: str) -> HermitianOperator:
-    """A density operator on two or more factors: unit trace and positive
-    semidefinite."""
+    """A density operator on two or more factors, each after A of dimension
+    at least 2: unit trace and positive semidefinite."""
     rho = _read_operator(path)
     if rho.nfactors < 2:
         raise _InputError(f"{command} input needs at least two factors (A, B, ...)")
+    if min(rho.factor_dims[1:]) < 2:
+        raise _InputError(
+            f"{command} input factors after A need dimension >= 2, "
+            f"got {list(rho.factor_dims)}"
+        )
     if abs(rho.trace() - 1.0) > 1e-8:
         raise _InputError(f"{command} input must be a unit-trace state")
     lam = float(np.linalg.eigvalsh(rho.entries)[0])
@@ -222,9 +227,8 @@ def cmd_bounds(args) -> int:
         n_sym, n_ppt, *ops = _generate(complexity_estimate, args.dA, args.dB, args.delta)
         delta_tail = ",".join([str(n_sym), str(n_ppt)] + [_fmt(v) for v in ops])
     lines = [header]
-    j = _generate(bessel_zero_first, args.dB - 2)
     for n in args.N:
-        r = bound_report(args.dA, args.dB, n, j)
+        r = _generate(bound_report, args.dA, args.dB, n)
         values = (r.g_N, r.p_c_sym, r.p_c_ppt, r.robustness_sym, r.robustness_ppt,
                   r.dist_trace_sym, r.dist_trace_ppt)
         row = ",".join([str(args.dA), str(args.dB), str(n)] + [_fmt(v) for v in values])
@@ -268,12 +272,10 @@ def cmd_geometric(args) -> int:
 def cmd_certify(args) -> int:
     if args.maxN < 2:
         raise _InputError(f"--maxN must be >= 2, got {args.maxN}")
-    if args.seed < 0:
-        raise _InputError(f"--seed must be >= 0, got {args.seed}")
     rho = _read_state(args.input, "certify")
     if rho.nfactors != 2:
         raise _InputError(f"certify input needs exactly two factors, got {rho.nfactors}")
-    result = certify(rho, maxN=args.maxN, seed=args.seed)
+    result = certify(rho, maxN=args.maxN)
     _emit(result.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -353,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "disentangling preimage or rank loop")
     common(p, needs_n=False)
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the rank search's random restarts")
     p.add_argument("--maxN", type=int, default=4)
     p.set_defaults(func=cmd_certify)
 

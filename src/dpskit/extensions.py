@@ -59,7 +59,7 @@ query over ``PEAK_BYTES`` raises ``BudgetExceeded``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod, sqrt
 
@@ -126,6 +126,10 @@ class ExtensionQuery:
     def __post_init__(self):
         if self.rho.nfactors < 2:
             raise ValueError("query state needs at least two factors (A, B, ...)")
+        if min(self.rho.factor_dims[1:]) < 2:
+            raise ValueError(
+                f"every factor after A needs dimension >= 2, got {self.rho.factor_dims}"
+            )
         if self.N < 1:
             raise ValueError("extension size N must be >= 1")
         kind = self.reduced_constraint
@@ -272,7 +276,7 @@ class PptMap(LocalMap):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Codec:
     """How one compiled query's Hermitian data meets the solver.
 
@@ -285,10 +289,11 @@ class _Codec:
     solver runs in float64 (``real``).
 
     A query with a PPT block is compiled to the free form, and then ``state``
-    holds its state rows <R_i, X> = r_i, and ``x0`` and ``kernel``
-    parameterize X = x0 + sum_k y_k F_k (row k of ``kernel`` is vec F_k);
-    otherwise all three are None and X is the solver's primal block 0.
-    ``state`` and ``kernel`` belong to the query's shared ``_Structure``.
+    holds its state rows <R_i, X> = r_i and ``gram`` their Gram matrix, and
+    ``x0`` and ``kernel`` parameterize X = x0 + sum_k y_k F_k (row k of
+    ``kernel`` is vec F_k); otherwise all four are None and X is the
+    solver's primal block 0.  ``state``, ``gram`` and ``kernel`` belong to
+    the query's shared ``_Structure``.
     A graded cone query (``grading``: the class of each index of X, see
     ``_grading``) keeps only the state rows and F_k of X zero off its classes.
     """
@@ -299,6 +304,7 @@ class _Codec:
     real: bool
     grading: tuple | None = None
     state: np.ndarray | None = None
+    gram: np.ndarray | None = None
     x0: np.ndarray | None = None
     kernel: sp.csr_matrix | None = None
 
@@ -331,16 +337,17 @@ class _Codec:
     def set_objective(self, problem: SdpProblem, w: np.ndarray, sense: str):
         """Make ``problem`` minimize or maximize <w, X> over the query's set.
 
-        In the free form <w, X(y)> = <w, x0> + sum_k y_k <w, F_k>, and the
-        solver maximizes b.y over its dual, so b_k = <w, F_k> to maximize
-        and -<w, F_k> to minimize.
+        The solver minimizes, so to maximize <w, X> it minimizes <-w, X>.
+        In the rows form that is X's cost.  In the free form
+        <w, X(y)> = <w, x0> + sum_k y_k <w, F_k>, and the solver maximizes
+        b.y over its dual, so b_k = -<w, F_k>.
         """
+        if sense == "maximize":
+            w = -w
         if self.kernel is None:
             problem.objective[0] = self.cast(w)
-            problem.sense = sense
-            return
-        sign = 1.0 if sense == "maximize" else -1.0
-        problem.rhs[:] = sign * np.real(self.kernel.conj() @ np.ravel(w))
+        else:
+            problem.rhs[:] = -np.real(self.kernel.conj() @ np.ravel(w))
 
     def extension(self, sol: SdpSolution) -> np.ndarray:
         """The compressed extension X that a solution encodes."""
@@ -380,8 +387,7 @@ class _Codec:
             wx, wy = (block.astype(complex) for block in sol.certificate)
             g = wx + self.pmap.adjoint(wy)
             rows = self.state.reshape(len(self.state), -1)
-            gram = np.real(rows.conj() @ rows.T)
-            coef = np.linalg.solve(gram, np.real(rows.conj() @ g.ravel()))
+            coef = np.linalg.solve(self.gram, np.real(rows.conj() @ g.ravel()))
         w = np.tensordot(coef, _basis(q.rho.dim, self.real), axes=1)
         w = 0.5 * (w + w.conj().T)
         scale = float(np.linalg.norm(w))
@@ -748,10 +754,10 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
     if s.kernel is None:
         problem = SdpProblem(list(s.constraints.sizes), [None], s.constraints, rhs)
     else:
-        codec.state, codec.kernel = s.state, s.kernel
         # the least-norm solution lies in the span of the rows
         x0 = np.tensordot(np.linalg.solve(s.gram, rhs), s.state, axes=1)
-        codec.x0 = 0.5 * (x0 + x0.conj().T)
+        codec = replace(codec, state=s.state, gram=s.gram, kernel=s.kernel,
+                        x0=0.5 * (x0 + x0.conj().T))
         offsets = [codec.x0, codec.pmap.apply(codec.x0)]
         # b = 0 makes the solve a feasibility test; set_objective fills b
         problem = SdpProblem(
@@ -759,7 +765,6 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
             [codec.cast(0.5 * (c + c.conj().T)) for c in offsets],
             s.constraints,
             np.zeros(len(s.constraints)),
-            "minimize",
         )
     if q.objective is not None:
         codec.set_objective(problem, codec.tmap.adjoint(q.objective.entries), "maximize")

@@ -176,14 +176,13 @@ class SdpProblem:
     so the constraints read Re(A conj vec(X)) = rhs with ``rhs`` the real
     (m,) vector b.  ``objective[b]`` is the Hermitian cost matrix for block b
     (None = zero, so a problem with no cost is a feasibility test).
-    ``sense`` is "minimize" or "maximize".
+    The solver minimizes <C, X>; to maximize, pass -C.
     """
 
     block_sizes: list[int]
     objective: list
     constraints: np.ndarray
     rhs: np.ndarray
-    sense: str = "minimize"
 
     def blocks(self, flat: np.ndarray) -> list:
         """Per-block (..., n, n) views of the last axis of a vec-space array."""
@@ -203,8 +202,6 @@ class SdpProblem:
         cast first when it is real under a complex cost, which meets complex
         iterates.
         """
-        if self.sense not in ("minimize", "maximize"):
-            raise ValueError(f"unknown sense {self.sense!r}")
         if len(self.objective) != len(self.block_sizes):
             raise ValueError("objective must supply one matrix (or None) per block")
         a = self.constraints
@@ -474,24 +471,14 @@ def _step_length(blocks, scalars, cap: float, first: int = 0) -> tuple[float, in
     return alpha, binder
 
 
-def solve(
-    problem: SdpProblem,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    log_csv=None,
-) -> SdpSolution:
-    """Solve a block SDP; see the module docstring for the algorithm.
-
-    ``log_csv`` may be a writable text stream; each iteration appends an
-    ``iter,mu,primal_res,dual_res,gap`` row.
-    """
+def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+    """Solve a block SDP; see the module docstring for the algorithm."""
     A = problem.validate()
     dtype = A.dtype
     sizes = problem.block_sizes
     split = problem.blocks
-    sign = -1.0 if problem.sense == "maximize" else 1.0
     cost = _flat(
-        np.zeros((n, n), dtype) if c is None else sign * 0.5 * (c + c.conj().T)
+        np.zeros((n, n), dtype) if c is None else 0.5 * (c + c.conj().T)
         for n, c in zip(sizes, problem.objective)
     )
     # a contiguous copy: a strided b would take another loop in b.y
@@ -529,9 +516,6 @@ def solve(
         dres = np.linalg.norm(ATy / tau + Z / tau - cost) / cnorm
         pobj, dobj = cx / tau, by / tau
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if log_csv is not None:
-            log_csv.write(f"{it},{mu:.6e},{pres:.6e},{dres:.6e},{gap:.6e}\n")
 
         if max(pres, dres, gap) <= tol:
             status = "optimal"
@@ -672,7 +656,7 @@ def solve(
             status="dual_infeasible",
             primal_blocks=ray,
             dual_multipliers=y,
-            objective_value=-np.inf if sign > 0 else np.inf,
+            objective_value=-np.inf,
             residuals=(pres, dres, gap),
             certificate=ray,
             iterations=it,
@@ -685,7 +669,7 @@ def solve(
         status=status,
         primal_blocks=[0.5 * (xb + xb.conj().T) / tau for xb in split(X)],
         dual_multipliers=y / tau,
-        objective_value=sign * np.vdot(cost, X).real / tau,
+        objective_value=np.vdot(cost, X).real / tau,
         residuals=(pres, dres, gap),
         iterations=it,
         dual_slacks=[zb / tau for zb in split(Z)],

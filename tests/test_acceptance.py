@@ -176,7 +176,7 @@ def robustness_ppt_exact(rho, tol=1e-9):
         rhs.append(2.0 * float(np.real(np.vdot(e, rho_pt))))
     constraints = np.array([np.concatenate(r) for r in rows])
     objective = [embed_complex(np.eye(4, dtype=complex)), None, None]
-    problem = SdpProblem([8, 8, 8], objective, constraints, np.array(rhs), "minimize")
+    problem = SdpProblem([8, 8, 8], objective, constraints, np.array(rhs))
     sol = solve(problem, tol=tol)
     assert sol.status == "optimal", sol.status
     return 0.5 * sol.objective_value
@@ -358,7 +358,7 @@ def test_criterion_10_solver_integrity():
         mats = [_sym(rng, n) for _ in range(m)]
         c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
         b = np.array([float(np.sum(mats[i] * x_star)) for i in range(m)])
-        prob = SdpProblem([n], [c], np.array([a.ravel() for a in mats]), b, "minimize")
+        prob = SdpProblem([n], [c], np.array([a.ravel() for a in mats]), b)
         sol = solve(prob)
         statuses.append(sol.status)
         opt = float(np.sum(c * x_star))

@@ -474,12 +474,6 @@ class TestBoundReport:
                 assert 0.0 < r.p_c_ppt < 1.0
                 assert r.ppt_distances_valid == (n >= 2)
 
-    def test_given_bessel_zero_gives_same_report(self):
-        for d in (2, 3, 5):
-            j = bessel_zero_first(d - 2)
-            for n in (1, 4, 31):
-                assert bound_report(2, d, n, j) == bound_report(2, d, n)
-
     def test_ppt_robustness_beats_sym_eventually(self):
         for d in (2, 3, 4):
             for n in range(max(2, d), 30):

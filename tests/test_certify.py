@@ -97,13 +97,13 @@ class TestRankLoop:
 class TestRankMinHeuristic:
     def test_pure_product_reaches_rank_one(self):
         q = ExtensionQuery(rho=PRODUCT, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension, rounds=3)
+        x = rank_min_heuristic(q, check_membership(q).extension)
         assert numerical_rank(x) == 1
 
     def test_feasibility_always_maintained(self):
         rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
         q = ExtensionQuery(rho=rho, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension, rounds=4)
+        x = rank_min_heuristic(q, check_membership(q).extension)
         tmap = TraceMap(2, (2,), 2)
         assert np.max(np.abs(tmap.apply(x) - rho.entries)) < 1e-7
         assert np.linalg.eigvalsh(x)[0] > -1e-7
@@ -118,11 +118,11 @@ class TestRankMinHeuristic:
         # reduced state is off by 1e-3 there
         bad[0, 0] += 1e-3
         with pytest.raises(ValueError, match="not feasible"):
-            rank_min_heuristic(q, bad, rounds=2)
+            rank_min_heuristic(q, bad)
         cone = ExtensionQuery(rho=PRODUCT, N=2, ppt=True, objective=PRODUCT,
                               reduced_constraint="unit_trace")
         with pytest.raises(ValueError, match="trace_match"):
-            rank_min_heuristic(cone, bad, rounds=2)
+            rank_min_heuristic(cone, bad)
 
     def test_one_eigh_per_round(self, monkeypatch):
         # the rank and the next weight of each accepted iterate (and of the
@@ -159,7 +159,7 @@ class TestRankMinHeuristic:
 
         monkeypatch.setattr(module, "solve", shielded(module.solve))
         monkeypatch.setattr(module, "_verify_feasible", counting_verify)
-        rank_min_heuristic(q, extension, rounds=4)
+        rank_min_heuristic(q, extension)
         assert counts["accepted"] > 1
         assert counts["eigh"] == counts["accepted"]
         assert counts["eigvalsh"] == 0
@@ -199,7 +199,7 @@ class TestCertify:
         # certify decides I/4 by the disentangling theorem before the rank
         # search runs, so the search is driven directly here
         q = ExtensionQuery(rho=MIXED, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension, rounds=8)
+        x = rank_min_heuristic(q, check_membership(q).extension)
         loop, profile = rank_loop_check(x, 2, 2, 2, K=1)
         assert loop
         assert profile.rank_full <= max(profile.rank_left, profile.rank_right)
@@ -249,7 +249,7 @@ class TestCertify:
             if not is_ppt(rho, [1]):
                 continue
             found += 1
-            res = certify(rho, maxN=2, rounds=3)
+            res = certify(rho, maxN=2)
             assert res.verdict == "separable"
         assert found >= 2
 

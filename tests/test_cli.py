@@ -88,20 +88,22 @@ class TestBounds:
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
     def test_bessel_zero_found_once_per_table(self, tmp_path, monkeypatch):
+        """Every row's bound_report and the --delta columns read j from the
+        cache of bessel_zero_first: jn_zeros runs once per order."""
         import dpskit.bounds
-        import dpskit.cli
 
         calls = []
-        original = dpskit.bounds.bessel_zero_first
+        jn_zeros = dpskit.bounds.jn_zeros
 
-        def counted(nu):
+        def counted(nu, n):
             calls.append(nu)
-            return original(nu)
+            return jn_zeros(nu, n)
 
-        monkeypatch.setattr(dpskit.cli, "bessel_zero_first", counted)
-        monkeypatch.setattr(dpskit.bounds, "bessel_zero_first", counted)
+        monkeypatch.setattr(dpskit.bounds, "jn_zeros", counted)
+        dpskit.bounds.bessel_zero_first.cache_clear()
         out = tmp_path / "bounds.csv"
-        assert main(["bounds", "--dB", "3", "--N", "1..30", "--out", str(out)]) == 0
+        argv = ["bounds", "--dB", "3", "--N", "1..150", "--delta", "0.05", "--out", str(out)]
+        assert main(argv) == 0
         assert calls == [1]
 
     def test_delta_adds_columns(self, tmp_path):
@@ -376,7 +378,6 @@ class TestInputHardening:
             ["bounds", "--dB", "60", "--N", "1..3"],
             ["complexity", "--dB", "1", "--delta", "0.1"],
             ["certify", "--input", "STATE", "--maxN", "1"],
-            ["certify", "--input", "STATE", "--maxN", "2", "--seed", "-1"],
             ["bounds", "--N", "500001"],
             ["bounds", "--N", "1..1000000000"],
         ],
@@ -422,8 +423,11 @@ class TestInputHardening:
             ["certify", "--input", "STATE", "--delta", "0.9"],
             ["bounds", "--tol", "1e-3"],
             ["complexity", "--delta", "0.1", "--seed", "1"],
+            # the rank search's restarts draw from a fixed seed (certify.RANK_MIN_SEED)
+            ["certify", "--input", "STATE", "--seed", "0"],
         ],
-        ids=["certify --max-iter", "certify --delta", "bounds --tol", "complexity --seed"],
+        ids=["certify --max-iter", "certify --delta", "bounds --tol", "complexity --seed",
+             "certify --seed"],
     )
     def test_flag_the_command_would_ignore_exit_2(self, argv, mixed_file, capsys):
         argv = [mixed_file if a == "STATE" else a for a in argv]
@@ -528,6 +532,35 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "factors" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            (["membership", "--ppt", "--input"],
+             {"dims": [4, 1], "re": (np.eye(4) / 4).tolist()}, "after A need dimension >= 2"),
+            (["certify", "--input"],
+             {"dims": [4, 1], "re": (np.eye(4) / 4).tolist()}, "after A need dimension >= 2"),
+            (["membership", "--input"],
+             {"dims": [2, 1, 2], "re": (np.eye(4) / 4).tolist()}, "after A need dimension >= 2"),
+            (["fidelity", "--ppt", "true", "--input"],
+             {"ensemble": [{"p": 1.0, "encoded": {"dims": [2], "re": [[1, 0], [0, 0]]},
+                            "source": {"dims": [1], "re": [[1]]}}]},
+             "source states need dimension >= 2"),
+            (["purity", "--ppt", "true", "--choi"],
+             {"dims": [2, 1], "re": np.eye(2).tolist()}, "d_B >= 2"),
+            (["geometric", "--ppt", "true", "--input"],
+             {"dims": [2, 1, 2], "re": [0.6, 0, 0, 0.8]}, "factor B needs dimension >= 2"),
+        ],
+        ids=["membership", "certify", "membership-3", "fidelity", "purity", "geometric"],
+    )
+    def test_one_dimensional_factor_after_a_exit_2(self, argv, payload, message, tmp_path,
+                                                   capsys):
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(payload))
+        assert main(argv + [str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -276,6 +276,14 @@ def test_query_validation():
                        reduced_constraint="unit_trace")
 
 
+@pytest.mark.parametrize("dims", [(4, 1), (2, 1, 2), (2, 2, 1)])
+def test_query_needs_every_factor_after_a_of_dimension_two(dims):
+    """A factor of dimension 1 after A leaves the free form with no free
+    parameter and g_N undefined."""
+    with pytest.raises(ValueError, match="every factor after A needs dimension >= 2"):
+        ExtensionQuery(rho=identity(dims) * (1.0 / prod(dims)), N=2, ppt=True)
+
+
 # ---------------------------------------------------------------------------
 # membership verdicts
 # ---------------------------------------------------------------------------
@@ -764,7 +772,7 @@ def _snapshot(problem, codec):
     kernel = None if codec.kernel is None else codec.kernel.toarray()
     x0 = None if codec.x0 is None else codec.x0.copy()
     return (problem.constraints.toarray(), problem.rhs.copy(), objective,
-            problem.sense, list(problem.block_sizes), x0, kernel)
+            list(problem.block_sizes), x0, kernel)
 
 
 def _assert_same(got, want):
@@ -802,11 +810,28 @@ def test_log_det_rounds_leave_next_compile_alone(q):
     from dpskit.certify import rank_min_heuristic
 
     want = _snapshot(*_compile(q))
-    x = rank_min_heuristic(q, check_membership(q).extension, rounds=2)
+    x = rank_min_heuristic(q, check_membership(q).extension)
     assert x is not None
     problem, codec = _compile(q)
     codec.set_objective(problem, np.eye(codec.nx), "minimize")
     _assert_same(_snapshot(*_compile(q)), want)
+
+
+def test_rows_form_maximizes_by_negated_cost():
+    """The solver only minimizes: in the rows form, maximizing <w, X> stores
+    exactly -w as X's cost, and the solve reaches max <w, X> over tr X = 1,
+    which is lambda_max(w)."""
+    q = ExtensionQuery(rho=_WERNER, N=2, objective=_WERNER, reduced_constraint="unit_trace")
+    problem, codec = _compile(q)
+    assert codec.kernel is None and codec.real
+    g = np.random.default_rng(5).standard_normal((codec.nx, codec.nx))
+    w = g + g.T
+    codec.set_objective(problem, w, "maximize")
+    assert np.array_equal(problem.objective[0], -codec.cast(w))
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    value = float(np.vdot(w, codec.extension(sol)).real)
+    assert value == pytest.approx(np.linalg.eigvalsh(w)[-1], abs=1e-7)
 
 
 def test_threads_share_structures_from_cold_cache(cold_cache):

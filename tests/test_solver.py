@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -42,7 +40,7 @@ def constructed_optimum(n, m, seed):
     mats = [sym(rng, n) for _ in range(m)]
     c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
     b = np.array([float(np.sum(mats[i] * x_star)) for i in range(m)])
-    problem = SdpProblem([n], [c], vecs(*mats), b, "minimize")
+    problem = SdpProblem([n], [c], vecs(*mats), b)
     return problem, float(np.sum(c * x_star))
 
 
@@ -63,7 +61,7 @@ def constructed_complex_optimum(n, m, seed):
         mats.append(0.5 * (g + g.conj().T))
     c = sum(y_star[i] * mats[i] for i in range(m)) + z_star
     b = np.array([np.vdot(mats[i], x_star).real for i in range(m)])
-    problem = SdpProblem([n], [c], vecs(*mats), b, "minimize")
+    problem = SdpProblem([n], [c], vecs(*mats), b)
     return problem, np.vdot(c, x_star).real, x_star
 
 
@@ -151,7 +149,7 @@ def test_hermitian_basis_orthonormal():
 
 class TestSolve:
     def test_trivial_eigenvalue_problem(self):
-        p = SdpProblem([2], [np.diag([1.0, 2.0])], vecs(np.eye(2)), [1.0], "minimize")
+        p = SdpProblem([2], [np.diag([1.0, 2.0])], vecs(np.eye(2)), [1.0])
         s = solve(p)
         assert s.status == "optimal"
         assert s.objective_value == pytest.approx(1.0, abs=1e-7)
@@ -185,9 +183,7 @@ class TestSolve:
         # block-diagonal rows: p1's rows touch block 0 only, p2's block 1 only
         constraints = sla.block_diag(p1.constraints, p2.constraints)
         rhs = np.concatenate([p1.rhs, p2.rhs])
-        prob = SdpProblem(
-            [5, 4], [p1.objective[0], p2.objective[0]], constraints, rhs, "minimize"
-        )
+        prob = SdpProblem([5, 4], [p1.objective[0], p2.objective[0]], constraints, rhs)
         s = solve(prob)
         assert s.status == "optimal"
         assert s.objective_value == pytest.approx(opt1 + opt2, abs=1e-6)
@@ -216,30 +212,17 @@ class TestSolve:
         assert np.linalg.eigvalsh(s.primal_blocks[0])[0] >= -1e-8
         assert np.trace(s.primal_blocks[0]) == pytest.approx(1.0, abs=1e-7)
 
-    def test_maximize_sense(self):
-        p = SdpProblem([2], [np.diag([1.0, 2.0])], vecs(np.eye(2)), [1.0], "maximize")
-        s = solve(p)
-        assert s.objective_value == pytest.approx(2.0, abs=1e-7)
-
     def test_dual_infeasible_detected(self):
         # min <diag(1,-1), X> s.t. <E00, X> = 1: pushing X_11 up is free descent
         c = np.diag([1.0, -1.0])
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
-        p = SdpProblem([2], [c], vecs(a), [1.0], "minimize")
+        p = SdpProblem([2], [c], vecs(a), [1.0])
         s = solve(p)
         assert s.status == "dual_infeasible"
         ray = s.certificate[0]
         assert np.linalg.eigvalsh(ray)[0] >= -1e-9
         assert float(np.sum(c * ray)) < 0
-
-    def test_iteration_log(self):
-        problem, _ = constructed_optimum(5, 4, 7)
-        buf = io.StringIO()
-        solve(problem, log_csv=buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) >= 2
-        assert all(len(line.split(",")) == 5 for line in lines)
 
     def test_max_iter_returns_best_iterate(self):
         problem, opt = constructed_optimum(8, 6, 3)
@@ -330,7 +313,7 @@ class TestSolve:
     def test_back_off_on_failed_factor(self, seed, monkeypatch):
         # min <C, X> over unit-trace X: the smallest eigenvalue of C
         c = sym(np.random.default_rng(seed), 4)
-        problem = SdpProblem([4], [c], vecs(np.eye(4)), [1.0], "minimize")
+        problem = SdpProblem([4], [c], vecs(np.eye(4)), [1.0])
         plain = solve(problem)
         factor = dpskit.solver._inverse_cholesky
         calls = []
@@ -386,7 +369,7 @@ class TestSolve:
         ids=["objective", "constraint_row", "width", "rhs_length", "no_rows"],
     )
     def test_validate_rejects_asymmetric(self, objective, constraints, rhs, message):
-        p = SdpProblem([2], [objective], constraints, rhs, "minimize")
+        p = SdpProblem([2], [objective], constraints, rhs)
         with pytest.raises(ValueError, match=message):
             solve(p)
 
@@ -403,14 +386,14 @@ class TestSolve:
         ids=["objective", "constraint_row"],
     )
     def test_validate_rejects_symmetric_non_hermitian(self, objective, rows, message):
-        p = SdpProblem([2], [objective], vecs(*rows), np.zeros(len(rows)), "minimize")
+        p = SdpProblem([2], [objective], vecs(*rows), np.zeros(len(rows)))
         with pytest.raises(ValueError, match=f"^{message}$"):
             p.validate()
 
     def test_validate_accepts_hermitian(self):
         # min <C, X> over unit-trace X: the smallest eigenvalue of C, -1
         c = self.HERMITIAN_IMAG
-        p = SdpProblem([2], [c], vecs(np.eye(2), c), [1.0, -1.0], "minimize")
+        p = SdpProblem([2], [c], vecs(np.eye(2), c), [1.0, -1.0])
         assert p.validate().dtype == complex
         s = solve(p)
         assert s.status == "optimal"
@@ -595,7 +578,7 @@ class TestDependentRows:
         a = np.vstack([problem.constraints, problem.constraints[0],
                        2.5 * problem.constraints[1]])
         b = np.concatenate([problem.rhs, [problem.rhs[0], 2.5 * problem.rhs[1]]])
-        s = solve(SdpProblem([8], problem.objective, a, b, "minimize"))
+        s = solve(SdpProblem([8], problem.objective, a, b))
         assert s.status == "optimal"
         assert len(s.dual_multipliers) == 8
         dedup = solve(problem).objective_value
