@@ -474,6 +474,18 @@ class TestBoundReport:
                 assert 0.0 < r.p_c_ppt < 1.0
                 assert r.ppt_distances_valid == (n >= 2)
 
+    def test_given_bessel_zero_gives_same_report(self):
+        # The zero read from the cache gives the same report as one found
+        # afresh, and it is the first zero of J_{d-2}.
+        for d in (2, 3, 5):
+            bessel_zero_first.cache_clear()
+            fresh = [bound_report(2, d, n) for n in (1, 4, 31)]
+            cached = [bound_report(2, d, n) for n in (1, 4, 31)]
+            assert fresh == cached
+            j = float(bounds.jn_zeros(d - 2, 1)[0])
+            assert all(r.bessel_zero == j for r in cached)
+            assert all(r.g_N_asymptotic == 2.0 * (j / r.N) ** 2 for r in cached)
+
     def test_ppt_robustness_beats_sym_eventually(self):
         for d in (2, 3, 4):
             for n in range(max(2, d), 30):
