@@ -141,15 +141,20 @@ def _read_state_vector(path: str) -> HermitianOperator:
 
 
 def _read_ensemble(path: str) -> apps.EstimationProblem:
+    """The ensemble file's problem: a file that does not parse is malformed,
+    one whose entries break a rule of ``EstimationProblem`` is invalid."""
     def parse(text):
-        entries = []
-        for item in json.loads(text)["ensemble"]:
-            enc = operator_from_dict(item["encoded"])
-            src = operator_from_dict(item["source"])
-            entries.append((float(item["p"]), enc, src))
-        return apps.EstimationProblem(tuple(entries))
+        return tuple(
+            (float(item["p"]), operator_from_dict(item["encoded"]),
+             operator_from_dict(item["source"]))
+            for item in json.loads(text)["ensemble"]
+        )
 
-    return _read_json(path, parse, "malformed ensemble: ")
+    entries = _read_json(path, parse, "malformed ensemble: ")
+    try:
+        return apps.EstimationProblem(entries)
+    except ValueError as exc:
+        raise _InputError(f"{path}: invalid ensemble: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None):

@@ -29,19 +29,23 @@ does membership of an NPT state with one, which the Peres test decides
 exactly (``_peres``: S_p^N lies inside the PPT set).  Any other query
 compiles to one of two SDP forms (``_compile``):
 
-* without a PPT block, X is the solver's primal block, tied to the data by
-  its few state rows (trace_match: Lambda = rho; identity_marginal:
-  Lambda_A = I; unit_trace: tr X = 1);
-* with a PPT block, X = X0 + sum_k y_k F_k runs over the solutions of the
-  state rows (F_k a sparse orthonormal kernel basis, one occupation-
-  difference sector at a time), and X(y) >= 0, Gamma(X(y)) >= 0 are LMIs
-  in the solver's dual form (Lofberg, "Dualize it", Optim. Methods Softw.
-  24, 2009).  Gamma is the one ``PptMap`` of S_p^N, across
+* without a PPT block (the rows form), X is the solver's primal variable,
+  tied to the data by its few state rows (trace_match: Lambda = rho;
+  identity_marginal: Lambda_A = I; unit_trace: tr X = 1);
+* with a PPT block (the free form), X = X0 + sum_k y_k F_k runs over the
+  solutions of the state rows (F_k a sparse orthonormal kernel basis, one
+  occupation-difference sector at a time), and X(y) >= 0, Gamma(X(y)) >= 0
+  are LMIs in the solver's dual form (Lofberg, "Dualize it", Optim. Methods
+  Softw. 24, 2009).  Gamma is the one ``PptMap`` of S_p^N, across
   A B^{ceil(N/2)} | B^{floor(N/2)}.  The rows are X's free parameters, and
-  the PPT block costs no row.  A cone query keeps only the parameters
-  inside the classes of the local sign flips that fix its data
-  (``_grading``): BB84 PPT N=7 has 266 rows, against 518 ungraded and 3250
-  with a primal PPT block and its link rows.
+  the PPT block costs no row.
+
+A cone query that compiles to an SDP is graded by the local sign flips that
+fix its data (``_grading``): X is zero off the flips' classes.  The free
+form keeps only X's parameters inside one class: BB84 PPT N=7 has 266 rows,
+against 518 ungraded and 3250 with a primal PPT block and its link rows.
+The rows form solves X as one primal block per class: the qutrit grid at
+N=7 has blocks of sides 26, 26, 30 and 26 in place of one of side 108.
 
 Neither form's constraint matrix A depends on the data beyond its grading:
 it is built once per structure, keyed by (factor dims, N, PPT block,
@@ -292,10 +296,13 @@ class _Codec:
     holds its state rows <R_i, X> = r_i and ``gram`` their Gram matrix, and
     ``x0`` and ``kernel`` parameterize X = x0 + sum_k y_k F_k (row k of
     ``kernel`` is vec F_k); otherwise all four are None and X is the
-    solver's primal block 0.  ``state``, ``gram`` and ``kernel`` belong to
+    solver's primal variable.  ``state``, ``gram`` and ``kernel`` belong to
     the query's shared ``_Structure``.
     A graded cone query (``grading``: the class of each index of X, see
-    ``_grading``) keeps only the state rows and F_k of X zero off its classes.
+    ``_grading``) keeps only the state rows of X zero off its classes.  In
+    the free form its F_k are zero off the classes too; in the rows form
+    each class is one primal block (``blocks``), ``set_objective`` cuts the
+    cost into them and ``extension`` puts them back, zero in between.
     """
 
     query: ExtensionQuery
@@ -312,6 +319,12 @@ class _Codec:
     def nx(self) -> int:
         """The side of the compressed extension X."""
         return self.tmap.dA * self.tmap.size_in
+
+    @property
+    def blocks(self) -> list:
+        """The indices of X in each primal block of the rows form
+        (``_class_blocks``)."""
+        return _class_blocks(self.grading, self.nx)
 
     @property
     def infeasible(self) -> str:
@@ -345,14 +358,18 @@ class _Codec:
         if sense == "maximize":
             w = -w
         if self.kernel is None:
-            problem.objective[0] = self.cast(w)
+            w = self.cast(w)
+            problem.objective[:] = [w[np.ix_(i, i)] for i in self.blocks]
         else:
             problem.rhs[:] = -np.real(self.kernel.conj() @ np.ravel(w))
 
     def extension(self, sol: SdpSolution) -> np.ndarray:
         """The compressed extension X that a solution encodes."""
         if self.kernel is None:
-            return sol.primal_blocks[0].astype(complex)
+            x = np.zeros((self.nx, self.nx), complex)
+            for i, block in zip(self.blocks, sol.primal_blocks):
+                x[np.ix_(i, i)] = block
+            return x
         x = self.x0 + (self.kernel.T @ sol.dual_multipliers).reshape(self.x0.shape)
         return 0.5 * (x + x.conj().T)
 
@@ -465,7 +482,7 @@ def _product_bits(masks) -> np.ndarray:
 def _grading(q: ExtensionQuery) -> tuple | None:
     """The classes of X's indices under the local sign flips that fix rho
     and the objective: a label per index of X, or None for a single class
-    or a query that is not graded.
+    or for factors with more than 63 basis vectors between them.
 
     Every basis vector of every factor gets one bit.  A flip g, a 0/1 vector
     over the bits acting as diag((-1)^g) on each factor, fixes the entry
@@ -480,15 +497,21 @@ def _grading(q: ExtensionQuery) -> tuple | None:
     The maps and the cone commute with every flip, so averaging a feasible
     X over the group gives a feasible X, zero off its classes, of the same
     value: the optimum is reached there (the diagonal case of Gatermann &
-    Parrilo, J. Pure Appl. Algebra 192, 2004).  Only cone queries with a
-    PPT block, compiled to the free form, are graded.  The rows form keeps
-    X as the primal block, where dropping state rows would enlarge the
-    feasible set.  Membership (trace_match) stays ungraded because
-    ``certify``'s rank search explores the compiled feasible set, and a
-    sign-symmetric extension can have higher rank than the lowest one.
+    Parrilo, J. Pure Appl. Algebra 192, 2004).  A state row that lies off
+    the classes vanishes on every such X and has right-hand side 0, so both
+    SDP forms drop it and keep only X's class blocks: the free form X's
+    parameters inside one class, the rows form one primal block per class.
+
+    ``_size`` grades the cone queries that compile to an SDP:
+    identity_marginal ones, and unit_trace ones with a PPT block.  A
+    unit_trace query without one takes the eigh route
+    (``optimize_over_cone``) and computes no grading.  Membership
+    (trace_match) stays ungraded because ``certify``'s rank search explores
+    the compiled feasible set, and a sign-symmetric extension can have
+    higher rank than the lowest one.
     """
     dims = q.rho.factor_dims
-    if q.reduced_constraint == "trace_match" or not _has_ppt_block(q) or sum(dims) > 63:
+    if sum(dims) > 63:
         return None  # past 63 bits the masks leave int64: ungraded
     first = np.cumsum((0,) + dims)
     units = [np.int64(1) << np.arange(first[f], first[f + 1], dtype=np.int64)
@@ -523,6 +546,13 @@ def _inside(classes: np.ndarray, real: bool) -> np.ndarray:
     return np.concatenate([np.ones(n, bool), np.repeat(classes[iu] == classes[ju], 1 if real else 2)])
 
 
+def _class_blocks(grading: tuple | None, n: int) -> list:
+    """The indices of X (side n) in each class of ``grading``, in label order:
+    the rows form's primal blocks.  Without a grading, all of X."""
+    labels = np.zeros(n, int) if grading is None else np.asarray(grading)
+    return [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+
+
 def _a_classes(grading: tuple, dA: int) -> np.ndarray:
     """The classes of A's indices: those of X's indices (a, first occupation)."""
     return np.asarray(grading)[:: len(grading) // dA]
@@ -551,7 +581,8 @@ SOLVE_COPIES, FREE_FORM_COPIES, FIRST_SOLVE_BYTES = 30, 34, 6 << 20
 #     complex 27/28, 61/57, 106/101, 227/214
 #   qutrit fidelity PPT, N = 2, 3, 4, 5, one class: 7.2/9.2, 29/30, 58/57, 142/137;
 #     graded (4 classes): 6.8/7.1, 13/14, 29/31, 43/47
-#   qutrit fidelity without PPT, N = 10, 14: 17/22, 46/59
+#   qutrit fidelity without PPT, N = 10, 14, graded (class sides 51, 45, 51, 51
+#     and 92, 84, 92, 92): 4.9/10, 13/20; one block (sides 198, 360): 16/22, 45/59
 PEAK_BYTES = 1 << 30
 
 
@@ -562,7 +593,8 @@ def sdp_size(
     on factors ``dims`` at level N, with a PPT block or not, on the real path
     or not, graded or not (the ``_structure`` key), in closed form: no map is
     built.  A grading keeps, per class of size c, c(c+1)/2 (real) or c^2
-    parameters of X, and the state rows of A's classes (``_marginal_basis``).
+    parameters of X in the free form and a primal block of side c in the
+    rows form, and the state rows of A's classes (``_marginal_basis``).
 
     The peak is sized as SDPA sizes its workspace (Yamashita, Fujisawa &
     Kojima, Optim. Methods Softw. 18, 2003): the solver's
@@ -579,7 +611,7 @@ def sdp_size(
         return sum(int(c) * (int(c) + 1) // 2 if real else int(c) ** 2 for c in classes)
 
     s = {"trace_match": count([prod(dims)]), "identity_marginal": count(a_classes)}.get(kind, 1)
-    sides, m, copies = (nx,), s, SOLVE_COPIES
+    sides, m, copies = tuple(int(c) for c in x_classes), s, SOLVE_COPIES
     if ppt:
         k = transposed_copies(N)
         sides = (nx, dA * prod(sym_dim(d, N - k) * sym_dim(d, k) for d in dBs))
@@ -594,7 +626,9 @@ def _size(q: ExtensionQuery) -> tuple[bool, tuple | None, int, str]:
     its predicted peak bytes, and the query with its SDP's size in words."""
     data = [q.rho] if q.objective is None else [q.rho, q.objective]
     real = not any(np.imag(op.entries).any() for op in data)
-    grading = _grading(q)
+    kind = q.reduced_constraint
+    graded = kind == "identity_marginal" or (kind == "unit_trace" and _has_ppt_block(q))
+    grading = _grading(q) if graded else None
     m, sides, peak = sdp_size(q.rho.factor_dims, q.N, _has_ppt_block(q), q.reduced_constraint,
                               real, grading)
     return real, grading, peak, (
@@ -680,8 +714,8 @@ class _Structure:
 
     ``constraints`` is A, with its block sides.  In the free form
     ``state`` holds the state rows R_i, ``gram`` their Gram matrix
-    Re <R_i, R_j> and ``kernel`` the F_k; in the rows form A's rows are the
-    R_i, and the three are None.
+    Re <R_i, R_j> and ``kernel`` the F_k; in the rows form row i of A is R_i
+    cut into its blocks on X's classes, and the three are None.
     """
 
     constraints: SparseRows
@@ -702,8 +736,10 @@ def _structure(
     state = _state_rows(tmap, prod(dims), kind, real, grading)
     n = tmap.dA * tmap.size_in
     if pmap is None:
-        rows = _solver_rows(_hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n), real)
-        return _Structure(sparse_rows(rows, (n,)))
+        blocks = _class_blocks(grading, n)
+        cols = np.concatenate([(i[:, None] * n + i).ravel() for i in blocks])
+        rows = _hermitize(sp.csr_matrix(state.reshape(len(state), -1)), n)[:, cols]
+        return _Structure(sparse_rows(_solver_rows(rows, real), [len(i) for i in blocks]))
     return _free_form(tmap, pmap, state, real, grading)
 
 
@@ -743,16 +779,17 @@ def _compile(q: ExtensionQuery) -> tuple[SdpProblem, _Codec]:
 
     A query with a PPT block compiles to the free form (``_free_form``),
     whose rows are X's free parameters; any other keeps X as the primal
-    block with one equality row per state row, far fewer than X's
-    parameters.  Everything but b, C and x0 comes from ``_structure``, and
-    every query with its key shares that A.
+    variable, one block per class, with one equality row per state row, far
+    fewer than X's parameters.  Everything but b, C and x0 comes from
+    ``_structure``, and every query with its key shares that A.
     """
     codec = _codec(q)
     s = _structure(q.rho.factor_dims, q.N, codec.pmap is not None,
                    q.reduced_constraint, codec.real, codec.grading)
     rhs = codec.rhs()
     if s.kernel is None:
-        problem = SdpProblem(list(s.constraints.sizes), [None], s.constraints, rhs)
+        problem = SdpProblem(list(s.constraints.sizes), [None] * len(s.constraints.sizes),
+                             s.constraints, rhs)
     else:
         # the least-norm solution lies in the span of the rows
         x0 = np.tensordot(np.linalg.solve(s.gram, rhs), s.state, axes=1)

@@ -232,9 +232,10 @@ def unembed_real(r: np.ndarray) -> np.ndarray:
 def dense_constraints(q: ExtensionQuery) -> np.ndarray:
     """A of the compiled query, written into a dense zero matrix entry by
     entry: the rows form writes each state row (its real part on the real
-    path) and makes it Hermitian in place, the free form writes
-    (F_k, Gamma(F_k)) and negates them.  The compiler builds A sparse; it
-    must give this matrix bit for bit."""
+    path), makes it Hermitian in place and keeps its blocks on X's classes,
+    one after another in label order, the free form writes (F_k, Gamma(F_k))
+    and negates them.  The compiler builds A sparse; it must give this
+    matrix bit for bit."""
     codec = _codec(q)
     real, n = codec.real, codec.nx
     dtype = float if real else complex
@@ -244,7 +245,9 @@ def dense_constraints(q: ExtensionQuery) -> np.ndarray:
         rows[...] = codec.cast(state)
         rows += rows.conj().swapaxes(1, 2)
         rows *= 0.5
-        return rows.reshape(len(state), -1)
+        labels = np.zeros(n, int) if codec.grading is None else np.asarray(codec.grading)
+        blocks = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        return np.hstack([rows[:, i[:, None], i].reshape(len(state), -1) for i in blocks])
     basis = hermitian_vecs(n, real)
     if codec.grading is not None:
         basis = basis[_inside(np.asarray(codec.grading), real)]

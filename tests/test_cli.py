@@ -10,6 +10,8 @@ from dpskit.extensions import ExtensionQuery, _grading, sdp_size
 from dpskit.operators import HermitianOperator, identity, operator_to_json, pure_state
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
+_ZERO = {"dims": [2], "re": [[1, 0], [0, 0]]}
+_ONE = {"dims": [2], "re": [[0, 0], [0, 1]]}
 DATA = Path(__file__).with_name("data")
 
 
@@ -482,6 +484,31 @@ class TestInputHardening:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "[0, 1]" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"ensemble": [
+                {"p": 1.5, "encoded": _ZERO, "source": _ZERO},
+                {"p": -0.5, "encoded": _ONE, "source": _ONE},
+            ]}), "invalid ensemble: probability 1.5 outside [0, 1]"),
+            (json.dumps({"ensemble": [
+                {"p": 1.0, "encoded": _ZERO, "source": {"dims": [1], "re": [[1]]}},
+            ]}), "invalid ensemble: source states need dimension >= 2, got 1"),
+            ('{"ensemble": [{"p": 1.0', "malformed ensemble: "),
+        ],
+        ids=["probability", "one-dimensional-source", "broken-json"],
+    )
+    def test_ensemble_errors_say_invalid_or_malformed(self, text, message, tmp_path, capsys):
+        """A file that breaks a rule is invalid, one that does not parse
+        malformed; both exit 2."""
+        src = tmp_path / "ensemble.json"
+        src.write_text(text)
+        assert main(["fidelity", "--input", str(src), "--N", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src}: {message}")
+        assert ("malformed" in captured.err) == message.startswith("malformed")
 
     @pytest.mark.parametrize(
         "argv, payload, message",

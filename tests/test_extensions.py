@@ -19,6 +19,7 @@ from dpskit.extensions import (
     _Codec,
     _compile,
     _grading,
+    _has_ppt_block,
     _inside,
     _kernel,
     _ppt_local,
@@ -369,6 +370,11 @@ def test_ppt_query_has_one_ppt_block():
                 if N > 1:
                     sides.append(dA * prod(sym_dim(d, N - N // 2) * sym_dim(d, N // 2)
                                            for d in dBs))
+                elif kind == "identity_marginal":
+                    # the rows form solves X as one block per sign class
+                    assert compile_ungraded(q)[0].block_sizes == sides
+                    sides = np.bincount(_grading(q)).tolist()
+                    assert len(sides) > 1 and sum(sides) == dA * prod(dBs)
                 assert build_bse_sdp(q).block_sizes == sides, (N, kind)
 
 
@@ -736,6 +742,8 @@ _ROW_CASES = [
         (lambda: ExtensionQuery(rho=_WERNER, N=4, ppt=True), "trace_match_N4_ppt"),
         (lambda: ExtensionQuery(rho=_ghz_mixed(), N=2), "tri_N2"),
         (lambda: ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True), "tri_N2_ppt"),
+        (lambda: replace(_bb84(3), ppt=False), "bb84_rows_N3"),
+        (lambda: replace(_qutrit(3), ppt=False), "qutrit_rows_N3"),
     ]
     for path in ("real", "complex")
 ]
@@ -1576,14 +1584,24 @@ def test_generic_inputs_take_one_class():
     assert _classes(replace(q, objective=random_state((4, 2), 8, 5))) == 1
 
 
-def test_ungraded_queries_take_no_grading():
-    """Membership and every query without a PPT block keep one class."""
+def _no_grading(q):
+    raise AssertionError("a grading was computed")
+
+
+def test_ungraded_queries_take_no_grading(monkeypatch):
+    """Membership and the eigh route (unit_trace without a PPT block) keep
+    one class and compute no grading.  A cone query without a PPT block
+    that compiles to an SDP is graded: its rows form has a block per class."""
+    q = replace(_bb84(3), ppt=False)
+    assert _classes(q) == 2
+    assert _compile(q)[0].block_sizes == [8, 8]
     rho = _bb84(3).rho
-    for q in (ExtensionQuery(rho=rho * (1 / rho.trace()), N=3, ppt=True),
-              replace(_bb84(3), ppt=False), replace(_bb84(3), N=1),
-              ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True)):
-        assert _grading(q) is None
-        assert _compile(q)[1].grading is None
+    with monkeypatch.context() as patch:
+        patch.setattr("dpskit.extensions._grading", _no_grading)
+        for q in (ExtensionQuery(rho=rho * (1 / rho.trace()), N=3, ppt=True),
+                  replace(_bb84(3), N=1, reduced_constraint="unit_trace"),
+                  ExtensionQuery(rho=_ghz_mixed(), N=2, ppt=True)):
+            assert _compile(q)[1].grading is None
     # diagonal data whose factors have 64 basis vectors between them: one
     # bit each would leave the int64 masks, so it stays ungraded too
     for d_a, graded in ((60, True), (61, False)):
@@ -1614,10 +1632,17 @@ def test_free_form_is_zero_off_classes(make, N, path):
     assert not codec.state[:, off].any()
 
 
+def _rows_form(make):
+    """``make``'s queries without a PPT block."""
+    return lambda N: replace(make(N), ppt=False)
+
+
 @pytest.mark.parametrize("path", ["real", "complex"])
 @pytest.mark.parametrize("make, N", _GRADED + [
     pytest.param(lambda N: replace(_bb84(N), objective=random_state((4, 2), 8, 5)), 2,
-                 id="bb84-random-objective-N2")])
+                 id="bb84-random-objective-N2")] + [
+    pytest.param(_rows_form(make), N, id=f"{name}-rows-N{N}")
+    for name, make in (("bb84", _bb84), ("qutrit", _qutrit)) for N in (2, 3, 4, 5)])
 def test_graded_optimum_equals_ungraded(make, N, path):
     q = make(N) if path == "real" else _rotated(make(N))
     graded = optimize_over_cone(q)
@@ -1628,27 +1653,41 @@ def test_graded_optimum_equals_ungraded(make, N, path):
 
 
 @pytest.mark.parametrize(
-    "make, m",
-    [(_bb84, {2: 36, 3: 66, 4: 104, 5: 150, 7: 266}), (_qutrit, {2: 48, 3: 126, 4: 276, 5: 528}),
-     (_depolarizing_purity, {2: 11, 3: 19, 4: 29}), (_ghz_geometric, {2: 7, 3: 11, 4: 17}),
-     (_w_geometric, {2: 11, 3: 19, 4: 29})],
-    ids=["bb84", "qutrit", "purity", "ghz", "w"],
+    "make, m, sides",
+    [(_bb84, {2: 36, 3: 66, 4: 104, 5: 150, 7: 266}, None),
+     (_qutrit, {2: 48, 3: 126, 4: 276, 5: 528}, None),
+     (_depolarizing_purity, {2: 11, 3: 19, 4: 29}, None),
+     (_ghz_geometric, {2: 7, 3: 11, 4: 17}, None), (_w_geometric, {2: 11, 3: 19, 4: 29}, None),
+     (_rows_form(_bb84), {2: 6, 3: 6, 5: 6, 12: 6},
+      {2: (6, 6), 3: (8, 8), 5: (12, 12), 12: (26, 26)}),
+     (_rows_form(_qutrit), {2: 3, 3: 3, 7: 3, 10: 3, 14: 3},
+      {2: (5, 3, 5, 5), 3: (7, 7, 9, 7), 7: (26, 26, 30, 26), 10: (51, 45, 51, 51),
+       14: (92, 84, 92, 92)})],
+    ids=["bb84", "qutrit", "purity", "ghz", "w", "bb84-rows", "qutrit-rows"],
 )
-def test_sdp_size_matches_graded_compile(make, m):
+def test_sdp_size_matches_graded_compile(make, m, sides):
     """On graded inputs ``sdp_size`` gives the compiled m and block sides
-    exactly, and the sides are those of the ungraded compile."""
+    exactly.  The free form's sides are those of the ungraded compile; the
+    rows form's are its class sides (``sides``), which add up to X's side."""
     for N, want in m.items():
         for q in (make(N), _rotated(make(N))):  # GHZ's diagonal data stays real
             real = not any(np.imag(op.entries).any() for op in (q.rho, q.objective))
-            size = sdp_size(q.rho.factor_dims, N, True, q.reduced_constraint, real, _grading(q))
+            ppt = _has_ppt_block(q)
+            size = sdp_size(q.rho.factor_dims, N, ppt, q.reduced_constraint, real, _grading(q))
             if real:
                 assert size[0] == want
-            if size[0] > 300:
+            if sides is not None:
+                assert size[1] == sides[N]
+            if size[0] > 300 or N >= 10:
                 continue  # predicted only: the compile is checked at lower N
             problem, codec = _compile(q)
             assert codec.real == real
             assert size[:2] == (len(problem.rhs), tuple(problem.block_sizes))
-            assert tuple(compile_ungraded(q)[0].block_sizes) == size[1]
+            ungraded = tuple(compile_ungraded(q)[0].block_sizes)
+            if sides is None:
+                assert ungraded == size[1]
+            else:
+                assert ungraded == (sum(size[1]),)
 
 
 # ---------------------------------------------------------------------------
@@ -1695,6 +1734,19 @@ def test_unit_trace_without_ppt_block_is_top_eigenspace(q, monkeypatch):
     dA, *dBs = q.rho.factor_dims
     c = TraceMap(dA, dBs, q.N).adjoint(q.objective.entries)
     assert opt.value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [_depolarizing_purity, _ghz_geometric, _w_geometric],
+                         ids=["purity", "ghz", "w"])
+def test_top_eigenspace_route_computes_no_grading(make, monkeypatch):
+    """The eigh route builds no SDP, so it computes no grading either, and
+    its answers are those it gives with ``_grading`` in place."""
+    queries = [replace(make(N), ppt=False) for N in range(2, 13)]
+    want = [optimize_over_cone(q) for q in queries]
+    monkeypatch.setattr("dpskit.extensions._grading", _no_grading)
+    for q, w in zip(queries, want):
+        got = optimize_over_cone(q)
+        assert got.value == w.value and np.array_equal(got.extension, w.extension)
 
 
 @pytest.mark.parametrize("tol, rank", [(1e-8, 2), (1e-10, 1)])
