@@ -23,7 +23,6 @@ from .applications import (
 )
 from .bounds import (
     BoundReport,
-    JacobiRecurrence,
     bessel_zero_first,
     bound_report,
     complexity_estimate,
@@ -42,7 +41,6 @@ from .certify import (
     CertifyResult,
     RankProfile,
     certify,
-    numerical_rank,
     rank_loop_check,
     rank_min_heuristic,
 )
@@ -58,7 +56,6 @@ from .extensions import (
 from .operators import (
     HermitianOperator,
     depolarize,
-    eig_hermitian,
     identity,
     is_ppt,
     kron,

@@ -30,9 +30,7 @@ from scipy.special import jn_zeros
 from .operators import HermitianOperator, depolarize, is_ppt, partial_trace
 
 __all__ = [
-    "JacobiRecurrence",
     "BoundReport",
-    "jacobi_recurrence",
     "g_N",
     "bessel_zero_first",
     "critical_p",
@@ -65,26 +63,17 @@ def _jacobi_terms(n: int, alpha: float, beta: float) -> tuple:
     return a1, a2, a3, a4
 
 
-@dataclass(frozen=True)
-class JacobiRecurrence:
-    """Coefficients of (1-y) p_n = alpha_n p_n + beta_n p_{n+1} + gamma_n p_{n-1}
-    for the orthonormal Jacobi polynomials of weight (1-y)^a (1+y)^b."""
-
-    alpha: float
-    beta: float
-    diag: np.ndarray  # alpha_n
-    off: np.ndarray  # beta_n ( = gamma_{n+1} )
-
-
-def jacobi_recurrence(alpha: float, beta: float, n: int) -> JacobiRecurrence:
-    """First n rows of the (1-y)-recurrence for weight (1-y)^alpha (1+y)^beta.
+def _jacobi_tridiagonal(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off): the first n rows of the symmetric tridiagonal matrix of
+    (1-y) p_k = diag_k p_k + off_k p_{k+1} + off_{k-1} p_{k-1}, for the
+    orthonormal Jacobi polynomials of weight (1-y)^alpha (1+y)^beta.
 
     Standard orthonormal-Jacobi tridiagonal coefficients (Gautschi):
       y p_k = c_k p_{k+1} + a_k p_k + c_{k-1} p_{k-1},
       a_0 = (b-a)/(a+b+2),
       a_k = (b^2-a^2) / ((2k+a+b)(2k+a+b+2)),
       c_{k-1}^2 = 4k(k+a)(k+b)(k+a+b) / ((2k+a+b)^2 ((2k+a+b)^2 - 1)),
-    so alpha_k = 1 - a_k and beta_k = -c_k.
+    so diag_k = 1 - a_k and off_k = -c_k.
     """
     a, b = float(alpha), float(beta)
     k = np.arange(1, max(n, 1), dtype=float)
@@ -92,7 +81,7 @@ def jacobi_recurrence(alpha: float, beta: float, n: int) -> JacobiRecurrence:
     ak = (b * b - a * a) / (t * (t + 2.0))
     diag = 1.0 - np.concatenate(([(b - a) / (a + b + 2.0)], ak))[:n]
     off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t * t - 1.0))
-    return JacobiRecurrence(a, b, diag, -np.sqrt(off2))
+    return diag, -np.sqrt(off2)
 
 
 def _gn_params(d: int, N: int) -> tuple[int, int, int]:
@@ -137,18 +126,18 @@ def _roots_above(x: float, deg: int, alpha: float, beta: float, terms: tuple) ->
 @lru_cache(maxsize=16)
 def _coefficients(alpha: int, beta: int, capacity: int) -> tuple:
     """(diag, off, terms) of P^{(alpha,beta)} up to degree ``capacity``:
-    ``jacobi_recurrence``'s diagonals, read-only, and ``_jacobi_terms``.
+    ``_jacobi_tridiagonal``'s diagonals, read-only, and ``_jacobi_terms``.
 
     Every entry is elementwise in its index, so the slices to a degree
     below ``capacity`` equal a fresh build at that degree bit for bit.
     g_N asks for power-of-two capacities, and a table's rows of one parity
     share about log2(deg) sets.
     """
-    rec = jacobi_recurrence(alpha, beta, capacity)
+    diag, off = _jacobi_tridiagonal(alpha, beta, capacity)
     terms = _jacobi_terms(capacity, alpha, beta)
-    for a in (rec.diag, rec.off, *terms):
+    for a in (diag, off, *terms):
         a.flags.writeable = False
-    return rec.diag, rec.off, terms
+    return diag, off, terms
 
 
 # The eigenvalue route and the recurrence's largest root (refined by

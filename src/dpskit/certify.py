@@ -16,10 +16,10 @@ state rho as separable:
   separability of the reduced state outright; eigenvalues above
   ``RANK_TOL`` times max(lambda_max, 1) count toward a rank.  Generic
   solver output is max-rank, so a log-det reweighting heuristic searches
-  the feasible region for low-rank extensions, starting from the extension
-  that :func:`check_membership` found and re-verified.  Boundary states,
-  whose preimage is never PSD (a pure product state is one), need this
-  route.
+  the feasible region for one, from the extension that
+  :func:`check_membership` found and re-verified, and stops at the first
+  that closes a loop.  Boundary states, whose preimage is never PSD (a pure
+  product state is one), need this route.
 
 Neither route carries a guarantee of deciding a given separable state, and
 ``certify`` reports "undecided" honestly, with each route's outcome, when
@@ -40,6 +40,7 @@ from .extensions import (
     PptMap,
     TraceMap,
     _compile,
+    _has_ppt_block,
     _shared_map,
     _verify_feasible,
     check_membership,
@@ -52,7 +53,6 @@ from .symmetric import sym_dim
 __all__ = [
     "RANK_TOL",
     "RankProfile",
-    "numerical_rank",
     "rank_loop_check",
     "rank_min_heuristic",
     "certify",
@@ -77,18 +77,8 @@ def _rank(w: np.ndarray) -> int:
     return int(np.sum(w > RANK_TOL * max(float(w[-1]), 1.0)))
 
 
-def numerical_rank(x) -> int:
-    """Eigenvalues above RANK_TOL * max(lambda_max, 1) count toward the rank."""
-    m = x.entries if isinstance(x, HermitianOperator) else np.asarray(x)
-    return _rank(np.linalg.eigvalsh(m))
-
-
 def rank_loop_check(
-    extension: np.ndarray,
-    dA: int,
-    d: int,
-    N: int,
-    K: int,
+    extension: np.ndarray, dA: int, d: int, N: int, K: int
 ) -> tuple[bool, RankProfile]:
     """Evaluate the loop inequality rank(full) <= max(rank(AB^K), rank(B^{N-K})).
 
@@ -100,13 +90,30 @@ def rank_loop_check(
     side = dA * sym_dim(d, N)
     if extension.shape != (side, side):
         raise ValueError("extension side does not match dA * sym_dim")
-    rank_full = numerical_rank(extension)
-    rank_left = numerical_rank(_shared_map(TraceMap, dA, (d,), N, K).apply(extension))
+    left = _shared_map(TraceMap, dA, (d,), N, K).apply(extension)
     # Lambda_{B^{N-K}}: trace A off, then all but N - K copies
     sym = np.einsum("asat->st", extension.reshape(dA, side // dA, dA, side // dA))
-    rank_right = numerical_rank(_shared_map(TraceMap, 1, (d,), N, N - K).apply(sym))
-    loop = rank_full <= max(rank_left, rank_right)
-    return loop, RankProfile(rank_full, rank_left, rank_right, K)
+    right = _shared_map(TraceMap, 1, (d,), N, N - K).apply(sym)
+    ranks = [_rank(np.linalg.eigvalsh(m)) for m in (extension, left, right)]
+    return ranks[0] <= max(ranks[1:]), RankProfile(*ranks, K)
+
+
+def _first_loop(q: ExtensionQuery, x: np.ndarray) -> RankProfile | None:
+    """The first rank loop of the extension ``x`` of ``q``, or None: at the
+    S_p^N cut, then at every other cut where ``x`` is PPT.  Only the cut
+    that ``q``'s PPT block re-verified skips the ``eigvalsh`` PPT check."""
+    dA, dB = q.rho.factor_dims
+    n = q.N
+    k_sp = n - transposed_copies(n)
+    for k in [k_sp] + [k for k in range(1, n) if k != k_sp]:
+        if k != k_sp or not _has_ppt_block(q):
+            gamma = _shared_map(PptMap, dA, (dB,), n, n - k)
+            if float(np.linalg.eigvalsh(gamma.apply(x))[0]) < -FEAS_PSD_TOL:
+                continue
+        loop, profile = rank_loop_check(x, dA, dB, n, k)
+        if loop:
+            return profile
+    return None
 
 
 # the log-det search: rounds per pass, solver tolerance of each round, the
@@ -127,21 +134,24 @@ def _rank_and_weight(x: np.ndarray) -> tuple[int, np.ndarray]:
     return _rank(w), 0.5 * (weight + weight.conj().T)
 
 
-def rank_min_heuristic(q: ExtensionQuery, extension: np.ndarray) -> np.ndarray:
-    """Search the feasible set for a low-rank extension by log-det reweighting.
+def rank_min_heuristic(
+    q: ExtensionQuery, extension: np.ndarray
+) -> tuple[np.ndarray, RankProfile | None]:
+    """Search the feasible set for a rank loop by log-det reweighting.
 
     Round k minimizes <W_k, X> over the feasible set of the membership query
-    ``q`` with W_{k+1} = (X_k + eps max(lambda_max, 1) I)^{-1}; the
-    lowest-rank feasible iterate wins.  One ``eigh`` of each iterate gives
-    both its rank and the next weight.  The first pass starts from
-    ``extension``, a feasible extension of ``q`` (the one
+    ``q`` with W_{k+1} = (X_k + eps max(lambda_max, 1) I)^{-1}.  One ``eigh``
+    of each iterate gives both its rank and the next weight.  The first pass
+    starts from ``extension``, a feasible extension of ``q`` (the one
     :func:`check_membership` returns), which is re-verified here (ValueError
     if it fails) and is round 1's iterate.  A pass has up to
     ``RANK_MIN_ROUNDS`` rounds.  ``RANK_MIN_RESTARTS`` further passes reseed
     with random positive weights (seed ``RANK_MIN_SEED``), which breaks the
     symmetry that can trap the reweighting at the analytic center (highly
     symmetric inputs like the maximally mixed state need this).  A pass ends
-    early when a round fails to give a re-verified iterate.
+    early when a round fails to give a re-verified iterate.  Returns the
+    first iterate that closes a loop (:func:`_first_loop`) and its profile,
+    else the lowest-rank iterate and None.
     """
     if q.reduced_constraint != "trace_match":
         raise ValueError("rank_min_heuristic requires a trace_match query")
@@ -150,35 +160,34 @@ def rank_min_heuristic(q: ExtensionQuery, extension: np.ndarray) -> np.ndarray:
     if not ok:
         raise ValueError(f"extension is not feasible: {detail}")
     rng = np.random.default_rng(RANK_MIN_SEED)
-    best_rank, weight = _rank_and_weight(extension)
-    best_x = extension
+    x, best_rank = extension, np.inf
     for start in range(RANK_MIN_RESTARTS + 1):
-        if best_rank == 1:
-            break
         if start:
             g = rng.standard_normal((codec.nx, codec.nx))
             if not codec.real:
                 g = g + 1j * rng.standard_normal((codec.nx, codec.nx))
             weight = g @ g.conj().T
             weight = weight / np.trace(weight).real
-        # the first pass's round 1 is the extension itself
-        for _ in range(RANK_MIN_ROUNDS - (start == 0)):
-            codec.set_objective(problem, weight, "minimize")
-            try:
-                sol = solve(problem, tol=RANK_MIN_SOLVE_TOL)
-            except SolverBreakdown:
-                break
-            if sol.status not in ("optimal", "max_iter"):
-                break
-            x = codec.extension(sol)
-            if not _verify_feasible(x, codec)[0]:
-                break
+        for i in range(RANK_MIN_ROUNDS):
+            # the first pass's round 1 is the extension itself
+            if start or i:
+                codec.set_objective(problem, weight, "minimize")
+                try:
+                    sol = solve(problem, tol=RANK_MIN_SOLVE_TOL)
+                except SolverBreakdown:
+                    break
+                if sol.status not in ("optimal", "max_iter"):
+                    break
+                x = codec.extension(sol)
+                if not _verify_feasible(x, codec)[0]:
+                    break
+            profile = _first_loop(q, x)
+            if profile is not None:
+                return x, profile
             r, weight = _rank_and_weight(x)
             if r < best_rank:
                 best_x, best_rank = x, r
-            if best_rank == 1:
-                break
-    return best_x
+    return best_x, None
 
 
 @dataclass
@@ -201,13 +210,9 @@ class CertifyResult:
 
     def to_json(self) -> str:
         payload = {"verdict": self.verdict, "N": self.N, "detail": self.detail}
-        if self.profile is not None:
-            payload["ranks"] = [
-                self.profile.rank_full,
-                self.profile.rank_left,
-                self.profile.rank_right,
-            ]
-            payload["K"] = self.profile.K
+        p = self.profile
+        if p is not None:
+            payload.update(ranks=[p.rank_full, p.rank_left, p.rank_right], K=p.K)
         if self.witness is not None:
             payload["witness"] = operator_to_dict(self.witness)
         return json.dumps(payload)
@@ -228,11 +233,15 @@ def certify(rho: HermitianOperator, maxN: int = 4) -> CertifyResult:
     ``eigvalsh`` rejects a preimage that is not PSD, and one membership
     solve tests the rest.  Only when no level's routes decide does the
     log-det rank search look for a rank loop, at each feasible level from
-    the lowest N up: first at the S_p^N cut, then at every other cut where
-    the extension is PPT.  An "undecided" verdict names each route's
-    outcome at the last level searched.
+    the lowest N up, and it stops at the first extension that closes one.
+    An "undecided" verdict names each route's outcome at the last level
+    searched.  A rho without exactly two factors, or maxN < 2, is a
+    ValueError.
     """
-    dA, dB = rho.factor_dims
+    if rho.nfactors != 2:
+        raise ValueError(f"certify input needs exactly two factors, got {rho.nfactors}")
+    if maxN < 2:
+        raise ValueError(f"maxN must be >= 2, got {maxN}")
     levels, stop, outcomes = [], None, []
     for n in range(2, maxN + 1):
         q = ExtensionQuery(rho=rho, N=n, ppt=True)
@@ -264,27 +273,16 @@ def certify(rho: HermitianOperator, maxN: int = 4) -> CertifyResult:
             )
         levels.append((q, res.extension, outcomes))
     for q, extension, outcomes in levels:
-        n = q.N
-        x = rank_min_heuristic(q, extension)
-        k_sp = n - transposed_copies(n)
-        for k in [k_sp] + [k for k in range(1, n) if k != k_sp]:
-            # x was re-verified PPT at the S_p^N cut; other cuts need the check
-            if k != k_sp:
-                gamma = _shared_map(PptMap, dA, (dB,), n, n - k)
-                lam = float(np.linalg.eigvalsh(gamma.apply(x))[0])
-                if lam < -FEAS_PSD_TOL:
-                    continue
-            loop, profile = rank_loop_check(x, dA, dB, n, k)
-            if loop:
-                return CertifyResult(
-                    verdict="separable", N=n, profile=profile, extension=x,
-                    detail=f"rank loop at K={k}",
-                )
-            if k == k_sp:
-                sp_profile = profile
+        x, profile = rank_min_heuristic(q, extension)
+        if profile is not None:
+            return CertifyResult(
+                verdict="separable", N=q.N, profile=profile, extension=x,
+                detail=f"rank loop at K={profile.K}",
+            )
+        _, low = rank_loop_check(x, *rho.factor_dims, q.N, q.N - transposed_copies(q.N))
         outcomes.append(
-            f"no rank loop (lowest-rank extension: ranks {sp_profile.rank_full}, "
-            f"{sp_profile.rank_left}, {sp_profile.rank_right} at K={k_sp})"
+            f"no rank loop (lowest-rank extension: ranks {low.rank_full}, "
+            f"{low.rank_left}, {low.rank_right} at K={low.K})"
         )
     if stop is not None:
         return stop

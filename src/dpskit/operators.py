@@ -20,7 +20,6 @@ __all__ = [
     "kron",
     "partial_trace",
     "partial_transpose",
-    "eig_hermitian",
     "norm",
     "negativity",
     "depolarize",
@@ -173,12 +172,6 @@ def partial_transpose(x: HermitianOperator, transposed_factors) -> HermitianOper
         perm[f], perm[k + f] = perm[k + f], perm[f]
     res = np.transpose(t, perm).reshape(x.dim, x.dim)
     return HermitianOperator(x.factor_dims, res)
-
-
-def eig_hermitian(x: HermitianOperator):
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    w, v = np.linalg.eigh(x.entries)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def norm(x: HermitianOperator, kind: str) -> float:

@@ -10,7 +10,7 @@ a time; :func:`lift` and :func:`compress` carry a compressed operator on
 H_A (x) Sym^N to the full tensor space and back, the naive route the
 compressed maps are checked against, and :func:`dicke_overlap_state` is the
 2K-qubit state whose two-qubit reduction is the hierarchy's tightness
-family.
+family.  :func:`eig_hermitian` is a descending ``eigh`` of an operator.
 
 :func:`build_bse_sdp` is a query's compiled SDP alone, and
 :func:`reduce_extension` traces one copy off a compressed extension, the
@@ -64,12 +64,11 @@ import numpy as np
 import dpskit.extensions
 import dpskit.solver
 from dpskit.bounds import (
-    JacobiRecurrence,
     _gn_params,
     _jacobi_terms,
+    _jacobi_tridiagonal,
     bessel_zero_first,
     g_N,
-    jacobi_recurrence,
 )
 from dpskit.extensions import (
     ExtensionQuery,
@@ -184,6 +183,12 @@ def dicke_overlap_state(K: int) -> HermitianOperator:
     basis = build_basis(2, 2 * K)
     vec = basis.isometry[:, basis.index((K, K))]
     return pure_state(vec, (2,) * (2 * K))
+
+
+def eig_hermitian(x: HermitianOperator):
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    w, v = np.linalg.eigh(x.entries)
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def step_length_oracle(blocks, scalars, cap: float) -> float:
@@ -337,11 +342,11 @@ def jacobi_eval(n: int, alpha: float, beta: float, x):
     return _jacobi_run(x, n, alpha, beta, _jacobi_terms(n, alpha, beta))
 
 
-def recurrence_matrix(rec: JacobiRecurrence) -> np.ndarray:
-    """The dense symmetric tridiagonal matrix of the recurrence ``rec``."""
-    c = np.diag(rec.diag)
-    if len(rec.off):
-        c += np.diag(rec.off, 1) + np.diag(rec.off, -1)
+def recurrence_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix of ``(diag, off)``."""
+    c = np.diag(diag)
+    if len(off):
+        c += np.diag(off, 1) + np.diag(off, -1)
     return c
 
 
@@ -349,7 +354,7 @@ def tridiagonal_C(d: int, N: int) -> np.ndarray:
     """The tridiagonal matrix whose spectrum is {1 - x : P(x) = 0} for the
     designated Jacobi polynomial; its smallest eigenvalue is g_N."""
     alpha, beta, deg = _gn_params(d, N)
-    return recurrence_matrix(jacobi_recurrence(alpha, beta, deg))
+    return recurrence_matrix(*_jacobi_tridiagonal(alpha, beta, deg))
 
 
 # Grid points per sign-scan chunk.  For N <= 300 the first sign change lies

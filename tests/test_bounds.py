@@ -11,6 +11,7 @@ from dpskit import bounds
 from dpskit.bounds import (
     _gn_params,
     _jacobi_terms,
+    _jacobi_tridiagonal,
     _roots_above,
     bessel_zero_first,
     bound_report,
@@ -22,7 +23,6 @@ from dpskit.bounds import (
     example_state,
     frobenius_distance_exact,
     g_N,
-    jacobi_recurrence,
     multipartite_probs,
     ppt_alone,
     required_N,
@@ -141,12 +141,11 @@ class TestJacobi:
         for a, b in [(0, 0), (0, 1), (4, 1), (3.5, 0.5), (0.3, 2.7)]:
             for n in range(0, 160, 7):
                 diag, off = loop_recurrence(float(a), float(b), n)
-                rec = jacobi_recurrence(a, b, n)
-                assert np.array_equal(rec.diag, diag) and np.array_equal(rec.off, off)
+                got_diag, got_off = _jacobi_tridiagonal(a, b, n)
+                assert np.array_equal(got_diag, diag) and np.array_equal(got_off, off)
 
     def test_recurrence_symmetry_invariant(self):
-        rec = jacobi_recurrence(2, 1, 6)
-        c = recurrence_matrix(rec)
+        c = recurrence_matrix(*_jacobi_tridiagonal(2, 1, 6))
         assert_allclose(c, c.T)
         # gamma_0 = 0 is implicit (no sub-diagonal entry feeding row 0)
         assert c.shape == (6, 6)
@@ -175,13 +174,13 @@ class TestGn:
         w, v = np.linalg.eigh(c)
         y0 = 1.0 - w[0]
         vec = v[:, 0]
-        rec = jacobi_recurrence(d - 2, 0, c.shape[0])
+        diag, off = _jacobi_tridiagonal(d - 2, 0, c.shape[0])
         # rebuild p_n(y0) through the recurrence (orthonormal normalization
         # cancels after renormalizing)
         p = [1.0]
         for k in range(c.shape[0] - 1):
-            prev = rec.off[k - 1] * p[k - 1] if k else 0.0
-            p.append((((1.0 - y0) - rec.diag[k]) * p[k] - prev) / rec.off[k])
+            prev = off[k - 1] * p[k - 1] if k else 0.0
+            p.append((((1.0 - y0) - diag[k]) * p[k] - prev) / off[k])
         p = np.array(p)
         p /= np.linalg.norm(p)
         vec = vec / np.linalg.norm(vec) * np.sign(vec[0] * p[0])
@@ -231,14 +230,14 @@ class TestGn:
         # before the patch, so the shift reaches the next g_N, and at
         # teardown, so no shifted set outlives the test.
         def shift(value):
-            recurrence = bounds.jacobi_recurrence
+            tridiagonal = bounds._jacobi_tridiagonal
 
             def shifted(alpha, beta, n):
-                rec = recurrence(alpha, beta, n)
-                return bounds.JacobiRecurrence(alpha, beta, rec.diag + value, rec.off)
+                diag, off = tridiagonal(alpha, beta, n)
+                return diag + value, off
 
             bounds._coefficients.cache_clear()
-            monkeypatch.setattr(bounds, "jacobi_recurrence", shifted)
+            monkeypatch.setattr(bounds, "_jacobi_tridiagonal", shifted)
 
         yield shift
         bounds._coefficients.cache_clear()
@@ -280,15 +279,15 @@ class TestGn:
     def test_shared_coefficients_change_no_value(self, d):
         # the rows slice shared coefficient sets: ascending, descending and
         # a fresh set before each call all give eigvalsh_tridiagonal on a
-        # fresh jacobi_recurrence, bit for bit
+        # fresh _jacobi_tridiagonal, bit for bit
         from scipy.linalg import eigvalsh_tridiagonal
 
         ns = [*range(1, 401), 10750, 34006, 34007]
         want = []
         for n in ns:
             alpha, beta, deg = _gn_params(d, n)
-            rec = jacobi_recurrence(alpha, beta, deg)
-            want.append(float(eigvalsh_tridiagonal(rec.diag, rec.off, select="i",
+            diag, off = _jacobi_tridiagonal(alpha, beta, deg)
+            want.append(float(eigvalsh_tridiagonal(diag, off, select="i",
                                                    select_range=(0, 0))[0]))
         fresh = []
         for n in ns:

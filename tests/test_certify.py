@@ -7,8 +7,8 @@ import pytest
 
 from dpskit.bounds import disentangle_preimage
 from dpskit.certify import (
+    _rank,
     certify,
-    numerical_rank,
     rank_loop_check,
     rank_min_heuristic,
 )
@@ -37,6 +37,23 @@ MIXED = identity((2, 2)) * 0.25
 SP_ONLY = 0.4 * random_state((2, 2), 2, 0) + 0.6 * MIXED
 # partial-transpose minimum eigenvalue about -0.09
 QUBIT_QUTRIT_NPT = 0.7 * random_state((2, 3), 3, 1) + 0.3 * (identity((2, 3)) * (1 / 6))
+
+
+def product_mixture(dA, dB, r, rng):
+    """An even mixture of r product states with complex Gaussian factors."""
+    mix = np.zeros((dA * dB, dA * dB), dtype=complex)
+    for _ in range(r):
+        a = rng.standard_normal(dA) + 1j * rng.standard_normal(dA)
+        b = rng.standard_normal(dB) + 1j * rng.standard_normal(dB)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        mix += np.outer(v, v.conj()) / r
+    return HermitianOperator((dA, dB), mix)
+
+
+def numerical_rank(x) -> int:
+    """The rank rule on an operator or a matrix."""
+    m = x.entries if isinstance(x, HermitianOperator) else x
+    return _rank(np.linalg.eigvalsh(m))
 
 
 class TestNumericalRank:
@@ -97,13 +114,14 @@ class TestRankLoop:
 class TestRankMinHeuristic:
     def test_pure_product_reaches_rank_one(self):
         q = ExtensionQuery(rho=PRODUCT, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension)
+        x, profile = rank_min_heuristic(q, check_membership(q).extension)
         assert numerical_rank(x) == 1
+        assert (profile.rank_full, profile.K) == (1, 1)
 
     def test_feasibility_always_maintained(self):
         rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
         q = ExtensionQuery(rho=rho, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension)
+        x, _ = rank_min_heuristic(q, check_membership(q).extension)
         tmap = TraceMap(2, (2,), 2)
         assert np.max(np.abs(tmap.apply(x) - rho.entries)) < 1e-7
         assert np.linalg.eigvalsh(x)[0] > -1e-7
@@ -126,13 +144,16 @@ class TestRankMinHeuristic:
 
     def test_one_eigh_per_round(self, monkeypatch):
         # the rank and the next weight of each accepted iterate (and of the
-        # starting extension) come from one eigh; eigvalsh runs only inside
-        # the solver and the feasibility check
-        rho = 0.5 * PRODUCT + 0.5 * pure_state([0, 0, 0, 1], (2, 2))
+        # starting extension) come from one eigh, and the rank loop is tested
+        # on each; eigvalsh runs only inside the solver, the feasibility
+        # check and the rank-loop checks (at N = 2 the only cut is the
+        # S_p^N one, which the PPT block re-verified).  No iterate of this
+        # input closes a loop, so every round runs
+        rho = product_mixture(2, 2, 5, np.random.default_rng(1))
         q = ExtensionQuery(rho=rho, N=2, ppt=True)
         extension = check_membership(q).extension
         module = sys.modules["dpskit.certify"]
-        counts = {"eigh": 0, "eigvalsh": 0, "accepted": 0}
+        counts = {"eigh": 0, "eigvalsh": 0, "accepted": 0, "loops": 0}
         inside = []
         for name in ("eigh", "eigvalsh"):
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -157,12 +178,49 @@ class TestRankMinHeuristic:
             counts["accepted"] += ok
             return ok, detail
 
+        def counting_loop(*args):
+            counts["loops"] += 1
+            return shielded(rank_loop_check)(*args)
+
         monkeypatch.setattr(module, "solve", shielded(module.solve))
         monkeypatch.setattr(module, "_verify_feasible", counting_verify)
-        rank_min_heuristic(q, extension)
+        monkeypatch.setattr(module, "rank_loop_check", counting_loop)
+        assert rank_min_heuristic(q, extension)[1] is None
         assert counts["accepted"] > 1
-        assert counts["eigh"] == counts["accepted"]
+        assert counts["eigh"] == counts["accepted"] == counts["loops"]
         assert counts["eigvalsh"] == 0
+
+    def test_query_without_ppt_block_checks_the_sp_cut(self, monkeypatch):
+        # Phi+ at fidelity 0.7 is entangled (> 1/2) yet 2-extendable
+        # (<= 3/4), and NPT, so none of its extensions is PPT at the S_p^N
+        # cut.  A query without a PPT block checks PPT there before any loop
+        # counts; a query with one skips the check at that cut
+        module = sys.modules["dpskit.certify"]
+        transposed, loops = [], []
+        shared = module._shared_map
+
+        def recording_map(cls, *args):
+            if cls is PptMap:
+                transposed.append(args[-1])
+            return shared(cls, *args)
+
+        def recording_loop(*args):
+            loops.append(args[3:])
+            return rank_loop_check(*args)
+
+        monkeypatch.setattr(module, "_shared_map", recording_map)
+        monkeypatch.setattr(module, "rank_loop_check", recording_loop)
+        q = ExtensionQuery(rho=0.6 * BELL + 0.4 * MIXED, N=2)
+        res = check_membership(q)
+        assert res.verdict == "feasible"
+        assert rank_min_heuristic(q, res.extension)[1] is None
+        assert transposed and set(transposed) == {1}
+        assert loops == []
+        transposed.clear()
+        q = ExtensionQuery(rho=PRODUCT, N=2, ppt=True)
+        _, profile = rank_min_heuristic(q, check_membership(q).extension)
+        assert profile.K == 1
+        assert transposed == [] and loops == [(2, 1)]
 
 
 class TestCertify:
@@ -199,7 +257,8 @@ class TestCertify:
         # certify decides I/4 by the disentangling theorem before the rank
         # search runs, so the search is driven directly here
         q = ExtensionQuery(rho=MIXED, N=2, ppt=True)
-        x = rank_min_heuristic(q, check_membership(q).extension)
+        x, found = rank_min_heuristic(q, check_membership(q).extension)
+        assert found is not None
         loop, profile = rank_loop_check(x, 2, 2, 2, K=1)
         assert loop
         assert profile.rank_full <= max(profile.rank_left, profile.rank_right)
@@ -408,7 +467,9 @@ class TestCertify:
 
     def test_rank_loop_at_a_cut_other_than_sp(self, monkeypatch):
         # with no loop at the S_p^N cut (K = 1 at N = 2, K = 2 at N = 3),
-        # the product state's extension shows one at N = 3's other cut
+        # N = 2 has no other cut, so its search checks K = 1 on every
+        # iterate; at N = 3 the membership extension is checked at the
+        # S_p^N cut first and closes a loop at the other cut
         module = sys.modules["dpskit.certify"]
         checked = []
 
@@ -421,7 +482,38 @@ class TestCertify:
         res = certify(PRODUCT, maxN=3)
         assert (res.verdict, res.N, res.detail) == ("separable", 3, "rank loop at K=1")
         assert res.profile.K == 1
-        assert checked == [(2, 1), (3, 2), (3, 1)]
+        assert checked[-2:] == [(3, 2), (3, 1)]
+        assert len(checked) > 3 and set(checked[:-2]) == {(2, 1)}
+
+    def test_low_rank_loop_needs_no_search_solve(self, monkeypatch):
+        # a rank-2 sum of product states on 2x3: its membership extension
+        # closes the loop at the S_p^N cut, so the log-det search runs no
+        # solve (it ran all 23 when it searched before testing any cut)
+        module = sys.modules["dpskit.certify"]
+        solve, calls = module.solve, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve", counting)
+        rho = product_mixture(2, 3, 2, np.random.default_rng(2320))
+        res = certify(rho, maxN=3)
+        assert (res.verdict, res.N, res.detail) == ("separable", 2, "rank loop at K=1")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "rho, maxN, match",
+        [
+            (identity((2, 2, 2)) * 0.125, 2, "exactly two factors, got 3"),
+            (identity((4,)) * 0.25, 2, "exactly two factors, got 1"),
+            (PRODUCT, 1, "maxN must be >= 2, got 1"),
+        ],
+        ids=["three-factors", "one-factor", "maxN-1"],
+    )
+    def test_rejects_bad_input(self, rho, maxN, match):
+        with pytest.raises(ValueError, match=match):
+            certify(rho, maxN=maxN)
 
     def test_each_map_built_once(self, monkeypatch):
         # the rank checks and the other cuts' PPT tests share the compiled

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from dpskit.operators import (
     HermitianOperator,
     depolarize,
-    eig_hermitian,
     identity,
     is_ppt,
     kron,
@@ -23,6 +22,8 @@ from dpskit.operators import (
     pure_state,
     random_state,
 )
+
+from oracles import eig_hermitian
 
 BELL = pure_state([1, 0, 0, 1], (2, 2))
 
